@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BadParameters
 from .numerics import adaptive_simpson, find_roots
 from .plane import PlaneKinematics
-from .reconstruct import PlaneReconstructionProblem
+from .reconstruct import PlaneReconstructionProblem, _pointwise
 from .vec import Vec2
 
 
@@ -256,21 +256,21 @@ def origin_reconstruction_problem(params: EllipseParams,
     """Second-order distance data about the center plus the rotational
     velocity field of the center-to-point direction; integrating it
     regenerates the ellipse."""
-    a, b = params.a, params.b
+    a, b, c = params.a, params.b, params.c
 
-    def rhs_D(theta):
-        return origin_frame_profile(params, theta).d2D
-
-    def rhs_e(theta, e):
-        ct, st = math.cos(theta), math.sin(theta)
+    def data(theta):
+        ct, st = np.cos(theta), np.sin(theta)
         q = a * a * ct * ct + b * b * st * st
-        return np.array([-b * st, a * ct]) * (a * b / q ** 1.5)
+        d2D = c * c * (-a * a * ct ** 4 + b * b * st ** 4) / q ** 1.5
+        rate = np.stack((-b * st, a * ct), axis=1) * (a * b / q ** 1.5)[:, None]
+        return d2D, rate[:, None, :]
 
+    rhs_D, (rhs_e,) = _pointwise(data, 1)
     return PlaneReconstructionProblem(
         rhs_D=rhs_D, rhs_e=rhs_e, D0=a, e0=np.array([1.0, 0.0]),
         domain=(0.0, _TWO_PI),
         step=step if step is not None else _TWO_PI / 1e4,
-        order=2, dD0=0.0)
+        order=2, dD0=0.0, data=data)
 
 
 def focus_reconstruction_problem(params: EllipseParams,
@@ -278,22 +278,23 @@ def focus_reconstruction_problem(params: EllipseParams,
                                  ) -> PlaneReconstructionProblem:
     """Same as origin_reconstruction_problem but about the focus (c, 0)."""
     a, b, c = params.a, params.b, params.c
-    profile = focus_profile(params)
 
-    def rhs_D(theta):
-        return profile.d2(theta)
+    def data(theta):
+        ct, st = np.cos(theta), np.sin(theta)
+        q = (a * ct - c) ** 2 + b * b * st * st
+        num1 = a * c * st - c * c * st * ct
+        num2 = a * c * ct - c * c * np.cos(2.0 * theta)
+        d2 = -num1 ** 2 / q ** 1.5 + num2 / np.sqrt(q)
+        rate = (np.stack((-b * st, a * ct - c), axis=1)
+                * (b * (a - c * ct) / q ** 1.5)[:, None])
+        return d2, rate[:, None, :]
 
-    def rhs_e(theta, e):
-        ct, st = math.cos(theta), math.sin(theta)
-        q = _xi1_sq(params, theta)
-        return (np.array([-b * st, a * ct - c])
-                * (b * (a - c * ct) / q ** 1.5))
-
+    rhs_D, (rhs_e,) = _pointwise(data, 1)
     return PlaneReconstructionProblem(
         rhs_D=rhs_D, rhs_e=rhs_e, D0=a - c, e0=np.array([1.0, 0.0]),
         domain=(0.0, _TWO_PI),
         step=step if step is not None else _TWO_PI / 1e4,
-        order=2, dD0=0.0, center=np.array([c, 0.0]))
+        order=2, dD0=0.0, center=np.array([c, 0.0]), data=data)
 
 
 # -- CSV export -------------------------------------------------------------------

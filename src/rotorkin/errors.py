@@ -115,6 +115,10 @@ class InconsistentDirections(KinematicsError):
     """The three projected directions fail to triangulate a single point."""
 
 
+class NonFiniteData(KinematicsError):
+    """Reconstruction data or a reconstructed trajectory is NaN or infinite."""
+
+
 # -- root finding -----------------------------------------------------------
 
 class RootCountMismatch(KinematicsError):

@@ -6,18 +6,25 @@ vectors: the full direction in the plane, or the three coordinate-plane
 projected directions in space.  Fixed-step classical Runge-Kutta recovers
 the trajectory; directions are renormalized after every step and the
 pre-renormalization drift is recorded.
+
+A problem that supplies `data(ts)` declares that its right-hand sides
+depend on time only.  One RK4 step is then Simpson's rule on [t, t + h],
+so the data is evaluated once per abscissa, a block of steps at a time,
+and never inside the step.  Problems without it take the general
+(t, e) path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (BadParameters, InconsistentDirections, NonTangentField,
-                     ProjectionCollapse, StepTooLarge)
+from .errors import (BadParameters, InconsistentDirections, NonFiniteData,
+                     NonTangentField, ProjectionCollapse, StepTooLarge)
 from .vec import Vec2, Vec3
 
 _TANGENCY_TOL = 1e-8
@@ -26,6 +33,11 @@ _TANGENCY_TOL = 1e-8
 # triangulation of the point from its plane projections degenerates there
 _COLLAPSE_TOL = 1e-3
 _TRIANGULATION_TOL = 1e-6
+_MAX_STEPS = 10 ** 6
+# steps per block of the time-only path; bounds its per-block Python lists
+_BLOCK = 128
+# coordinate planes of the space projections, in the order eA, eB, eC
+_PLANES = ((0, 1), (0, 2), (1, 2))
 
 
 @dataclass(frozen=True)
@@ -39,11 +51,17 @@ class Trajectory:
         return self.points.shape[1]
 
     def max_error_vs(self, curve) -> float:
+        """Largest distance from the trajectory to `curve` at the same
+        parameter; a non-finite point raises NonFiniteData."""
         worst = 0.0
-        for t, p in zip(self.ts, self.points):
-            q = curve.point(float(t))
-            ref = np.array(q.as_tuple())
-            worst = max(worst, float(np.linalg.norm(p - ref)))
+        for start in range(0, len(self.ts), _BLOCK):
+            points = self.points[start:start + _BLOCK]
+            if not np.isfinite(points).all():
+                raise NonFiniteData("trajectory has a non-finite point")
+            ref = np.array([curve.point(t).as_tuple()
+                            for t in self.ts[start:start + _BLOCK].tolist()])
+            worst = max(worst,
+                        float(np.linalg.norm(points - ref, axis=1).max()))
         return worst
 
     def write_csv(self, path) -> None:
@@ -70,49 +88,180 @@ def _as_array(v) -> np.ndarray:
     return np.asarray(v, dtype=float)
 
 
-def integrate_unit_direction(rhs_e: Callable, e0, domain: tuple[float, float],
-                             step: float):
-    """Integrate a unit-direction ODE with per-step renormalization.
+def _check_problem(problem, directions) -> None:
+    """Checks shared by both problem kinds; NaN fails every one of them."""
+    if not problem.D0 > 0:
+        raise BadParameters("D0 must be positive")
+    if problem.order not in (1, 2):
+        raise BadParameters("distance ODE order must be 1 or 2")
+    step = problem.step
+    if not (isinstance(step, numbers.Real) and math.isfinite(step)
+            and step > 0):
+        raise BadParameters(f"step must be finite and positive, got {step!r}")
+    t0, t1 = problem.domain
+    if not abs(t1 - t0) / step <= _MAX_STEPS:
+        raise BadParameters(
+            f"step {step:g} needs more than {_MAX_STEPS} steps on "
+            f"[{t0:g}, {t1:g}]")
+    for name, e in directions:
+        if not abs(np.linalg.norm(_as_array(e)) - 1.0) <= 1e-12:
+            raise BadParameters(f"{name} must be a unit vector")
 
-    Returns (ts, directions, max_drift) where max_drift is the largest
-    |(norm before renormalization) - 1| seen.  The right-hand side must be
-    tangent to the unit sphere; this is probed at the start and monitored
-    along the way.
-    """
-    e0 = _as_array(e0)
-    if abs(np.linalg.norm(e0) - 1.0) > 1e-12:
-        raise BadParameters("initial direction is not a unit vector")
-    t0, t1 = domain
-    if step <= 0:
-        raise BadParameters("step must be positive")
-    n_steps = max(1, int(round((t1 - t0) / step)))
-    h = (t1 - t0) / n_steps
 
-    def probe(t, e):
-        v = _as_array(rhs_e(t, e))
+def _step_count(problem) -> tuple[int, float]:
+    t0, t1 = problem.domain
+    n_steps = max(1, int(round((t1 - t0) / problem.step)))
+    return n_steps, (t1 - t0) / n_steps
+
+
+def _check_tangent(values, directions) -> None:
+    for v, e in zip(values, directions):
+        v, e = _as_array(v), _as_array(e)
         if abs(float(v @ e)) > _TANGENCY_TOL * max(1.0, float(np.linalg.norm(v))):
-            raise NonTangentField(
-                f"direction field not tangent to the unit sphere at t={t:g}")
+            raise NonTangentField("direction field not tangent at the start")
 
-    probe(t0, e0)
+
+def _non_positive(step: int, t: float) -> StepTooLarge:
+    return StepTooLarge(
+        f"distance became non-positive at step {step} (t={t:g})")
+
+
+def _pointwise(data, n_fields):
+    """rhs_D and the direction fields of time-only `data`, as one-element
+    calls of it (the fields ignore their state argument)."""
+    def at(t):
+        return data(np.array([float(t)]))
+
+    def rhs_D(t):
+        return float(at(t)[0][0])
+
+    def direction(i):
+        return lambda t, e: at(t)[1][0, i]
+
+    return rhs_D, [direction(i) for i in range(n_fields)]
+
+
+def _general_path(problem, fields, e0s, assemble) -> Trajectory:
+    """RK4 on (t, e) fields: the distance state and each direction are
+    stepped separately (they do not couple), renormalized, and assembled."""
+    t0 = problem.domain[0]
+    n_steps, h = _step_count(problem)
+    es = [_as_array(e) for e in e0s]
+    _check_tangent([f(t0, e) for f, e in zip(fields, es)], es)
+    second = problem.order == 2
+
+    def rhs_dist(t, y):
+        if second:
+            return np.array([y[1], problem.rhs_D(t)])
+        return np.array([problem.rhs_D(t)])
+
+    dvec = np.array([problem.D0, problem.dD0] if second else [problem.D0])
     ts = np.empty(n_steps + 1)
-    es = np.empty((n_steps + 1, e0.shape[0]))
     ts[0] = t0
-    es[0] = e0
-    e = e0.copy()
+    first = assemble(np.array([problem.D0]), np.array([es]), ts[:1])
+    points = np.empty((n_steps + 1, first.shape[1]))
+    points[0] = first[0]
     max_drift = 0.0
-    f = lambda t, y: _as_array(rhs_e(t, y))
     for k in range(n_steps):
         t = t0 + k * h
-        if k % 64 == 0:
-            probe(t, e)
-        e = _rk4_step(f, t, e, h)
-        norm = float(np.linalg.norm(e))
-        max_drift = max(max_drift, abs(norm - 1.0))
-        e = e / norm
+        dvec = _rk4_step(rhs_dist, t, dvec, h)
+        for i, f in enumerate(fields):
+            e = _rk4_step(lambda s, y, _f=f: _as_array(_f(s, y)), t, es[i], h)
+            norm = float(np.linalg.norm(e))
+            max_drift = max(max_drift, abs(norm - 1.0))
+            es[i] = e / norm
+        D = float(dvec[0])
+        if not D > 0.0:
+            raise _non_positive(k + 1, t + h)
         ts[k + 1] = t0 + (k + 1) * h
-        es[k + 1] = e
-    return ts, es, max_drift
+        points[k + 1] = assemble(np.array([D]), np.array([es]),
+                                 ts[k + 1:k + 2])[0]
+    return Trajectory(ts=ts, points=points, max_drift=max_drift)
+
+
+def _block_data(data, abscissae):
+    """`data` on each distinct abscissa once, spread back to all of them."""
+    unique, inverse = np.unique(abscissae, return_inverse=True)
+    with np.errstate(all="ignore"):
+        g, f = data(unique)
+    return (np.asarray(g, dtype=float)[inverse],
+            np.asarray(f, dtype=float)[inverse])
+
+
+def _time_only_path(problem, e0s, assemble) -> Trajectory:
+    """RK4 on time-only data, a block of steps at a time.
+
+    Per block: the data on t_k, t_k + h/2 and t_k + h (the abscissae of
+    the general path, computed the same way) in one call, the RK4
+    increments in numpy, then one Python-float loop that adds them,
+    renormalizes and checks D > 0.  `assemble(Ds, Es, ts)` turns the
+    block's distances and directions into points and raises for a bad row;
+    the error raised is that of the first failing step.
+    """
+    t0 = problem.domain[0]
+    n_steps, h = _step_count(problem)
+    h6, hh = h / 6.0, 0.5 * h
+    second = problem.order == 2
+    D, V = float(problem.D0), float(problem.dD0)
+    es = [_as_array(e).tolist() for e in e0s]
+    dim = len(es[0])
+    ts = np.empty(n_steps + 1)
+    ts[0] = t0
+    points = np.empty((n_steps + 1, dim))
+    points[0] = assemble(np.array([D]), np.array([es]), ts[:1])[0]
+    max_drift = 0.0
+    for start in range(0, n_steps, _BLOCK):
+        k = np.arange(start, min(start + _BLOCK, n_steps))
+        m = len(k)
+        t = t0 + k * h
+        g, f = _block_data(problem.data, np.concatenate((t, t + hh, t + h)))
+        if start == 0:
+            _check_tangent(f[0], es)
+        now, mid, end = slice(0, m), slice(m, 2 * m), slice(2 * m, 3 * m)
+        finite = np.isfinite(g) & np.isfinite(f).all(axis=(1, 2))
+        finite = finite[now] & finite[mid] & finite[end]
+        n_ok = m if finite.all() else int(np.argmin(finite))
+        g0, g1 = g[now].tolist(), g[mid].tolist()
+        with np.errstate(all="ignore"):
+            dist_inc = (h6 * (g[now] + 2.0 * g[mid] + 2.0 * g[mid]
+                              + g[end])).tolist()
+            dir_inc = (h6 * (f[now] + 2.0 * f[mid] + 2.0 * f[mid]
+                             + f[end])).tolist()
+        error = None
+        Ds, Es = [], []
+        for j in range(n_ok):
+            if second:
+                D += h6 * (V + 2.0 * (V + hh * g0[j]) + 2.0 * (V + hh * g1[j])
+                           + (V + h * g1[j]))
+                V += dist_inc[j]
+            else:
+                D += dist_inc[j]
+            new = []
+            for e, inc in zip(es, dir_inc[j]):
+                x = [a + b for a, b in zip(e, inc)]
+                norm = math.hypot(*x)
+                drift = abs(norm - 1.0)
+                if drift > max_drift:
+                    max_drift = drift
+                new.append([c / norm for c in x])
+            es = new
+            if not D > 0.0:
+                error = _non_positive(start + j + 1, float(t[j]) + h)
+                break
+            Ds.append(D)
+            Es.append(es)
+        done = len(Ds)
+        if done:
+            rows = slice(start + 1, start + 1 + done)
+            ts[rows] = t0 + (k[:done] + 1) * h
+            points[rows] = assemble(np.array(Ds), np.array(Es), ts[rows])
+        if error is None and n_ok < m:
+            error = NonFiniteData(
+                f"reconstruction data is not finite at step {start + n_ok + 1} "
+                f"(t={float(t[n_ok]):g})")
+        if error is not None:
+            raise error
+    return Trajectory(ts=ts, points=points, max_drift=max_drift)
 
 
 @dataclass(frozen=True)
@@ -120,7 +269,11 @@ class PlaneReconstructionProblem:
     """Distance ODE + direction ODE for a plane trajectory.
 
     `order` selects the distance form: 1 takes rhs_D = dD/dt, 2 takes
-    rhs_D = d^2D/dt^2 with the initial rate dD0.
+    rhs_D = d^2D/dt^2 with the initial rate dD0.  `data`, when given,
+    declares both right-hand sides time-only: data(ts) for a 1-D array
+    returns (rhs_D values (n,), direction field values (n, 1, 2)), and
+    reconstruction evaluates it once per abscissa instead of calling the
+    rhs fields.
     """
     rhs_D: Callable[[float], float]
     rhs_e: Callable  # (t, e: ndarray(2)) -> ndarray(2)
@@ -131,59 +284,37 @@ class PlaneReconstructionProblem:
     order: int = 1
     dD0: float = 0.0
     center: np.ndarray = field(default_factory=lambda: np.zeros(2))
+    data: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.D0 <= 0:
-            raise BadParameters("D0 must be positive")
-        if self.order not in (1, 2):
-            raise BadParameters("distance ODE order must be 1 or 2")
-        if abs(np.linalg.norm(_as_array(self.e0)) - 1.0) > 1e-12:
-            raise BadParameters("e0 must be a unit vector")
+        _check_problem(self, (("e0", self.e0),))
 
 
 def reconstruct_plane(problem: PlaneReconstructionProblem) -> Trajectory:
     """Integrate the distance and direction data and assemble
     P(t) = center + D(t) e(t)."""
-    t0, t1 = problem.domain
-    n_steps = max(1, int(round((t1 - t0) / problem.step)))
-    h = (t1 - t0) / n_steps
-    e0 = _as_array(problem.e0)
     center = _as_array(problem.center)
 
-    # state: [D, (dD), e_x, e_y]
-    second = problem.order == 2
+    def assemble(Ds, Es, ts):
+        return center + Ds[:, None] * Es[:, 0, :]
 
-    def rhs(t, y):
-        e = y[-2:]
-        de = _as_array(problem.rhs_e(t, e))
-        if second:
-            return np.concatenate(([y[1], problem.rhs_D(t)], de))
-        return np.concatenate(([problem.rhs_D(t)], de))
+    if problem.data is not None:
+        return _time_only_path(problem, [problem.e0], assemble)
+    return _general_path(problem, [problem.rhs_e], [problem.e0], assemble)
 
-    y = (np.concatenate(([problem.D0, problem.dD0], e0)) if second
-         else np.concatenate(([problem.D0], e0)))
-    probe = _as_array(problem.rhs_e(t0, e0))
-    if abs(float(probe @ e0)) > _TANGENCY_TOL * max(1.0, float(np.linalg.norm(probe))):
-        raise NonTangentField("direction field not tangent at the start")
 
-    ts = np.empty(n_steps + 1)
-    points = np.empty((n_steps + 1, 2))
-    ts[0] = t0
-    points[0] = center + problem.D0 * e0
-    max_drift = 0.0
-    for k in range(n_steps):
-        t = t0 + k * h
-        y = _rk4_step(rhs, t, y, h)
-        norm = float(np.linalg.norm(y[-2:]))
-        max_drift = max(max_drift, abs(norm - 1.0))
-        y[-2:] /= norm
-        D = float(y[0])
-        if D <= 0.0:
-            raise StepTooLarge(
-                f"distance became non-positive at step {k + 1} (t={t + h:g})")
-        ts[k + 1] = t0 + (k + 1) * h
-        points[k + 1] = center + D * y[-2:]
-    return Trajectory(ts=ts, points=points, max_drift=max_drift)
+def integrate_unit_direction(rhs_e: Callable, e0, domain: tuple[float, float],
+                             step: float):
+    """Integrate a unit-direction ODE with per-step renormalization.
+
+    Returns (ts, directions, max_drift): reconstruct_plane with D = 1
+    fixed.  The right-hand side must be tangent to the unit sphere at the
+    start.
+    """
+    trajectory = reconstruct_plane(PlaneReconstructionProblem(
+        rhs_D=lambda t: 0.0, rhs_e=rhs_e, D0=1.0, e0=e0, domain=domain,
+        step=step))
+    return trajectory.ts, trajectory.points, trajectory.max_drift
 
 
 @dataclass(frozen=True)
@@ -192,7 +323,9 @@ class SpaceReconstructionProblem:
 
     The projected directions live in the xOy, xOz, and yOz planes (stored
     as 3-vectors with the fixed zero slot); together with D they must be
-    realizable by one point, which is checked at construction.
+    realizable by one point, which is checked at construction.  `data`,
+    when given, returns (rhs_D values (n,), field values (n, 3, 3) in the
+    order eA, eB, eC), as for the plane problem.
     """
     rhs_D: Callable[[float], float]
     rhs_eA: Callable
@@ -206,112 +339,105 @@ class SpaceReconstructionProblem:
     step: float
     order: int = 1
     dD0: float = 0.0
+    data: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.D0 <= 0:
-            raise BadParameters("D0 must be positive")
-        if self.order not in (1, 2):
-            raise BadParameters("distance ODE order must be 1 or 2")
-        for name, e in (("eA0", self.eA0), ("eB0", self.eB0), ("eC0", self.eC0)):
-            if abs(np.linalg.norm(_as_array(e)) - 1.0) > 1e-12:
-                raise BadParameters(f"{name} must be a unit vector")
+        _check_problem(self, (("eA0", self.eA0), ("eB0", self.eB0),
+                              ("eC0", self.eC0)))
         _triangulate(_as_array(self.eA0), _as_array(self.eB0),
                      _as_array(self.eC0), None)
 
 
+def _triangulate_rows(eA: np.ndarray, eB: np.ndarray, eC: np.ndarray,
+                      prev_u: Optional[np.ndarray],
+                      ts: Optional[np.ndarray] = None) -> np.ndarray:
+    """Unit directions of (x, y, z) from rows of their three plane
+    projections.
+
+    x:y comes from eA and y:z from eC; the sign of each row is fixed by
+    continuity with the row before (the first row with `prev_u`, or, at
+    the start, by consistency with eA).  Sign continuity is a cumulative
+    product of sign flips.  eB is redundant and serves as the consistency
+    check.  Raises for the first row that fails a check, naming its
+    parameter value from `ts` when given.
+    """
+    w = np.stack((eA[:, 0] * eC[:, 1], eA[:, 1] * eC[:, 1],
+                  eA[:, 1] * eC[:, 2]), axis=1)
+    with np.errstate(all="ignore"):
+        norm = np.linalg.norm(w, axis=1)
+        u = w / norm[:, None]
+        if prev_u is None:
+            prev_u = eA[0] * np.array([1.0, 1.0, 0.0])
+        before = np.vstack((prev_u, u[:-1]))
+        flips = np.where(np.einsum("ij,ij->i", u, before) < 0.0, -1.0, 1.0)
+        u *= np.cumprod(flips)[:, None]
+        residual = np.zeros(len(u))
+        for e, keep in zip((eA, eB, eC), _PLANES):
+            p = np.zeros_like(u)
+            p[:, keep] = u[:, keep]
+            p /= np.linalg.norm(p, axis=1)[:, None]
+            residual = np.maximum(residual, np.linalg.norm(p - e, axis=1))
+    collapsed = ~(norm > _COLLAPSE_TOL ** 2)
+    near_plane = ~(np.abs(u).min(axis=1) >= _COLLAPSE_TOL)
+    inconsistent = ~(residual <= _TRIANGULATION_TOL)
+    bad = collapsed | near_plane | inconsistent
+    if bad.any():
+        i = int(np.argmax(bad))
+        at = "" if ts is None else f" at t={float(ts[i]):g}"
+        if collapsed[i]:
+            raise ProjectionCollapse(f"projected directions collapsed{at}")
+        if near_plane[i]:
+            raise ProjectionCollapse(
+                f"trajectory approaches a coordinate plane{at}; projected "
+                "data no longer determines the point")
+        raise InconsistentDirections(
+            f"projected directions disagree{at} (residual {residual[i]:.3g})")
+    return u
+
+
 def _triangulate(eA: np.ndarray, eB: np.ndarray, eC: np.ndarray,
                  prev_u: Optional[np.ndarray]) -> np.ndarray:
-    """Unit direction of (x, y, z) from its three plane projections.
-
-    x:y comes from eA and y:z from eC; the overall sign is fixed by
-    continuity with the previous step (or by consistency with eA at the
-    start).  eB is redundant and serves as the consistency check.
-    """
-    alpha1, alpha2 = eA[0], eA[1]
-    gamma2, gamma3 = eC[1], eC[2]
-    w = np.array([alpha1 * gamma2, alpha2 * gamma2, alpha2 * gamma3])
-    norm = float(np.linalg.norm(w))
-    if norm <= _COLLAPSE_TOL ** 2:
-        raise ProjectionCollapse("projected directions collapsed")
-    u = w / norm
-    if prev_u is not None:
-        if float(u @ prev_u) < 0.0:
-            u = -u
-    else:
-        # at the start choose the sign that reproduces eA itself
-        proj = np.array([u[0], u[1], 0.0])
-        if float(proj @ eA) < 0.0:
-            u = -u
-    if float(np.min(np.abs(u))) < _COLLAPSE_TOL:
-        raise ProjectionCollapse(
-            "trajectory approaches a coordinate plane; projected data "
-            "no longer determines the point")
-    residual = 0.0
-    for e, keep in ((eA, (0, 1)), (eB, (0, 2)), (eC, (1, 2))):
-        p = np.zeros(3)
-        p[keep[0]] = u[keep[0]]
-        p[keep[1]] = u[keep[1]]
-        residual = max(residual,
-                       float(np.linalg.norm(p / np.linalg.norm(p) - e)))
-    if residual > _TRIANGULATION_TOL:
-        raise InconsistentDirections(
-            f"projected directions disagree (residual {residual:.3g})")
-    return u
+    """_triangulate_rows for a single set of projected directions."""
+    return _triangulate_rows(eA[None], eB[None], eC[None], prev_u)[0]
 
 
 def reconstruct_space(problem: SpaceReconstructionProblem) -> Trajectory:
     """Integrate D and the three projected directions, triangulating the
     point at every step; collapse onto a coordinate plane raises."""
-    t0, t1 = problem.domain
-    n_steps = max(1, int(round((t1 - t0) / problem.step)))
-    h = (t1 - t0) / n_steps
+    e0s = [problem.eA0, problem.eB0, problem.eC0]
+    prev_u = None
 
-    eA = _as_array(problem.eA0)
-    eB = _as_array(problem.eB0)
-    eC = _as_array(problem.eC0)
-    second = problem.order == 2
-    dvec = np.array([problem.D0, problem.dD0] if second else [problem.D0])
+    def assemble(Ds, Es, ts):
+        nonlocal prev_u
+        u = _triangulate_rows(Es[:, 0], Es[:, 1], Es[:, 2], prev_u, ts)
+        prev_u = u[-1]
+        return Ds[:, None] * u
 
-    for rhs, e in ((problem.rhs_eA, eA), (problem.rhs_eB, eB),
-                   (problem.rhs_eC, eC)):
-        v = _as_array(rhs(t0, e))
-        if abs(float(v @ e)) > _TANGENCY_TOL * max(1.0, float(np.linalg.norm(v))):
-            raise NonTangentField("a projected direction field is not tangent")
-
-    def rhs_dist(t, y):
-        if second:
-            return np.array([y[1], problem.rhs_D(t)])
-        return np.array([problem.rhs_D(t)])
-
-    u = _triangulate(eA, eB, eC, None)
-    ts = np.empty(n_steps + 1)
-    points = np.empty((n_steps + 1, 3))
-    ts[0] = t0
-    points[0] = problem.D0 * u
-    max_drift = 0.0
-
-    dirs = [eA, eB, eC]
-    rhses = [problem.rhs_eA, problem.rhs_eB, problem.rhs_eC]
-    for k in range(n_steps):
-        t = t0 + k * h
-        dvec = _rk4_step(rhs_dist, t, dvec, h)
-        for idx in range(3):
-            f = lambda s, y, _r=rhses[idx]: _as_array(_r(s, y))
-            e_new = _rk4_step(f, t, dirs[idx], h)
-            norm = float(np.linalg.norm(e_new))
-            max_drift = max(max_drift, abs(norm - 1.0))
-            dirs[idx] = e_new / norm
-        D = float(dvec[0])
-        if D <= 0.0:
-            raise StepTooLarge(
-                f"distance became non-positive at step {k + 1} (t={t + h:g})")
-        u = _triangulate(dirs[0], dirs[1], dirs[2], u)
-        ts[k + 1] = t0 + (k + 1) * h
-        points[k + 1] = D * u
-    return Trajectory(ts=ts, points=points, max_drift=max_drift)
+    if problem.data is not None:
+        return _time_only_path(problem, e0s, assemble)
+    return _general_path(problem, [problem.rhs_eA, problem.rhs_eB,
+                                   problem.rhs_eC], e0s, assemble)
 
 
 # -- analytic data generators ---------------------------------------------------
+
+def _sample(curve, ts: np.ndarray, order: int):
+    """Arrays of r, r' (and r'' for order 2) at each t, one curve call
+    each."""
+    ts = ts.tolist()
+    return ([np.array([curve.point(t).as_tuple() for t in ts])]
+            + [np.array([curve.derivative(t, k).as_tuple() for t in ts])
+               for k in range(1, order + 1)])
+
+
+def _distance_datum(r, rp, rpp, d):
+    """dD/dt (rpp None) or d^2D/dt^2 of D = |r| = d, row-wise."""
+    radial = (r * rp).sum(axis=1)
+    if rpp is None:
+        return radial / d
+    return (-radial * radial / d ** 3
+            + ((rp * rp).sum(axis=1) + (r * rpp).sum(axis=1)) / d)
+
 
 def plane_data_from_curve(curve, center: Vec2 = Vec2(0.0, 0.0),
                           order: int = 1,
@@ -320,54 +446,29 @@ def plane_data_from_curve(curve, center: Vec2 = Vec2(0.0, 0.0),
     the distance rate (or its derivative) and the rotational velocity field
     of the center-to-point direction."""
     t0, t1 = curve.domain
-    cx, cy = center.x, center.y
+    c = np.array(center.as_tuple())
 
-    def rel(t):
-        p = curve.point(t)
-        return Vec2(p.x - cx, p.y - cy)
+    def data(ts):
+        r, rp, *rpp = _sample(curve, ts, order)
+        r = r - c
+        d = np.hypot(r[:, 0], r[:, 1])
+        w = r[:, 0] * rp[:, 1] - r[:, 1] * rp[:, 0]
+        e_rate = np.stack((-r[:, 1], r[:, 0]), axis=1) * (w / d ** 3)[:, None]
+        return (_distance_datum(r, rp, rpp[0] if rpp else None, d),
+                e_rate[:, None, :])
 
-    def rhs_D(t):
-        r = rel(t)
-        rp = curve.derivative(t, 1)
-        d = r.norm()
-        if order == 1:
-            return r.dot(rp) / d
-        rpp = curve.derivative(t, 2)
-        radial = r.dot(rp)
-        return -radial * radial / d ** 3 + (rp.dot(rp) + r.dot(rpp)) / d
-
-    def rhs_e(t, e):
-        r = rel(t)
-        rp = curve.derivative(t, 1)
-        w = r.cross(rp)
-        vec = r.perp() * (w / r.norm() ** 3)
-        return np.array(vec.as_tuple())
-
-    r0 = rel(t0)
-    rp0 = curve.derivative(t0, 1)
-    d0 = r0.norm()
+    rhs_D, (rhs_e,) = _pointwise(data, 1)
+    r0 = np.array(curve.point(t0).as_tuple()) - c
+    rp0 = np.array(curve.derivative(t0, 1).as_tuple())
+    d0 = float(np.hypot(*r0))
     return PlaneReconstructionProblem(
         rhs_D=rhs_D, rhs_e=rhs_e, D0=d0,
-        e0=np.array(r0.as_tuple()) / d0,
+        e0=r0 / d0,
         domain=curve.domain,
         step=step if step is not None else (t1 - t0) / 1e4,
         order=order,
-        dD0=r0.dot(rp0) / d0 if order == 2 else 0.0,
-        center=np.array(center.as_tuple()))
-
-
-def _projected_rhs(curve, keep: tuple[int, int]):
-    def rhs(t, e):
-        r = np.array(curve.point(t).as_tuple())
-        rp = np.array(curve.derivative(t, 1).as_tuple())
-        i, j = keep
-        w = r[i] * rp[j] - rp[i] * r[j]
-        denom = (r[i] ** 2 + r[j] ** 2) ** 1.5
-        out = np.zeros(3)
-        out[i] = -r[j]
-        out[j] = r[i]
-        return out * (w / denom)
-    return rhs
+        dD0=float(r0 @ rp0) / d0 if order == 2 else 0.0,
+        center=c, data=data)
 
 
 def space_data_from_curve(curve, order: int = 1,
@@ -376,19 +477,24 @@ def space_data_from_curve(curve, order: int = 1,
     distance ODE plus the three projected-direction fields."""
     t0, t1 = curve.domain
 
-    def rhs_D(t):
-        r = curve.point(t)
-        rp = curve.derivative(t, 1)
-        d = r.norm()
-        if order == 1:
-            return r.dot(rp) / d
-        rpp = curve.derivative(t, 2)
-        radial = r.dot(rp)
-        return -radial * radial / d ** 3 + (rp.dot(rp) + r.dot(rpp)) / d
+    def data(ts):
+        r, rp, *rpp = _sample(curve, ts, order)
+        d = np.sqrt((r * r).sum(axis=1))
+        fields = np.zeros((len(ts), 3, 3))
+        for n, (i, j) in enumerate(_PLANES):
+            w = r[:, i] * rp[:, j] - rp[:, i] * r[:, j]
+            s = w / (r[:, i] ** 2 + r[:, j] ** 2) ** 1.5
+            fields[:, n, i] = -r[:, j] * s
+            fields[:, n, j] = r[:, i] * s
+        return _distance_datum(r, rp, rpp[0] if rpp else None, d), fields
 
     r0 = np.array(curve.point(t0).as_tuple())
     rp0 = np.array(curve.derivative(t0, 1).as_tuple())
     d0 = float(np.linalg.norm(r0))
+    if np.abs(r0).min() < _COLLAPSE_TOL * d0:
+        raise ProjectionCollapse(
+            f"start point {tuple(r0.tolist())} lies on a coordinate plane; "
+            "projected data cannot determine it")
 
     def unit_proj(i, j):
         p = np.zeros(3)
@@ -396,17 +502,16 @@ def space_data_from_curve(curve, order: int = 1,
         p[j] = r0[j]
         return p / np.linalg.norm(p)
 
+    rhs_D, (rhs_eA, rhs_eB, rhs_eC) = _pointwise(data, 3)
     return SpaceReconstructionProblem(
-        rhs_D=rhs_D,
-        rhs_eA=_projected_rhs(curve, (0, 1)),
-        rhs_eB=_projected_rhs(curve, (0, 2)),
-        rhs_eC=_projected_rhs(curve, (1, 2)),
+        rhs_D=rhs_D, rhs_eA=rhs_eA, rhs_eB=rhs_eB, rhs_eC=rhs_eC,
         D0=d0,
         eA0=unit_proj(0, 1), eB0=unit_proj(0, 2), eC0=unit_proj(1, 2),
         domain=curve.domain,
         step=step if step is not None else (t1 - t0) / 1e4,
         order=order,
-        dD0=float(r0 @ rp0) / d0 if order == 2 else 0.0)
+        dD0=float(r0 @ rp0) / d0 if order == 2 else 0.0,
+        data=data)
 
 
 # -- presets ----------------------------------------------------------------------
@@ -443,14 +548,9 @@ def _preset_ellipse(step, domain, focus: bool):
                else ellipse.origin_reconstruction_problem)
     problem = builder(params, step=step)
     if domain is not None:
-        problem = replace_domain(problem, tuple(domain))
+        problem = replace(problem, domain=tuple(domain))
     return problem, make_catalog_curve("ellipse", {"a": 2.0, "b": 1.0},
                                        domain=domain)
-
-
-def replace_domain(problem: PlaneReconstructionProblem, domain):
-    from dataclasses import replace
-    return replace(problem, domain=domain)
 
 
 PRESETS = {

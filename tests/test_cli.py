@@ -151,6 +151,34 @@ def test_reconstruct_unknown_preset(capsys):
     assert code == 2
 
 
+def test_reconstruct_bad_steps_are_config_errors(capsys, tmp_path):
+    # zero, NaN, a step count past the cap, and a negative step
+    out_path = tmp_path / "trajectory.csv"
+    for step in ("0", "nan", "1e-300", "-1"):
+        code, out, err = run(capsys, ["reconstruct", "--preset", "circle",
+                                      f"--step={step}", "--out", str(out_path)])
+        assert code == 2, step
+        assert out == "" and err.startswith("config error: step"), step
+        assert not out_path.exists()
+
+
+def test_reconstruct_start_on_coordinate_plane_exits_3(capsys, tmp_path):
+    # (cos t, sin t, t) starts at (1, 0, 0): its yOz projection is the zero
+    # vector, which used to become an all-NaN trajectory and exit 0
+    config = {"curve": {"kind": "expr",
+                        "expr": {"x": "cos(t)", "y": "sin(t)", "z": "t"},
+                        "domain": [0, 1]}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out_path = tmp_path / "trajectory.csv"
+    code, out, err = run(capsys, ["reconstruct", "--config", str(path),
+                                  "--out", str(out_path)])
+    assert code == 3
+    assert out == ""
+    assert "ProjectionCollapse" in err
+    assert not out_path.exists()
+
+
 # -- surface ---------------------------------------------------------------------
 
 def test_surface_command(capsys, tmp_path):

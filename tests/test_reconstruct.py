@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rotorkin import Vec2
 from rotorkin import ellipse as ell
 from rotorkin.curves import make_catalog_curve
-from rotorkin.errors import (BadParameters, NonTangentField,
+from rotorkin.errors import (BadParameters, NonFiniteData, NonTangentField,
                              ProjectionCollapse, StepTooLarge)
 from rotorkin.reconstruct import (PlaneReconstructionProblem,
                                   integrate_unit_direction,
@@ -17,10 +20,19 @@ from rotorkin.reconstruct import (PlaneReconstructionProblem,
 TWO_PI = 2.0 * math.pi
 
 
-# -- unit-direction integrator ---------------------------------------------------
+# -- unit-direction integration: reconstruct_plane with D fixed at 1 ---------------
+
+def unit_direction(rhs_e, e0, domain, step):
+    """(ts, directions, max_drift) from reconstruct_plane with rhs_D = 0
+    and D0 = 1, so the points are the integrated unit directions."""
+    trajectory = reconstruct_plane(PlaneReconstructionProblem(
+        rhs_D=lambda t: 0.0, rhs_e=rhs_e, D0=1.0, e0=e0, domain=domain,
+        step=step))
+    return trajectory.ts, trajectory.points, trajectory.max_drift
+
 
 def test_zero_field_keeps_direction():
-    ts, es, drift = integrate_unit_direction(
+    ts, es, drift = unit_direction(
         lambda t, e: np.zeros(2), np.array([1.0, 0.0]), (0.0, 1.0), 1e-2)
     assert np.all(es[:, 0] == 1.0)
     assert np.all(es[:, 1] == 0.0)
@@ -31,7 +43,7 @@ def test_constant_rotation_quarter_turn():
     def rhs(t, e):
         return np.array([-e[1], e[0]])  # unit angular rate
 
-    ts, es, drift = integrate_unit_direction(
+    ts, es, drift = unit_direction(
         rhs, np.array([1.0, 0.0]), (0.0, 0.5 * math.pi), 1e-4)
     assert np.linalg.norm(es[-1] - np.array([0.0, 1.0])) <= 1e-8
     assert drift <= 1e-12
@@ -47,15 +59,24 @@ def test_ellipse_direction_field():
         q = a * a * ct * ct + b * b * st * st
         return np.array([-b * st, a * ct]) * (a * b / q ** 1.5)
 
-    ts, es, _ = integrate_unit_direction(
+    ts, es, _ = unit_direction(
         rhs, np.array([1.0, 0.0]), (0.0, 0.5 * math.pi), 1e-4)
     assert np.linalg.norm(es[-1] - np.array([0.0, 1.0])) <= 1e-6
 
 
 def test_radial_field_rejected():
     with pytest.raises(NonTangentField):
-        integrate_unit_direction(lambda t, e: e, np.array([1.0, 0.0]),
-                                 (0.0, 1.0), 1e-2)
+        unit_direction(lambda t, e: e, np.array([1.0, 0.0]), (0.0, 1.0), 1e-2)
+
+
+def test_integrate_unit_direction_is_reconstruct_plane():
+    def rhs(t, e):
+        return np.array([-e[1], e[0]]) * (1.0 + t)
+
+    args = (rhs, np.array([0.6, 0.8]), (0.0, 2.0), 1e-3)
+    for got, want in zip(integrate_unit_direction(*args),
+                         unit_direction(*args)):
+        assert np.array_equal(got, want)
 
 
 def test_drift_small_for_fine_steps():
@@ -165,15 +186,21 @@ def test_space_second_order_round_trip():
 
 
 def test_constant_data_stationary():
+    # zero data keeps the point fixed, on the general path (the problem's
+    # time-only data dropped) and on the time-only path
     problem = space_data_from_curve(shifted_helix(), step=1e-2)
     from dataclasses import replace
     frozen = replace(problem,
                      rhs_D=lambda t: 0.0,
                      rhs_eA=lambda t, e: np.zeros(3),
                      rhs_eB=lambda t, e: np.zeros(3),
-                     rhs_eC=lambda t, e: np.zeros(3))
-    trajectory = reconstruct_space(frozen)
-    assert np.abs(trajectory.points - trajectory.points[0]).max() == 0.0
+                     rhs_eC=lambda t, e: np.zeros(3),
+                     data=None)
+    zero_data = replace(problem, data=lambda ts: (np.zeros(len(ts)),
+                                                  np.zeros((len(ts), 3, 3))))
+    for p in (frozen, zero_data):
+        trajectory = reconstruct_space(p)
+        assert np.abs(trajectory.points - trajectory.points[0]).max() == 0.0
 
 
 def test_plane_crossing_collapses():
@@ -242,3 +269,138 @@ def test_trajectory_csv_round_trip(tmp_path):
         assert t == trajectory.ts[k - 1]
         assert x == trajectory.points[k - 1][0]
         assert y == trajectory.points[k - 1][1]
+
+
+# -- time-only data against the general (t, e) path -----------------------------------
+
+def general(problem):
+    """The same problem without its time-only data: the general path."""
+    from dataclasses import replace
+    return replace(problem, data=None)
+
+
+def test_time_only_path_matches_general_path():
+    # 600 steps: several blocks of the time-only path
+    curve = make_catalog_curve("ellipse")
+    params = ell.EllipseParams(2.0, 1.0)
+    plane = [plane_data_from_curve(curve, order=k, step=TWO_PI / 600)
+             for k in (1, 2)]
+    plane.append(plane_data_from_curve(curve, center=Vec2(0.3, -0.2),
+                                       order=2, step=TWO_PI / 600))
+    plane += [ell.origin_reconstruction_problem(params, step=TWO_PI / 600),
+              ell.focus_reconstruction_problem(params, step=TWO_PI / 600)]
+    space = [space_data_from_curve(shifted_helix(), order=k,
+                                   step=math.pi / 600) for k in (1, 2)]
+    cases = ([(p, reconstruct_plane) for p in plane]
+             + [(p, reconstruct_space) for p in space])
+    for problem, run in cases:
+        fast, slow = run(problem), run(general(problem))
+        assert np.array_equal(fast.ts, slow.ts)
+        assert np.abs(fast.points - slow.points).max() <= 1e-12
+        assert abs(fast.max_drift - slow.max_drift) <= 1e-12
+
+
+def test_time_only_path_in_negative_octant():
+    # with y < 0 the triangulated direction flips sign on every row, and the
+    # flip carries across blocks
+    curve = make_catalog_curve("helix", {"cx": -2.0, "cy": -2.0, "cz": 1.0},
+                               domain=(0.0, math.pi))
+    problem = space_data_from_curve(curve, step=math.pi / 600)
+    fast = reconstruct_space(problem)
+    assert fast.max_error_vs(curve) <= 1e-9
+    slow = reconstruct_space(general(problem))
+    assert np.abs(fast.points - slow.points).max() <= 1e-12
+
+
+def failure(run, problem):
+    with pytest.raises(Exception) as info:
+        run(problem)
+    return type(info.value), str(info.value)
+
+
+def test_step_too_large_same_step_on_both_paths():
+    problem = PlaneReconstructionProblem(
+        rhs_D=lambda t: -1.0, rhs_e=lambda t, e: np.zeros(2),
+        D0=0.5, e0=np.array([1.0, 0.0]), domain=(0.0, 1.0), step=3e-3,
+        data=lambda ts: (np.full(len(ts), -1.0), np.zeros((len(ts), 1, 2))))
+    kind, message = failure(reconstruct_plane, problem)
+    assert kind is StepTooLarge
+    assert "step 167 " in message
+    assert failure(reconstruct_plane, general(problem)) == (kind, message)
+
+
+def test_projection_collapse_same_step_on_both_paths():
+    curve = make_catalog_curve("helix", domain=(0.3, 4.0))
+    problem = space_data_from_curve(curve, step=4e-3)
+    kind, message = failure(reconstruct_space, problem)
+    assert kind is ProjectionCollapse
+    assert " at t=" in message
+    assert failure(reconstruct_space, general(problem)) == (kind, message)
+
+
+def test_non_finite_data_raises():
+    def data(ts):
+        rates = np.where(ts > 0.5, np.nan, 0.0)
+        return rates, np.zeros((len(ts), 1, 2))
+
+    problem = PlaneReconstructionProblem(
+        rhs_D=lambda t: 0.0, rhs_e=lambda t, e: np.zeros(2), D0=1.0,
+        e0=np.array([1.0, 0.0]), domain=(0.0, 1.0), step=1e-2, data=data)
+    with pytest.raises(NonFiniteData, match="step 51 "):
+        reconstruct_plane(problem)
+
+
+def test_max_error_rejects_non_finite_points():
+    trajectory, _, _ = run_preset("circle", step=1e-2)
+    trajectory.points[3, 1] = np.nan
+    with pytest.raises(NonFiniteData):
+        trajectory.max_error_vs(make_catalog_curve("circle"))
+
+
+def test_nan_directions_are_not_unit_vectors():
+    with pytest.raises(BadParameters):
+        PlaneReconstructionProblem(
+            rhs_D=lambda t: 0.0, rhs_e=lambda t, e: np.zeros(2), D0=1.0,
+            e0=np.array([np.nan, 0.0]), domain=(0.0, 1.0), step=1e-2)
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf, 1e-300])
+def test_bad_step_rejected_at_construction(step):
+    curve = make_catalog_curve("circle")
+    with pytest.raises(BadParameters):
+        plane_data_from_curve(curve, step=step)
+    with pytest.raises(BadParameters):
+        space_data_from_curve(shifted_helix(), step=step)
+
+
+def test_start_on_coordinate_plane_raises():
+    curve = make_catalog_curve("helix", {"cx": 2.0, "cy": 2.0})  # z(0) = 0
+    with pytest.raises(ProjectionCollapse):
+        space_data_from_curve(curve)
+
+
+# -- round trips for random parameters --------------------------------------------
+
+@settings(max_examples=6, deadline=None)
+@given(a=st.floats(1.0, 3.0), ratio=st.floats(0.4, 0.95))
+def test_ellipse_round_trip_property(a, ratio):
+    params = ell.EllipseParams(a, a * ratio)
+    curve = make_catalog_curve("ellipse", {"a": params.a, "b": params.b})
+    problems = [plane_data_from_curve(curve),
+                ell.origin_reconstruction_problem(params),
+                ell.focus_reconstruction_problem(params)]
+    for problem in problems:
+        assert reconstruct_plane(problem).max_error_vs(curve) <= 1e-5
+
+
+@settings(max_examples=6, deadline=None)
+@given(radius=st.floats(0.5, 2.0), pitch=st.floats(0.2, 2.0),
+       gap=st.floats(0.5, 3.0), cz=st.floats(0.5, 3.0))
+def test_offset_helix_round_trip_property(radius, pitch, gap, cz):
+    # the offset keeps every coordinate at least `gap` away from zero
+    offset = radius + gap
+    curve = make_catalog_curve(
+        "helix", {"radius": radius, "pitch": pitch, "cx": offset,
+                  "cy": offset, "cz": cz}, domain=(0.0, math.pi))
+    trajectory = reconstruct_space(space_data_from_curve(curve))
+    assert trajectory.max_error_vs(curve) <= 1e-5
