@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import ellipse as ell
 from . import reconstruct, surface, verify
-from .curves import curve_from_spec, make_catalog_curve
+from .curves import _expr_coordinate, curve_from_spec, make_catalog_curve
 from .errors import BadParameters, KinematicsError, UnknownCurve
 from .plane import distance_kinematics, local_limits
 from .space import space_distance_kinematics
@@ -92,6 +92,16 @@ def _load_config(args) -> dict:
     return config
 
 
+def _samples(args, config) -> int:
+    """The sample count: the flag when given, else the config's, else 100;
+    it must be an integer >= 2."""
+    samples = args.samples if args.samples is not None else config.get(
+        "samples", 100)
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 2:
+        raise ConfigError(f"samples must be an integer >= 2, got {samples!r}")
+    return samples
+
+
 def _fmt(value: float) -> str:
     return f"{float(value):.17g}"
 
@@ -142,11 +152,9 @@ def cmd_kinematics(args) -> int:
     config = _load_config(args)
     curve = _resolve_curve(args, config)
     frame_spec = args.frame or config.get("frame", "origin")
-    samples = args.samples or config.get("samples", 100)
+    samples = _samples(args, config)
     fmt = args.format or config.get("format", "csv")
     out = args.out or config.get("out")
-    if samples < 2:
-        raise ConfigError("samples must be >= 2")
     frame, point = _parse_frame(frame_spec)
 
     if frame == "focus":
@@ -241,26 +249,16 @@ def cmd_surface(args) -> int:
         raise ConfigError(
             "surface command needs a chart_curve record {u, v, domain}")
     from . import expr as expr_mod
-    chains = {}
-    for axis in ("u", "v"):
-        ast = expr_mod.parse(cc[axis])
-        chain = [ast]
-        for _ in range(3):
-            chain.append(expr_mod.differentiate(chain[-1]))
-        chains[axis] = chain
 
-    def make(axis, order):
-        node = chains[axis][order]
-        return lambda t: expr_mod.evaluate(node, t)
+    def coordinate(text):
+        return [lambda t, node=node: expr_mod.evaluate(node, t)
+                for node in _expr_coordinate(text)]
 
-    curve = chart_curve(
-        make("u", 0), make("v", 0), domain=tuple(cc["domain"]),
-        u_derivs=(make("u", 1), make("u", 2), make("u", 3)),
-        v_derivs=(make("v", 1), make("v", 2), make("v", 3)))
+    u, v = coordinate(cc["u"]), coordinate(cc["v"])
+    curve = chart_curve(u[0], v[0], domain=tuple(cc["domain"]),
+                        u_derivs=u[1:], v_derivs=v[1:])
 
-    samples = args.samples or config.get("samples", 100)
-    if samples < 2:
-        raise ConfigError("samples must be >= 2")
+    samples = _samples(args, config)
     fmt = args.format or config.get("format", "csv")
     t0, t1 = curve.domain
     ts = [t0 + (t1 - t0) * i / (samples - 1) for i in range(samples)]
@@ -282,17 +280,11 @@ def cmd_ellipse(args) -> int:
     config = _load_config(args)
     a = args.a if args.a is not None else config.get("a", 2.0)
     b = args.b if args.b is not None else config.get("b", 1.0)
-    samples = args.samples or config.get("samples", 100)
-    out = args.out or config.get("out")
-    if samples < 2:
-        raise ConfigError("samples must be >= 2")
-    params = ell.EllipseParams(a, b)
-    text = ell.profile_csv_text(params, samples)
-    if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    samples = _samples(args, config)
+    fmt = args.format or config.get("format", "csv")
+    rows = ell.profile_rows(ell.EllipseParams(a, b), samples)
+    _emit(ell.PROFILE_HEADER.split(","), rows, args.out or config.get("out"),
+          fmt)
     return EXIT_OK
 
 

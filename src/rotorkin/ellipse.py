@@ -302,19 +302,15 @@ def focus_reconstruction_problem(params: EllipseParams,
 PROFILE_HEADER = "theta,xi1,d1,d2,d3,rot_speed_origin,rot_speed_focus"
 
 
-def profile_csv_text(params: EllipseParams, n_samples: int) -> str:
+def profile_rows(params: EllipseParams, n_samples: int) -> list[tuple]:
+    """The PROFILE_HEADER columns at n_samples angles evenly spaced over
+    [0, 2 pi]."""
     profile = focus_profile(params)
-    lines = [PROFILE_HEADER]
+    rows = []
     for k in range(n_samples):
         theta = _TWO_PI * k / (n_samples - 1) if n_samples > 1 else 0.0
-        row = (theta, profile.xi1(theta), profile.d1(theta),
-               profile.d2(theta), profile.d3(theta),
-               origin_frame_profile(params, theta).rot_speed,
-               focus_frame_profile(params, theta).kinematics.rot_speed)
-        lines.append(",".join(f"{value:.17g}" for value in row))
-    return "\n".join(lines) + "\n"
-
-
-def write_profile_csv(params: EllipseParams, n_samples: int, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(profile_csv_text(params, n_samples))
+        rows.append((theta, profile.xi1(theta), profile.d1(theta),
+                     profile.d2(theta), profile.d3(theta),
+                     origin_frame_profile(params, theta).rot_speed,
+                     focus_frame_profile(params, theta).kinematics.rot_speed))
+    return rows

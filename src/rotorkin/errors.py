@@ -85,7 +85,7 @@ class DegenerateProjection(KinematicsError):
     """A projected vector required to be nonzero is (numerically) zero."""
 
 
-class AxisProjectionDegenerate(KinematicsError):
+class AxisProjectionDegenerate(DegenerateProjection):
     """A coordinate-plane projection of the position vector vanishes."""
 
 

@@ -70,18 +70,27 @@ def frame_at(curve, center: Vec2, t: float) -> FrameSample2:
     return FrameSample2(e1=e1, e2=e1.perp(), xi=d)
 
 
-def distance_kinematics(curve, center: Vec2, t: float) -> PlaneKinematics:
-    """Distance rate, its derivative, and the rotational velocity of the
-    center-to-point direction, all with respect to the curve parameter."""
+def _radial_rates(d, radial, speed_sq, accel_dot):
+    """dD and d2D of the distance D = |rel| = d, from the dot products
+    rel.rel' (`radial`), rel'.rel' (`speed_sq`) and rel.rel'' (`accel_dot`).
+
+    Plain arithmetic, so it takes floats or numpy rows alike.
+    """
+    return (radial / d,
+            -radial * radial / d ** 3 + (speed_sq + accel_dot) / d)
+
+
+def _plane_kinematics(curve, center: Vec2, t: float,
+                      coincident) -> PlaneKinematics:
+    """The rotating frame at `center` tracking the curve point at t; raises
+    `coincident` when that point is the center."""
     rel = curve.point(t) - center
     d = rel.norm()
     if d <= EPS_NORM:
-        raise CenterOnCurve(f"curve passes through the frame center at t={t:g}")
+        raise coincident(f"the curve meets the frame center at t={t:g}")
     rp = curve.derivative(t, 1)
     rpp = curve.derivative(t, 2)
-    radial = rel.dot(rp)
-    dD = radial / d
-    d2D = -radial * radial / d ** 3 + (rp.dot(rp) + rel.dot(rpp)) / d
+    dD, d2D = _radial_rates(d, rel.dot(rp), rp.dot(rp), rel.dot(rpp))
     w = rel.cross(rp)  # x y' - x' y with the center subtracted
     rot_velocity = rel.perp() * (w / d ** 3)
     return PlaneKinematics(D=d, dD=dD, d2D=d2D,
@@ -89,25 +98,19 @@ def distance_kinematics(curve, center: Vec2, t: float) -> PlaneKinematics:
                            rot_speed=abs(w) / (d * d))
 
 
+def distance_kinematics(curve, center: Vec2, t: float) -> PlaneKinematics:
+    """Distance rate, its derivative, and the rotational velocity of the
+    center-to-point direction, all with respect to the curve parameter."""
+    return _plane_kinematics(curve, center, t, CenterOnCurve)
+
+
 def chord_kinematics(curve, t: float, dt: float) -> PlaneKinematics:
     """Finite-chord rates of the local rotating frame at P(t) tracking
-    Q(t + dt), dt > 0.  As dt -> 0+ these converge to local_limits."""
+    Q(t + dt), dt > 0: the frame at center P(t) evaluated at t + dt.  As
+    dt -> 0+ these converge to local_limits."""
     if dt <= 0.0:
         raise OutOfDomain("chord step dt must be positive")
-    f = curve.point(t + dt) - curve.point(t)
-    d = f.norm()
-    if d <= EPS_NORM:
-        raise DegenerateChord(f"zero chord between t={t:g} and t+dt")
-    rp = curve.derivative(t + dt, 1)
-    rpp = curve.derivative(t + dt, 2)
-    radial = f.dot(rp)
-    dD = radial / d
-    d2D = -radial * radial / d ** 3 + (rp.dot(rp) + f.dot(rpp)) / d
-    w = f.cross(rp)  # y'(t+dt) f1 - f2 x'(t+dt)
-    rot_velocity = f.perp() * (w / d ** 3)
-    return PlaneKinematics(D=d, dD=dD, d2D=d2D,
-                           rot_velocity=rot_velocity,
-                           rot_speed=abs(w) / (d * d))
+    return _plane_kinematics(curve, curve.point(t), t + dt, DegenerateChord)
 
 
 def local_limits(curve, t: float) -> LocalLimits2:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (BadParameters, InconsistentDirections, NonFiniteData,
                      NonTangentField, ProjectionCollapse, StepTooLarge)
+from .plane import _radial_rates
 from .vec import Vec2, Vec3
 
 _TANGENCY_TOL = 1e-8
@@ -421,22 +422,18 @@ def reconstruct_space(problem: SpaceReconstructionProblem) -> Trajectory:
 
 # -- analytic data generators ---------------------------------------------------
 
-def _sample(curve, ts: np.ndarray, order: int):
-    """Arrays of r, r' (and r'' for order 2) at each t, one curve call
-    each."""
+def _sample(curve, ts: np.ndarray, order: int, center):
+    """Arrays of r - center and r' at each t, one curve call each, and the
+    dot products r.r', r'.r' and r.r'' (0 for order 1) of the distance
+    rates."""
     ts = ts.tolist()
-    return ([np.array([curve.point(t).as_tuple() for t in ts])]
-            + [np.array([curve.derivative(t, k).as_tuple() for t in ts])
-               for k in range(1, order + 1)])
-
-
-def _distance_datum(r, rp, rpp, d):
-    """dD/dt (rpp None) or d^2D/dt^2 of D = |r| = d, row-wise."""
-    radial = (r * rp).sum(axis=1)
-    if rpp is None:
-        return radial / d
-    return (-radial * radial / d ** 3
-            + ((rp * rp).sum(axis=1) + (r * rpp).sum(axis=1)) / d)
+    r = np.array([curve.point(t).as_tuple() for t in ts]) - center
+    rp = np.array([curve.derivative(t, 1).as_tuple() for t in ts])
+    accel_dot = 0.0
+    if order == 2:
+        rpp = np.array([curve.derivative(t, 2).as_tuple() for t in ts])
+        accel_dot = (r * rpp).sum(axis=1)
+    return r, rp, ((r * rp).sum(axis=1), (rp * rp).sum(axis=1), accel_dot)
 
 
 def plane_data_from_curve(curve, center: Vec2 = Vec2(0.0, 0.0),
@@ -449,13 +446,11 @@ def plane_data_from_curve(curve, center: Vec2 = Vec2(0.0, 0.0),
     c = np.array(center.as_tuple())
 
     def data(ts):
-        r, rp, *rpp = _sample(curve, ts, order)
-        r = r - c
+        r, rp, dots = _sample(curve, ts, order, c)
         d = np.hypot(r[:, 0], r[:, 1])
         w = r[:, 0] * rp[:, 1] - r[:, 1] * rp[:, 0]
         e_rate = np.stack((-r[:, 1], r[:, 0]), axis=1) * (w / d ** 3)[:, None]
-        return (_distance_datum(r, rp, rpp[0] if rpp else None, d),
-                e_rate[:, None, :])
+        return _radial_rates(d, *dots)[order - 1], e_rate[:, None, :]
 
     rhs_D, (rhs_e,) = _pointwise(data, 1)
     r0 = np.array(curve.point(t0).as_tuple()) - c
@@ -478,7 +473,7 @@ def space_data_from_curve(curve, order: int = 1,
     t0, t1 = curve.domain
 
     def data(ts):
-        r, rp, *rpp = _sample(curve, ts, order)
+        r, rp, dots = _sample(curve, ts, order, 0.0)
         d = np.sqrt((r * r).sum(axis=1))
         fields = np.zeros((len(ts), 3, 3))
         for n, (i, j) in enumerate(_PLANES):
@@ -486,7 +481,7 @@ def space_data_from_curve(curve, order: int = 1,
             s = w / (r[:, i] ** 2 + r[:, j] ** 2) ** 1.5
             fields[:, n, i] = -r[:, j] * s
             fields[:, n, j] = r[:, i] * s
-        return _distance_datum(r, rp, rpp[0] if rpp else None, d), fields
+        return _radial_rates(d, *dots)[order - 1], fields
 
     r0 = np.array(curve.point(t0).as_tuple())
     rp0 = np.array(curve.derivative(t0, 1).as_tuple())

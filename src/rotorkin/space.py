@@ -21,6 +21,7 @@ from .errors import (AxisProjectionDegenerate, CenterOnCurve, CurvesIntersect,
                      DegenerateFrame, DegenerateProjection, OutOfDomain,
                      SingularPoint)
 from .numerics import fd1_wide
+from .plane import _radial_rates
 from .vec import EPS_NORM, Vec3, triple_product
 
 
@@ -32,15 +33,6 @@ class SpaceKinematics:
     speed_a: float  # xOy-plane projection
     speed_b: float  # xOz
     speed_c: float  # yOz
-
-
-@dataclass(frozen=True)
-class BasisCoefficients:
-    """Coefficients of the chord r(t+dt) - r(t) in the basis {r', r'', r'''}."""
-    g1: float
-    g2: float
-    g3: float
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -74,120 +66,96 @@ class SpaceCongruenceReport:
 
 
 def _pair_speed(u: float, v: float, du: float, dv: float, label: str,
-                t: float) -> float:
+                t: float, error) -> float:
     denom = u * u + v * v
     if denom <= EPS_NORM ** 2:
-        raise AxisProjectionDegenerate(
-            f"{label}-plane projection vanishes at t={t:g}")
+        raise error(f"{label}-plane projection vanishes at t={t:g}")
     return abs(u * dv - du * v) / denom
+
+
+def _space_kinematics(rel: Vec3, rp: Vec3, rpp: Vec3, t: float, coincident,
+                      projection) -> SpaceKinematics:
+    """Distance rates and coordinate-plane projected rotational speeds of
+    the vector `rel` with derivatives rp, rpp; raises `coincident` when rel
+    vanishes and `projection` when one of its projections does."""
+    d = rel.norm()
+    if d <= EPS_NORM:
+        raise coincident(f"distance vanishes at t={t:g}")
+    dD, d2D = _radial_rates(d, rel.dot(rp), rp.dot(rp), rel.dot(rpp))
+    return SpaceKinematics(
+        D=d, dD=dD, d2D=d2D,
+        speed_a=_pair_speed(rel.x, rel.y, rp.x, rp.y, "xOy", t, projection),
+        speed_b=_pair_speed(rel.x, rel.z, rp.x, rp.z, "xOz", t, projection),
+        speed_c=_pair_speed(rel.y, rel.z, rp.y, rp.z, "yOz", t, projection),
+    )
 
 
 def space_distance_kinematics(curve, t: float) -> SpaceKinematics:
     """Distance rate/second derivative about the origin and the three
     coordinate-plane projected rotational speeds."""
-    r = curve.point(t)
-    rp = curve.derivative(t, 1)
-    rpp = curve.derivative(t, 2)
-    d = r.norm()
-    if d <= EPS_NORM:
-        raise CenterOnCurve(f"curve passes through the origin at t={t:g}")
-    radial = r.dot(rp)
-    return SpaceKinematics(
-        D=d,
-        dD=radial / d,
-        d2D=-radial * radial / d ** 3 + (rp.dot(rp) + r.dot(rpp)) / d,
-        speed_a=_pair_speed(r.x, r.y, rp.x, rp.y, "xOy", t),
-        speed_b=_pair_speed(r.x, r.z, rp.x, rp.z, "xOz", t),
-        speed_c=_pair_speed(r.y, r.z, rp.y, rp.z, "yOz", t),
-    )
+    return _space_kinematics(curve.point(t), curve.derivative(t, 1),
+                             curve.derivative(t, 2), t, CenterOnCurve,
+                             AxisProjectionDegenerate)
 
 
 def pair_kinematics(curve_a, curve_b, t: float) -> SpaceKinematics:
     """Kinematics of the connecting vector from curve_a to curve_b at a
     shared parameter value."""
-    delta = curve_b.point(t) - curve_a.point(t)
-    dd = curve_b.derivative(t, 1) - curve_a.derivative(t, 1)
-    d2 = curve_b.derivative(t, 2) - curve_a.derivative(t, 2)
-    d = delta.norm()
-    if d <= EPS_NORM:
-        raise CurvesIntersect(f"curves coincide at t={t:g}")
-    radial = delta.dot(dd)
-
-    def speed(u, v, du, dv, label):
-        denom = u * u + v * v
-        if denom <= EPS_NORM ** 2:
-            raise DegenerateProjection(
-                f"{label}-plane projection of the connecting vector "
-                f"vanishes at t={t:g}")
-        return abs(u * dv - du * v) / denom
-
-    return SpaceKinematics(
-        D=d,
-        dD=radial / d,
-        d2D=-radial * radial / d ** 3 + (dd.dot(dd) + delta.dot(d2)) / d,
-        speed_a=speed(delta.x, delta.y, dd.x, dd.y, "xOy"),
-        speed_b=speed(delta.x, delta.z, dd.x, dd.z, "xOz"),
-        speed_c=speed(delta.y, delta.z, dd.y, dd.z, "yOz"),
-    )
+    return _space_kinematics(
+        curve_b.point(t) - curve_a.point(t),
+        curve_b.derivative(t, 1) - curve_a.derivative(t, 1),
+        curve_b.derivative(t, 2) - curve_a.derivative(t, 2),
+        t, CurvesIntersect, DegenerateProjection)
 
 
 # -- derivative-plane (local) machinery ----------------------------------------
 
-def _derivative_matrix(curve, t: float) -> tuple[np.ndarray, Vec3, Vec3, Vec3]:
-    r1 = curve.derivative(t, 1)
-    r2 = curve.derivative(t, 2)
-    r3 = curve.derivative(t, 3)
-    m = np.array([r1.as_tuple(), r2.as_tuple(), r3.as_tuple()]).T
-    scale = r1.norm() * r2.norm() * r3.norm()
-    if abs(triple_product(r1, r2, r3)) <= EPS_NORM * max(scale, 1.0):
-        raise DegenerateFrame(
-            f"r', r'', r''' fail to span 3-space at t={t:g}")
-    return m, r1, r2, r3
+def _chord_plane_speeds(basis: tuple[Vec3, Vec3, Vec3], chord: Vec3,
+                        velocity: Vec3, labels: tuple[str, str, str],
+                        t: float) -> tuple[float, float, float]:
+    """Rotational speeds of the chord components in the three planes of a
+    (generally oblique) basis, 1-2, 1-3 and 2-3, given the chord's
+    derivative `velocity` with respect to the step.
 
-
-def basis_coefficients(curve, t: float, dt: float) -> BasisCoefficients:
-    """Solve the 3x3 system expressing r(t+dt) - r(t) in {r', r'', r'''}."""
-    m, _, _, _ = _derivative_matrix(curve, t)
-    delta = curve.point(t + dt) - curve.point(t)
-    rhs = np.array(delta.as_tuple())
-    g = np.linalg.solve(m, rhs)
-    residual = float(np.linalg.norm(m @ g - rhs))
-    return BasisCoefficients(g1=float(g[0]), g2=float(g[1]), g3=float(g[2]),
-                             residual=residual)
-
-
-def _plane_rotation_speed(u: Vec3, w: Vec3, label: str, t: float) -> float:
-    """|d/ds unit(u(s))| given u and its parameter derivative w:
-    |(u.w) u - |u|^2 w| / |u|^3."""
-    norm_u = u.norm()
-    if norm_u <= EPS_NORM:
-        raise DegenerateProjection(
-            f"{label} projected vector vanishes at t={t:g}")
-    return (u * u.dot(w) - w * norm_u ** 2).norm() / norm_u ** 3
+    The chord and its velocity are decomposed in the basis and each plane
+    keeps its two coordinates (a parallel projection along the remaining
+    basis vector); the component u with derivative w turns at
+    |(u.w) u - |u|^2 w| / |u|^3.
+    """
+    m = np.array([b.as_tuple() for b in basis])
+    g, gp = np.linalg.solve(
+        m.T, np.array([chord.as_tuple(), velocity.as_tuple()]).T).T
+    speeds = []
+    for label, (i, j) in zip(labels, ((0, 1), (0, 2), (1, 2))):
+        u = g[i] * m[i] + g[j] * m[j]
+        w = gp[i] * m[i] + gp[j] * m[j]
+        norm_u = float(np.linalg.norm(u))
+        if norm_u <= EPS_NORM:
+            raise DegenerateProjection(
+                f"{label} chord component vanishes at t={t:g}")
+        speeds.append(float(np.linalg.norm((u @ w) * u - norm_u ** 2 * w))
+                      / norm_u ** 3)
+    return tuple(speeds)
 
 
 def derivative_plane_speeds(curve, t: float, dt: float) -> tuple[float, float, float]:
     """Finite-step rotational speeds of the chord components in the three
-    derivative planes (1-2, 1-3, 2-3) at chord step dt > 0.
-
-    The chord is decomposed in the {r', r'', r'''} basis and each plane
-    keeps its two coordinates (a parallel projection along the remaining
-    basis vector); the speed uses the exact step-derivatives g_i'(dt).
-    """
+    derivative planes (1-2, 1-3, 2-3) of the basis {r', r'', r'''} at
+    chord step dt > 0."""
     if dt <= 0.0:
         raise OutOfDomain("chord step dt must be positive")
-    m, r1, r2, r3 = _derivative_matrix(curve, t)
-    delta = curve.point(t + dt) - curve.point(t)
-    g = np.linalg.solve(m, np.array(delta.as_tuple()))
-    # d(delta)/d(dt) is the curve velocity at t+dt, so g' solves the same system
-    gp = np.linalg.solve(m, np.array(curve.derivative(t + dt, 1).as_tuple()))
-    basis = (r1, r2, r3)
-    speeds = []
-    for label, i, j in (("1-2", 0, 1), ("1-3", 0, 2), ("2-3", 1, 2)):
-        u = basis[i] * float(g[i]) + basis[j] * float(g[j])
-        w = basis[i] * float(gp[i]) + basis[j] * float(gp[j])
-        speeds.append(_plane_rotation_speed(u, w, f"plane {label}", t))
-    return tuple(speeds)
+    r1 = curve.derivative(t, 1)
+    r2 = curve.derivative(t, 2)
+    r3 = curve.derivative(t, 3)
+    scale = r1.norm() * r2.norm() * r3.norm()
+    if abs(triple_product(r1, r2, r3)) <= EPS_NORM * max(scale, 1.0):
+        raise DegenerateFrame(
+            f"r', r'', r''' fail to span 3-space at t={t:g}")
+    # d(chord)/d(dt) is the curve velocity at t+dt
+    return _chord_plane_speeds(
+        (r1, r2, r3), curve.point(t + dt) - curve.point(t),
+        curve.derivative(t + dt, 1), ("plane 1-2", "plane 1-3", "plane 2-3"),
+        t)
 
 
 def derivative_plane_limits(curve, t: float) -> DerivativePlaneLimits:

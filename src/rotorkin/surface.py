@@ -17,10 +17,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .curves import SpaceCurve
-from .errors import (BadParameters, CenterOnCurve, DegenerateProjection,
-                     IrregularNet, OutOfDomain, SingularPoint)
+from .errors import (BadParameters, DegenerateProjection, IrregularNet,
+                     OutOfDomain, SingularPoint)
 from .numerics import default_step, fd_derivative
-from .space import SpaceKinematics
+from .space import (SpaceKinematics, _chord_plane_speeds,
+                    space_distance_kinematics)
 from .vec import EPS_NORM, Vec3, unit_vector
 
 
@@ -104,15 +105,6 @@ class SurfaceGeometry:
     n: Vec3
     r1: Vec3
     r2: Vec3
-
-
-@dataclass(frozen=True)
-class ChiCoefficients:
-    """Chord components over the natural frame {r_1, r_2, n}."""
-    chi1: float
-    chi2: float
-    chi3: float
-    residual: float
 
 
 def surface_geometry(surface: Surface, u: float, v: float) -> SurfaceGeometry:
@@ -294,36 +286,8 @@ def composed_space_curve(surface: Surface, curve: ChartCurve) -> SpaceCurve:
 def surface_distance_kinematics(surface: Surface, curve: ChartCurve,
                                 t: float) -> SpaceKinematics:
     """Distance rate about the origin and coordinate-plane projected
-    rotational speeds of the composed curve, from chart data."""
-    (u, v) = curve.uv(t)
-    up, vp = curve.duv(t, 1)
-    r = surface.point(u, v)
-    ru = surface.partial("u", u, v)
-    rv = surface.partial("v", u, v)
-    rp = ru * up + rv * vp
-    d = r.norm()
-    if d <= EPS_NORM:
-        raise CenterOnCurve(f"surface point at the origin at t={t:g}")
-    radial = r.dot(rp)
-    rpp = composed_space_curve(surface, curve).derivative(t, 2)
-    d2D = -radial * radial / d ** 3 + (rp.dot(rp) + r.dot(rpp)) / d
-
-    def proj_speed(keep, label):
-        ra = np.array(r.as_tuple()) * keep
-        dra = np.array(rp.as_tuple()) * keep
-        norm = np.linalg.norm(ra)
-        if norm <= EPS_NORM:
-            raise DegenerateProjection(
-                f"{label} projection vanishes at t={t:g}")
-        vec = -(ra @ dra) * ra + dra * norm ** 2
-        return float(np.linalg.norm(vec)) / norm ** 3
-
-    return SpaceKinematics(
-        D=d, dD=radial / d, d2D=d2D,
-        speed_a=proj_speed(np.array([1.0, 1.0, 0.0]), "xOy"),
-        speed_b=proj_speed(np.array([1.0, 0.0, 1.0]), "xOz"),
-        speed_c=proj_speed(np.array([0.0, 1.0, 1.0]), "yOz"),
-    )
+    rotational speeds of the composed curve: its space kinematics."""
+    return space_distance_kinematics(composed_space_curve(surface, curve), t)
 
 
 def surface_local_first_derivative(surface: Surface, curve: ChartCurve,
@@ -336,52 +300,17 @@ def surface_local_first_derivative(surface: Surface, curve: ChartCurve,
             + surface.partial("v", u, v) * vp).norm()
 
 
-def chi_coefficients(surface: Surface, curve: ChartCurve, t: float,
-                     dt: float) -> ChiCoefficients:
-    """Chord components over {r_1, r_2, n} by direct 3x3 solve."""
-    if dt <= 0.0:
-        raise OutOfDomain("chord step dt must be positive")
-    (u, v) = curve.uv(t)
-    geo = surface_geometry(surface, u, v)
-    m = np.array([geo.r1.as_tuple(), geo.r2.as_tuple(),
-                  geo.n.as_tuple()]).T
-    delta = surface.point(*curve.uv(t + dt)) - surface.point(u, v)
-    rhs = np.array(delta.as_tuple())
-    chi = np.linalg.solve(m, rhs)
-    residual = float(np.linalg.norm(m @ chi - rhs))
-    return ChiCoefficients(chi1=float(chi[0]), chi2=float(chi[1]),
-                           chi3=float(chi[2]), residual=residual)
-
-
 def surface_chord_speeds(surface: Surface, curve: ChartCurve, t: float,
                          dt: float) -> tuple[float, float, float]:
     """Finite-step rotational speeds of the chord components in the three
     natural-frame planes (r1-r2, r1-n, r2-n) at chord step dt > 0."""
     if dt <= 0.0:
         raise OutOfDomain("chord step dt must be positive")
-    (u, v) = curve.uv(t)
-    geo = surface_geometry(surface, u, v)
-    basis = [np.array(geo.r1.as_tuple()), np.array(geo.r2.as_tuple()),
-             np.array(geo.n.as_tuple())]
-    m = np.stack(basis).T
-    delta = surface.point(*curve.uv(t + dt)) - surface.point(u, v)
-    chi = np.linalg.solve(m, np.array(delta.as_tuple()))
-    (us, vs) = curve.uv(t + dt)
-    ups, vps = curve.duv(t + dt, 1)
-    vel = (surface.partial("u", us, vs) * ups
-           + surface.partial("v", us, vs) * vps)
-    chi_p = np.linalg.solve(m, np.array(vel.as_tuple()))
-    speeds = []
-    for label, i, j in (("r1-r2", 0, 1), ("r1-n", 0, 2), ("r2-n", 1, 2)):
-        uvec = chi[i] * basis[i] + chi[j] * basis[j]
-        wvec = chi_p[i] * basis[i] + chi_p[j] * basis[j]
-        norm_u = float(np.linalg.norm(uvec))
-        if norm_u <= EPS_NORM:
-            raise DegenerateProjection(
-                f"{label} chord component vanishes at t={t:g}")
-        v3 = (uvec @ wvec) * uvec - norm_u ** 2 * wvec
-        speeds.append(float(np.linalg.norm(v3)) / norm_u ** 3)
-    return tuple(speeds)
+    geo = surface_geometry(surface, *curve.uv(t))
+    composed = composed_space_curve(surface, curve)
+    return _chord_plane_speeds(
+        (geo.r1, geo.r2, geo.n), composed.point(t + dt) - composed.point(t),
+        composed.derivative(t + dt, 1), ("r1-r2", "r1-n", "r2-n"), t)
 
 
 def surface_plane_rot_limits(surface: Surface, curve: ChartCurve, t: float,

@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from rotorkin import cli
 
 
@@ -21,19 +23,23 @@ def test_kinematics_row_count(capsys):
     assert len(lines) == 6
 
 
-def test_kinematics_json_parity(capsys):
-    args = ["kinematics", "--curve", "ellipse", "--samples", "7"]
+def assert_json_matches_csv(capsys, args, rows):
     code, csv_out, _ = run(capsys, args)
     assert code == 0
     code, json_out, _ = run(capsys, args + ["--format", "json"])
     assert code == 0
     headers = csv_out.splitlines()[0].split(",")
     payload = json.loads(json_out)
-    assert len(payload) == 7
+    assert len(payload) == rows
     for row_text, row_obj in zip(csv_out.splitlines()[1:], payload):
         assert list(row_obj.keys()) == headers
         for cell, value in zip(row_text.split(","), row_obj.values()):
             assert float(cell) == value
+
+
+def test_kinematics_json_parity(capsys):
+    assert_json_matches_csv(
+        capsys, ["kinematics", "--curve", "ellipse", "--samples", "7"], 7)
 
 
 def test_kinematics_deterministic(tmp_path):
@@ -215,6 +221,60 @@ def test_ellipse_profile(capsys):
 def test_ellipse_bad_axes(capsys):
     code, _, err = run(capsys, ["ellipse", "--a", "1", "--b", "2"])
     assert code == 2
+
+
+def test_ellipse_json_matches_csv(capsys):
+    assert_json_matches_csv(
+        capsys, ["ellipse", "--a", "2", "--b", "1", "--samples", "5"], 5)
+
+
+# -- sample counts ---------------------------------------------------------------
+
+SURFACE_CONFIG = {
+    "surface": {"kind": "sphere", "params": {"radius": 2.0, "cz": 5.0}},
+    "chart_curve": {"u": "t", "v": "0.3*sin(t)", "domain": [0.2, 5.8]},
+}
+SAMPLED_COMMANDS = {
+    "kinematics": (["kinematics"], {"curve": {"kind": "ellipse"}}),
+    "surface": (["surface"], SURFACE_CONFIG),
+    "ellipse": (["ellipse"], {}),
+}
+
+
+def run_sampled(capsys, tmp_path, command, flag=None, **config):
+    argv, base = SAMPLED_COMMANDS[command]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**base, **config}))
+    argv = argv + ["--config", str(path)]
+    if flag is not None:
+        argv += ["--samples", flag]
+    return run(capsys, argv)
+
+
+@pytest.mark.parametrize("command", sorted(SAMPLED_COMMANDS))
+def test_samples_flag_zero_is_config_error(capsys, tmp_path, command):
+    code, out, err = run_sampled(capsys, tmp_path, command, flag="0")
+    assert code == 2
+    assert out == "" and "samples" in err
+
+
+@pytest.mark.parametrize("command", sorted(SAMPLED_COMMANDS))
+@pytest.mark.parametrize("value", ["abc", 2.5, True, 1, -3, None])
+def test_bad_config_samples_are_config_errors(capsys, tmp_path, command,
+                                              value):
+    code, out, err = run_sampled(capsys, tmp_path, command, samples=value)
+    assert code == 2
+    assert out == "" and "samples" in err
+
+
+@pytest.mark.parametrize("command", sorted(SAMPLED_COMMANDS))
+def test_samples_flag_wins_over_config(capsys, tmp_path, command):
+    code, out, _ = run_sampled(capsys, tmp_path, command, flag="3", samples=0)
+    assert code == 0
+    assert len(out.splitlines()) == 4
+    code, out, _ = run_sampled(capsys, tmp_path, command, samples=5)
+    assert code == 0
+    assert len(out.splitlines()) == 6
 
 
 # -- verify ----------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rotorkin import cli
 from rotorkin import ellipse as ell
 from rotorkin.curves import make_catalog_curve
 from rotorkin.errors import BadParameters, RootCountMismatch
@@ -198,7 +199,8 @@ def test_local_psi_speed_at_zero():
 
 def test_profile_csv(tmp_path):
     path = tmp_path / "profile.csv"
-    ell.write_profile_csv(PARAMS, 11, path)
+    assert cli.main(["ellipse", "--a", repr(A), "--b", repr(B),
+                     "--samples", "11", "--out", str(path)]) == 0
     lines = path.read_text().splitlines()
     assert lines[0] == "theta,xi1,d1,d2,d3,rot_speed_origin,rot_speed_focus"
     assert len(lines) == 12

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotorkin.curves import make_catalog_curve, reparametrize, transform_curve
 from rotorkin.errors import CenterOnCurve, DegenerateChord, SingularPoint
@@ -283,3 +285,38 @@ def test_mirror_images_compare_equal():
     mirrored = transform_curve(curve, ((1.0, 0.0), (0.0, -1.0)))
     report = plane_congruent(curve, mirrored, uniform_grid(curve.domain, 50))
     assert report.congruent
+
+
+# -- properties ------------------------------------------------------------------------
+
+PLANE_CURVES = ("ellipse", "parabola", "polynomial", "circle")
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(PLANE_CURVES), start=st.floats(0.0, 0.9),
+       step=st.floats(1e-6, 0.99))
+def test_chord_kinematics_is_the_frame_at_the_chord_start(name, start, step):
+    curve = make_catalog_curve(name)
+    t0, t1 = curve.domain
+    t = t0 + start * (t1 - t0)
+    dt = step * (t1 - t)
+    # repr tells every float apart bit for bit, -0.0 from 0.0 included
+    assert repr(chord_kinematics(curve, t, dt)) == \
+        repr(distance_kinematics(curve, curve.point(t), t + dt))
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(PLANE_CURVES), where=st.floats(0.0, 1.0),
+       angle=st.floats(-math.pi, math.pi), dx=st.floats(-10.0, 10.0),
+       dy=st.floats(-10.0, 10.0))
+def test_local_limits_invariant_under_rigid_motion(name, where, angle, dx, dy):
+    curve = make_catalog_curve(name)
+    rot = ((math.cos(angle), -math.sin(angle)),
+           (math.sin(angle), math.cos(angle)))
+    moved = transform_curve(curve, rot, Vec2(dx, dy))
+    t0, t1 = curve.domain
+    t = t0 + where * (t1 - t0)
+    before, after = local_limits(curve, t), local_limits(moved, t)
+    for q in ("phi", "phi_prime", "psi_speed"):
+        assert getattr(after, q) == pytest.approx(getattr(before, q),
+                                                  rel=1e-12, abs=1e-12), q

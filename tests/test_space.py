@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotorkin.curves import SpaceCurve, make_catalog_curve, reparametrize, \
     transform_curve
@@ -9,7 +11,7 @@ from rotorkin.errors import (AxisProjectionDegenerate, CenterOnCurve,
                              CurvesIntersect, DegenerateFrame)
 from rotorkin.numerics import extrapolate_to_zero, fd_derivative
 from rotorkin.plane import uniform_grid
-from rotorkin.space import (basis_coefficients, derivative_plane_limits,
+from rotorkin.space import (derivative_plane_limits,
                             derivative_plane_speeds, invariants,
                             pair_kinematics, space_congruent,
                             space_distance_kinematics,
@@ -66,37 +68,6 @@ def test_origin_and_axis_errors():
         space_distance_kinematics(on_axis, 0.5)
 
 
-# -- chord coefficients over {r', r'', r'''} -----------------------------------------
-
-def test_basis_coefficients_taylor_leading_terms():
-    curve = make_catalog_curve("helix")
-    t = 1.2
-    ladder = LADDER_WIDE
-    g1 = extrapolate_to_zero(
-        ladder, [basis_coefficients(curve, t, dt).g1 / dt for dt in ladder])
-    g2 = extrapolate_to_zero(
-        ladder, [basis_coefficients(curve, t, dt).g2 / dt ** 2 for dt in ladder])
-    g3 = extrapolate_to_zero(
-        ladder, [basis_coefficients(curve, t, dt).g3 / dt ** 3 for dt in ladder])
-    assert abs(g1 - 1.0) <= 1e-6
-    assert abs(g2 - 0.5) <= 1e-5
-    assert abs(g3 - 1.0 / 6.0) <= 1e-3
-
-
-def test_basis_coefficients_residual():
-    curve = make_catalog_curve("cubic")
-    for t in (0.4, 0.8, 1.2):
-        for dt in (1e-1, 1e-2, 1e-3):
-            coeffs = basis_coefficients(curve, t, dt)
-            delta = (curve.point(t + dt) - curve.point(t)).norm()
-            assert coeffs.residual <= 1e-10 * max(delta, 1.0)
-
-
-def test_basis_coefficients_zero_step():
-    coeffs = basis_coefficients(make_catalog_curve("helix"), 1.0, 0.0)
-    assert (coeffs.g1, coeffs.g2, coeffs.g3) == (0.0, 0.0, 0.0)
-
-
 def test_planar_curve_has_degenerate_frame():
     flat_circle = SpaceCurve(
         position=lambda t: Vec3(math.cos(t), math.sin(t), 0.0),
@@ -107,7 +78,7 @@ def test_planar_curve_has_degenerate_frame():
     with pytest.raises(DegenerateFrame):
         derivative_plane_limits(flat_circle, 1.0)
     with pytest.raises(DegenerateFrame):
-        basis_coefficients(flat_circle, 1.0, 1e-3)
+        derivative_plane_speeds(flat_circle, 1.0, 1e-3)
 
 
 # -- finite-step speeds and their limits ----------------------------------------------
@@ -330,3 +301,39 @@ def test_pair_same_curve_raises():
     curve = make_catalog_curve("cubic")
     with pytest.raises(CurvesIntersect):
         pair_kinematics(curve, curve, 0.5)
+
+
+# -- properties ------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(radius=st.floats(0.5, 2.0), pitch=st.floats(-2.0, 2.0),
+       offset=st.tuples(*[st.floats(5.0, 8.0)] * 3), t=st.floats(0.2, 1.5))
+def test_pair_kinematics_is_the_difference_curve_frame(radius, pitch, offset, t):
+    # the offset keeps every component of the connecting vector positive
+    cx, cy, cz = offset
+    a = make_catalog_curve("cubic")
+    b = make_catalog_curve("helix", {"radius": radius, "pitch": pitch,
+                                     "cx": cx, "cy": cy, "cz": cz})
+    difference = SpaceCurve(
+        position=lambda s: b.point(s) - a.point(s), domain=a.domain,
+        d1=lambda s: b.derivative(s, 1) - a.derivative(s, 1),
+        d2=lambda s: b.derivative(s, 2) - a.derivative(s, 2))
+    assert repr(pair_kinematics(a, b, t)) == \
+        repr(space_distance_kinematics(difference, t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(("helix", "cubic")), where=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1),
+       offset=st.tuples(*[st.floats(-10.0, 10.0)] * 3))
+def test_invariants_unchanged_under_rigid_motion(name, where, seed, offset):
+    curve = make_catalog_curve(name)
+    moved = transform_curve(curve, random_rotation3(np.random.default_rng(seed)),
+                            Vec3(*offset))
+    t0, t1 = curve.domain
+    t = t0 + where * (t1 - t0)
+    before, after = invariants(curve, t), invariants(moved, t)
+    assert after.epsilon == before.epsilon
+    for q in ("phi", "s12", "s13", "s23"):
+        assert getattr(after, q) == pytest.approx(getattr(before, q),
+                                                  rel=1e-12, abs=1e-12), q

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from rotorkin.errors import (BadParameters, DegenerateProjection,
-                             IrregularNet, OutOfDomain)
+from rotorkin.errors import (AxisProjectionDegenerate, BadParameters,
+                             DegenerateProjection, IrregularNet, OutOfDomain)
 from rotorkin.numerics import extrapolate_to_zero, fd_derivative
 from rotorkin.space import space_distance_kinematics
 from rotorkin.surface import (chart_curve, chart_curve_derivatives,
-                              chi_coefficients, composed_space_curve,
+                              composed_space_curve,
                               make_surface, surface_chord_speeds,
                               surface_distance_kinematics, surface_geometry,
                               surface_local_first_derivative,
@@ -179,18 +179,24 @@ def test_centered_sphere_constant_distance():
 
 
 def test_composed_curve_equivalence():
-    # the chart formulas and the generic space formulas on the composed
-    # curve are the same quantity through two code paths
+    # surface kinematics are the space kinematics of the composed curve
     surf = make_surface("torus", {"cz": 3.0})
     curve = torus_wind_curve()
     composed = composed_space_curve(surf, curve)
     for t in RNG.uniform(0.4, 5.6, size=50):
-        a = surface_distance_kinematics(surf, curve, float(t))
-        b = space_distance_kinematics(composed, float(t))
-        for x, y in ((a.D, b.D), (a.dD, b.dD), (a.d2D, b.d2D),
-                     (a.speed_a, b.speed_a), (a.speed_b, b.speed_b),
-                     (a.speed_c, b.speed_c)):
-            assert abs(x - y) <= 1e-12 * max(abs(x), abs(y), 1.0)
+        assert repr(surface_distance_kinematics(surf, curve, float(t))) == \
+            repr(space_distance_kinematics(composed, float(t)))
+
+
+def test_surface_projection_failure_is_a_degenerate_projection():
+    # x and z vanish at t = 0, and with them the xOz projection
+    surf = make_surface("cylinder")
+    line = chart_curve(const(0.5 * math.pi), lambda t: t, domain=(-1.0, 1.0),
+                       u_derivs=(const(0.0), const(0.0), const(0.0)),
+                       v_derivs=(const(1.0), const(0.0), const(0.0)))
+    with pytest.raises(AxisProjectionDegenerate) as info:
+        surface_distance_kinematics(surf, line, 0.0)
+    assert isinstance(info.value, DegenerateProjection)
 
 
 # -- first fundamental form ---------------------------------------------------------
@@ -224,55 +230,6 @@ def test_phi_squared_is_first_fundamental_form():
         up = np.array(curve.duv(t, 1))
         form = float(np.einsum("ij,i,j->", geo.g, up, up))
         assert abs(phi * phi - form) <= 1e-12 * max(form, 1.0)
-
-
-# -- chord decomposition -----------------------------------------------------------
-
-def test_chi_taylor_leading_terms():
-    surf = make_surface("torus")
-    curve = torus_wind_curve()
-    t = 1.1
-    up, vp = curve.duv(t, 1)
-    chi1 = extrapolate_to_zero(
-        LADDER_WIDE,
-        [chi_coefficients(surf, curve, t, dt).chi1 / dt for dt in LADDER_WIDE])
-    chi2 = extrapolate_to_zero(
-        LADDER_WIDE,
-        [chi_coefficients(surf, curve, t, dt).chi2 / dt for dt in LADDER_WIDE])
-    chi3 = extrapolate_to_zero(
-        LADDER_WIDE,
-        [chi_coefficients(surf, curve, t, dt).chi3 / dt for dt in LADDER_WIDE])
-    assert abs(chi1 - up) <= 1e-6 * max(abs(up), 1.0)
-    assert abs(chi2 - vp) <= 1e-6 * max(abs(vp), 1.0)
-    assert abs(chi3) <= 1e-6  # the chord is tangent to first order
-
-
-def test_flat_chart_chi3_exactly_zero():
-    surf = make_surface("plane")
-    line = chart_curve(lambda t: t, lambda t: 2.0 * t, domain=(-1.0, 1.0),
-                       u_derivs=(const(1.0), const(0.0), const(0.0)),
-                       v_derivs=(const(2.0), const(0.0), const(0.0)))
-    assert chi_coefficients(surf, line, 0.1, 1e-2).chi3 == 0.0
-
-
-def test_sphere_equator_chi3_second_order():
-    surf = make_surface("sphere")
-    curve = equator_curve()
-    dt = 1e-3
-    chi3 = chi_coefficients(surf, curve, 1.0, dt).chi3
-    # normal component of the chord is -curvature/2 * dt^2 to leading order
-    assert abs(abs(chi3) - 0.5 * dt * dt) <= 0.05 * 0.5 * dt * dt
-
-
-def test_chi_residual_invariant():
-    surf = make_surface("torus")
-    curve = torus_wind_curve()
-    for t in (0.5, 2.2, 4.9):
-        for dt in (1e-1, 1e-2, 1e-3):
-            coeffs = chi_coefficients(surf, curve, t, dt)
-            delta = (surf.point(*curve.uv(t + dt))
-                     - surf.point(*curve.uv(t))).norm()
-            assert coeffs.residual <= 1e-9 * max(delta, 1.0)
 
 
 # -- rotational speed limits --------------------------------------------------------
