@@ -13,11 +13,16 @@ import math
 import sys
 from typing import Optional
 
+import numpy as np
+
 from . import ellipse as ell
 from . import reconstruct, surface, verify
-from .curves import _expr_coordinate, curve_from_spec, make_catalog_curve
+from .curves import (_expr_coordinate, _spec_domain, curve_from_spec,
+                     make_catalog_curve)
 from .errors import BadParameters, KinematicsError, UnknownCurve
-from .plane import distance_kinematics, local_limits
+from .numerics import fd_step_from_env
+from .plane import distance_kinematics_array, local_limits_array
+from .reconstruct import _csv_lines
 from .space import space_distance_kinematics
 from .surface import chart_curve, surface_from_spec
 from .vec import Vec2
@@ -26,6 +31,8 @@ EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+# the most samples one run may ask for, as for reconstruction steps
+MAX_SAMPLES = 10 ** 6
 
 
 class ConfigError(Exception):
@@ -94,31 +101,36 @@ def _load_config(args) -> dict:
 
 def _samples(args, config) -> int:
     """The sample count: the flag when given, else the config's, else 100;
-    it must be an integer >= 2."""
+    it must be an integer from 2 to MAX_SAMPLES."""
     samples = args.samples if args.samples is not None else config.get(
         "samples", 100)
-    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 2:
-        raise ConfigError(f"samples must be an integer >= 2, got {samples!r}")
+    if (isinstance(samples, bool) or not isinstance(samples, int)
+            or not 2 <= samples <= MAX_SAMPLES):
+        raise ConfigError(f"samples must be an integer from 2 to "
+                          f"{MAX_SAMPLES}, got {samples!r}")
     return samples
 
 
-def _fmt(value: float) -> str:
-    return f"{float(value):.17g}"
+def _grid(domain, samples: int) -> np.ndarray:
+    t0, t1 = domain
+    return t0 + (t1 - t0) * np.arange(samples) / (samples - 1)
+
+
+def _rows(*columns) -> list[tuple]:
+    return list(zip(*(column.tolist() for column in columns)))
 
 
 def _emit(headers, rows, out_path: Optional[str], fmt: str) -> None:
     if fmt == "json":
         payload = [dict(zip(headers, (float(c) for c in row))) for row in rows]
-        text = json.dumps(payload, indent=2) + "\n"
+        lines = [json.dumps(payload, indent=2) + "\n"]
     else:
-        lines = [",".join(headers)]
-        lines.extend(",".join(_fmt(c) for c in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+        lines = _csv_lines(headers, rows)
     if out_path:
         with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def _resolve_curve(args, config):
@@ -170,31 +182,30 @@ def cmd_kinematics(args) -> int:
     if frame == "local" and curve.dim != 2:
         raise ConfigError("the local frame sampler applies to plane curves")
 
-    t0, t1 = curve.domain
-    ts = [t0 + (t1 - t0) * i / (samples - 1) for i in range(samples)]
-    rows = []
+    ts = _grid(curve.domain, samples)
+    t = None
     try:
         if curve.dim == 3:
             headers = ["t", "D", "dD", "d2D", "speed_A", "speed_B", "speed_C"]
-            for t in ts:
+            rows = []
+            for t in ts.tolist():
                 kin = space_distance_kinematics(curve, t)
                 rows.append((t, kin.D, kin.dD, kin.d2D,
                              kin.speed_a, kin.speed_b, kin.speed_c))
         elif frame == "local":
             headers = ["t", "D", "dD", "d2D", "rot_speed", "phi", "psi_speed"]
-            for t in ts:
-                lim = local_limits(curve, t)
-                # chord-limit values: D -> 0, dD -> phi, d2D -> phi'
-                rows.append((t, 0.0, lim.phi, lim.phi_prime, lim.psi_speed,
-                             lim.phi, lim.psi_speed))
+            lim = local_limits_array(curve, ts)
+            # chord-limit values: D -> 0, dD -> phi, d2D -> phi'
+            rows = _rows(ts, np.zeros_like(ts), lim.phi, lim.phi_prime,
+                         lim.psi_speed, lim.phi, lim.psi_speed)
         else:
             center = point if point is not None else Vec2(0.0, 0.0)
             headers = ["t", "D", "dD", "d2D", "rot_speed"]
-            for t in ts:
-                kin = distance_kinematics(curve, center, t)
-                rows.append((t, kin.D, kin.dD, kin.d2D, kin.rot_speed))
+            kin = distance_kinematics_array(curve, center, ts)
+            rows = _rows(ts, kin.D, kin.dD, kin.d2D, kin.rot_speed)
     except KinematicsError as exc:
-        print(f"{type(exc).__name__} at t={t:g}: {exc}", file=sys.stderr)
+        at = t if exc.t is None else exc.t
+        print(f"{type(exc).__name__} at t={at:g}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     _emit(headers, rows, out, fmt)
     return EXIT_OK
@@ -210,7 +221,7 @@ def cmd_reconstruct(args) -> int:
         if preset_name:
             trajectory, max_error, tolerance = reconstruct.run_preset(
                 preset_name, step=step,
-                domain=tuple(domain) if domain else None)
+                domain=_spec_domain(domain) if domain is not None else None)
         else:
             record = config.get("curve")
             if not record:
@@ -255,17 +266,15 @@ def cmd_surface(args) -> int:
                 for node in _expr_coordinate(text)]
 
     u, v = coordinate(cc["u"]), coordinate(cc["v"])
-    curve = chart_curve(u[0], v[0], domain=tuple(cc["domain"]),
+    curve = chart_curve(u[0], v[0], domain=_spec_domain(cc["domain"]),
                         u_derivs=u[1:], v_derivs=v[1:])
 
     samples = _samples(args, config)
     fmt = args.format or config.get("format", "csv")
-    t0, t1 = curve.domain
-    ts = [t0 + (t1 - t0) * i / (samples - 1) for i in range(samples)]
     headers = ["t", "D", "dD", "d2D", "speed_A", "speed_B", "speed_C"]
     rows = []
     try:
-        for t in ts:
+        for t in _grid(curve.domain, samples).tolist():
             kin = surface.surface_distance_kinematics(surf, curve, t)
             rows.append((t, kin.D, kin.dD, kin.d2D,
                          kin.speed_a, kin.speed_b, kin.speed_c))
@@ -307,6 +316,7 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
+        fd_step_from_env()  # a bad ROTOR_FD_STEP is a config error
         return handlers[args.command](args)
     except (ConfigError, KinematicsError) as exc:
         # bad parameters and malformed records are configuration errors

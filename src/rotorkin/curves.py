@@ -10,12 +10,16 @@ enters any computed formula.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from . import expr as expr_mod
-from .errors import (BadParameters, DerivativeMismatch, NonMonotonic,
-                     OrderUnsupported, OutOfDomain, UnknownCurve)
+from .errors import (BadParameters, DerivativeMismatch, KinematicsError,
+                     NonMonotonic, OrderUnsupported, OutOfDomain,
+                     UnknownCurve)
 from .numerics import default_step, fd_derivative
 from .vec import Vec2, Vec3
 
@@ -29,6 +33,9 @@ class _Curve:
     d3: Optional[Callable[[float], object]] = None
     name: str = ""
     validate: bool = False  # check supplied derivatives at construction
+    # closed forms of r and its first three derivatives: forms[k](t, m)
+    # gives the components, floats for m = math and arrays for m = numpy
+    forms: Optional[tuple] = None
 
     def __post_init__(self):
         t0, t1 = self.domain
@@ -41,15 +48,19 @@ class _Curve:
     def analytic(self) -> bool:
         return self.d1 is not None and self.d2 is not None and self.d3 is not None
 
-    def contains(self, t: float) -> bool:
+    def contains(self, t):
+        """Whether t (a float, or elementwise an array) lies in the domain."""
         t0, t1 = self.domain
         slack = 1e-12 * max(1.0, abs(t0), abs(t1))  # absorb roundoff at ends
-        return t0 - slack <= t <= t1 + slack
+        return (t0 - slack <= t) & (t <= t1 + slack)
+
+    def _outside(self, t: float) -> OutOfDomain:
+        return OutOfDomain(
+            f"t={t:g} outside domain [{self.domain[0]:g}, {self.domain[1]:g}]")
 
     def point(self, t: float):
         if not self.contains(t):
-            raise OutOfDomain(
-                f"t={t:g} outside domain [{self.domain[0]:g}, {self.domain[1]:g}]")
+            raise self._outside(t)
         return self.position(t)
 
     def derivative(self, t: float, order: int):
@@ -58,13 +69,38 @@ class _Curve:
         if order not in (1, 2, 3):
             raise OrderUnsupported(f"order {order} not supported")
         if not self.contains(t):
-            raise OutOfDomain(
-                f"t={t:g} outside domain [{self.domain[0]:g}, {self.domain[1]:g}]")
+            raise self._outside(t)
         analytic = (self.d1, self.d2, self.d3)[order - 1]
         if analytic is not None:
             return analytic(t)
         return fd_derivative(self.position, t, order,
                              h=default_step(order), domain=self.domain)
+
+    def sample(self, ts):
+        """(r, r', r'') at every parameter of `ts`, each of shape (n, dim):
+        the closed forms on arrays when the curve has them, else stacked
+        scalar calls.  Raises OutOfDomain for the first parameter outside
+        the domain and KinematicsError for a non-finite component."""
+        ts = np.asarray(ts, dtype=float)
+        outside = ts[~self.contains(ts)]
+        if outside.size:
+            raise self._outside(float(outside[0]))
+        if self.forms is None:
+            calls = (self.point, lambda t: self.derivative(t, 1),
+                     lambda t: self.derivative(t, 2))
+            return tuple(np.array([fn(t).as_tuple() for t in ts.tolist()],
+                                  dtype=float).reshape(len(ts), self.dim)
+                         for fn in calls)
+        with np.errstate(all="ignore"):  # non-finite values raise below
+            arrays = tuple(
+                np.stack([np.broadcast_to(np.asarray(c, dtype=float), ts.shape)
+                          for c in form(ts, np)], axis=1)
+                for form in self.forms[:3])
+        finite = np.isfinite(arrays).all(axis=(0, 2))
+        if not finite.all():
+            raise KinematicsError("non-finite vector component at "
+                                  f"t={ts[np.argmin(finite)]:g}")
+        return arrays
 
     def validate_derivatives(self, n_grid: int = 100, rel_tol: float = 1e-5):
         """Check supplied analytic derivatives against central differences."""
@@ -144,7 +180,7 @@ def reparametrize(curve, g: Callable[[float], float],
                 + curve.derivative(t, 1) * g3(h))
 
     return replace(curve, position=pos, domain=(h0, h1),
-                   d1=dd1, d2=dd2, d3=dd3,
+                   d1=dd1, d2=dd2, d3=dd3, forms=None,
                    name=f"{curve.name}@reparam" if curve.name else "reparam")
 
 
@@ -173,6 +209,7 @@ def transform_curve(curve, matrix, offset=None):
     return replace(curve,
                    position=lambda t: apply(curve.point(t)) + b,
                    d1=make_deriv(1), d2=make_deriv(2), d3=make_deriv(3),
+                   forms=None,
                    name=f"{curve.name}@moved" if curve.name else "moved")
 
 
@@ -187,74 +224,74 @@ class CurveCatalogEntry:
     doc: str = ""
 
 
+def _closed_form(cls, forms, domain, name):
+    """A catalog curve from its closed forms (see `_Curve.forms`); the
+    scalar calls evaluate them with `math`."""
+    vec = Vec2 if cls.dim == 2 else Vec3
+    position, d1, d2, d3 = (lambda t, form=form: vec(*form(t, math))
+                            for form in forms)
+    return cls(position=position, domain=domain, d1=d1, d2=d2, d3=d3,
+               name=name, forms=tuple(forms))
+
+
 def _line(x0=1.0, y0=2.0, a=3.0, b=4.0):
-    return PlaneCurve(
-        position=lambda t: Vec2(x0 + a * t, y0 + b * t),
-        domain=(-5.0, 5.0),
-        d1=lambda t: Vec2(a, b),
-        d2=lambda t: Vec2(0.0, 0.0),
-        d3=lambda t: Vec2(0.0, 0.0),
-        name="line")
+    return _closed_form(PlaneCurve, (
+        lambda t, m: (x0 + a * t, y0 + b * t),
+        lambda t, m: (a, b),
+        lambda t, m: (0.0, 0.0),
+        lambda t, m: (0.0, 0.0)), (-5.0, 5.0), "line")
 
 
 def _circle(radius=1.0, cx=0.0, cy=0.0):
     if radius <= 0:
         raise BadParameters("circle needs radius > 0")
     r = radius
-    return PlaneCurve(
-        position=lambda t: Vec2(cx + r * math.cos(t), cy + r * math.sin(t)),
-        domain=(0.0, 2.0 * math.pi),
-        d1=lambda t: Vec2(-r * math.sin(t), r * math.cos(t)),
-        d2=lambda t: Vec2(-r * math.cos(t), -r * math.sin(t)),
-        d3=lambda t: Vec2(r * math.sin(t), -r * math.cos(t)),
-        name="circle")
+    return _closed_form(PlaneCurve, (
+        lambda t, m: (cx + r * m.cos(t), cy + r * m.sin(t)),
+        lambda t, m: (-r * m.sin(t), r * m.cos(t)),
+        lambda t, m: (-r * m.cos(t), -r * m.sin(t)),
+        lambda t, m: (r * m.sin(t), -r * m.cos(t))),
+        (0.0, 2.0 * math.pi), "circle")
 
 
 def _ellipse(a=2.0, b=1.0):
     if not (a > b > 0):
         raise BadParameters(f"ellipse needs a > b > 0, got a={a}, b={b}")
-    return PlaneCurve(
-        position=lambda t: Vec2(a * math.cos(t), b * math.sin(t)),
-        domain=(0.0, 2.0 * math.pi),
-        d1=lambda t: Vec2(-a * math.sin(t), b * math.cos(t)),
-        d2=lambda t: Vec2(-a * math.cos(t), -b * math.sin(t)),
-        d3=lambda t: Vec2(a * math.sin(t), -b * math.cos(t)),
-        name="ellipse")
+    return _closed_form(PlaneCurve, (
+        lambda t, m: (a * m.cos(t), b * m.sin(t)),
+        lambda t, m: (-a * m.sin(t), b * m.cos(t)),
+        lambda t, m: (-a * m.cos(t), -b * m.sin(t)),
+        lambda t, m: (a * m.sin(t), -b * m.cos(t))),
+        (0.0, 2.0 * math.pi), "ellipse")
 
 
 def _parabola(a=1.0, x0=0.0, y0=1.0):
-    return PlaneCurve(
-        position=lambda t: Vec2(x0 + t, y0 + a * t * t),
-        domain=(-2.0, 2.0),
-        d1=lambda t: Vec2(1.0, 2.0 * a * t),
-        d2=lambda t: Vec2(0.0, 2.0 * a),
-        d3=lambda t: Vec2(0.0, 0.0),
-        name="parabola")
+    return _closed_form(PlaneCurve, (
+        lambda t, m: (x0 + t, y0 + a * t * t),
+        lambda t, m: (1.0, 2.0 * a * t),
+        lambda t, m: (0.0, 2.0 * a),
+        lambda t, m: (0.0, 0.0)), (-2.0, 2.0), "parabola")
 
 
 def _cubic(a=1.0, b=1.0, c=1.0):
     # twisted cubic; positive parameters keep it clear of the axes for t > 0
-    return SpaceCurve(
-        position=lambda t: Vec3(a * t, b * t * t, c * t ** 3),
-        domain=(0.2, 1.5),
-        d1=lambda t: Vec3(a, 2.0 * b * t, 3.0 * c * t * t),
-        d2=lambda t: Vec3(0.0, 2.0 * b, 6.0 * c * t),
-        d3=lambda t: Vec3(0.0, 0.0, 6.0 * c),
-        name="cubic")
+    return _closed_form(SpaceCurve, (
+        lambda t, m: (a * t, b * t * t, c * t ** 3),
+        lambda t, m: (a, 2.0 * b * t, 3.0 * c * t * t),
+        lambda t, m: (0.0, 2.0 * b, 6.0 * c * t),
+        lambda t, m: (0.0, 0.0, 6.0 * c)), (0.2, 1.5), "cubic")
 
 
 def _helix(radius=1.0, pitch=1.0, cx=0.0, cy=0.0, cz=0.0):
     if radius <= 0:
         raise BadParameters("helix needs radius > 0")
     r, p = radius, pitch
-    return SpaceCurve(
-        position=lambda t: Vec3(cx + r * math.cos(t), cy + r * math.sin(t),
-                                cz + p * t),
-        domain=(0.0, 2.0 * math.pi),
-        d1=lambda t: Vec3(-r * math.sin(t), r * math.cos(t), p),
-        d2=lambda t: Vec3(-r * math.cos(t), -r * math.sin(t), 0.0),
-        d3=lambda t: Vec3(r * math.sin(t), -r * math.cos(t), 0.0),
-        name="helix")
+    return _closed_form(SpaceCurve, (
+        lambda t, m: (cx + r * m.cos(t), cy + r * m.sin(t), cz + p * t),
+        lambda t, m: (-r * m.sin(t), r * m.cos(t), p),
+        lambda t, m: (-r * m.cos(t), -r * m.sin(t), 0.0),
+        lambda t, m: (r * m.sin(t), -r * m.cos(t), 0.0)),
+        (0.0, 2.0 * math.pi), "helix")
 
 
 def _poly_eval(coeffs, t, order):
@@ -270,14 +307,9 @@ def _poly_eval(coeffs, t, order):
 def _polynomial(x_coeffs=(1.0, 1.0), y_coeffs=(2.0, 1.0, 0.0, 0.5)):
     xs = tuple(float(c) for c in x_coeffs)
     ys = tuple(float(c) for c in y_coeffs)
-
-    def make(order):
-        def fn(t):
-            return Vec2(_poly_eval(xs, t, order), _poly_eval(ys, t, order))
-        return fn
-
-    return PlaneCurve(position=make(0), domain=(-1.0, 1.0),
-                      d1=make(1), d2=make(2), d3=make(3), name="polynomial")
+    return _closed_form(PlaneCurve, [
+        lambda t, m, k=k: (_poly_eval(xs, t, k), _poly_eval(ys, t, k))
+        for k in range(4)], (-1.0, 1.0), "polynomial")
 
 
 CATALOG: dict[str, CurveCatalogEntry] = {
@@ -316,13 +348,37 @@ def make_catalog_curve(name: str, params: dict | None = None,
     unknown = set(params) - set(entry.defaults)
     if unknown:
         raise BadParameters(f"{name}: unknown parameters {sorted(unknown)}")
+    for key, value in params.items():
+        many = isinstance(entry.defaults[key], tuple)
+        if many and not isinstance(value, (list, tuple, np.ndarray)):
+            raise BadParameters(f"{name}: {key} must be a list of numbers")
+        for item in (value if many else (value,)):
+            _finite_real(item, f"{name}: {key}")
     try:
         curve = entry.builder(**params)
     except TypeError as exc:
         raise BadParameters(f"{name}: {exc}") from exc
     if domain is not None:
-        curve = replace(curve, domain=(float(domain[0]), float(domain[1])))
+        curve = replace(curve, domain=_spec_domain(domain))
     return curve
+
+
+def _finite_real(value, what: str) -> float:
+    """`value` as a float; it must be a finite real number (not a bool)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise BadParameters(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _spec_domain(value) -> tuple[float, float]:
+    """A record's domain [t0, t1]: two finite numbers with t0 < t1."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise BadParameters(f"domain must be [t0, t1], got {value!r}")
+    t0, t1 = (_finite_real(t, "domain") for t in value)
+    if not t0 < t1:
+        raise BadParameters(f"bad domain ({t0}, {t1})")
+    return t0, t1
 
 
 # -- curve specification records (CLI / config) --------------------------------
@@ -346,14 +402,14 @@ def curve_from_spec(record: dict):
     kind = record["kind"]
     domain = record.get("domain")
     if kind != "expr":
-        return make_catalog_curve(kind, record.get("params"),
-                                  domain=tuple(domain) if domain else None)
+        return make_catalog_curve(kind, record.get("params"), domain=domain)
 
     exprs = record.get("expr")
     if not isinstance(exprs, dict) or "x" not in exprs or "y" not in exprs:
         raise BadParameters("expr curve needs expr.x and expr.y")
     if domain is None:
         raise BadParameters("expr curve needs an explicit domain")
+    domain = _spec_domain(domain)
     chains = {axis: _expr_coordinate(exprs[axis])
               for axis in ("x", "y", "z") if axis in exprs}
 
@@ -364,7 +420,7 @@ def curve_from_spec(record: dict):
                             expr_mod.evaluate(chains["y"][order], t),
                             expr_mod.evaluate(chains["z"][order], t))
             return fn
-        return SpaceCurve(position=make3(0), domain=(domain[0], domain[1]),
+        return SpaceCurve(position=make3(0), domain=domain,
                           d1=make3(1), d2=make3(2), d3=make3(3), name="expr")
 
     def make2(order):
@@ -372,5 +428,5 @@ def curve_from_spec(record: dict):
             return Vec2(expr_mod.evaluate(chains["x"][order], t),
                         expr_mod.evaluate(chains["y"][order], t))
         return fn
-    return PlaneCurve(position=make2(0), domain=(domain[0], domain[1]),
+    return PlaneCurve(position=make2(0), domain=domain,
                       d1=make2(1), d2=make2(2), d3=make2(3), name="expr")

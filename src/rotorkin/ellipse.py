@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BadParameters
+from .errors import BadParameters, NonFiniteData
 from .numerics import adaptive_simpson, find_roots
 from .plane import PlaneKinematics
 from .reconstruct import PlaneReconstructionProblem, _pointwise
@@ -34,10 +34,15 @@ class EllipseParams:
             ok = self.a >= self.b > 0
         else:
             ok = self.a > self.b > 0
-        if not ok:
+        if not (ok and math.isfinite(self.a)):
             raise BadParameters(
                 f"ellipse needs a > b > 0, got a={self.a}, b={self.b}")
-        object.__setattr__(self, "c", math.sqrt(self.a ** 2 - self.b ** 2))
+        try:
+            c = math.sqrt(self.a ** 2 - self.b ** 2)
+        except OverflowError:
+            raise BadParameters(
+                f"ellipse axis a={self.a} is too large") from None
+        object.__setattr__(self, "c", c)
 
 
 @dataclass(frozen=True)
@@ -66,73 +71,60 @@ class FocalTableReport:
     ok: bool
 
 
+def _origin_forms(params: EllipseParams, theta, m=math):
+    """D, dD, d2D, the rotational velocity (x, y) and the rotational speed
+    about the center, at a float theta (m = math) or an array (m = numpy)."""
+    a, b, c = params.a, params.b, params.c
+    ct, st = m.cos(theta), m.sin(theta)
+    q = a * a * ct * ct + b * b * st * st
+    d = m.sqrt(q)
+    s = a * b / q ** 1.5
+    return (d, -c * c * st * ct / d,
+            c * c * (-a * a * ct ** 4 + b * b * st ** 4) / q ** 1.5,
+            (-b * st * s, a * ct * s), a * b / q)
+
+
+def _focus_forms(params: EllipseParams, theta, m=math):
+    """The focal distance xi1, its derivatives d1-d3 (each in the quotient
+    form whose signs the table tracks, not pre-simplified), the rotational
+    velocity (x, y) and the rotational speed about the focus (c, 0), at a
+    float theta (m = math) or an array (m = numpy)."""
+    a, b, c = params.a, params.b, params.c
+    ct, st = m.cos(theta), m.sin(theta)
+    q = (a * ct - c) ** 2 + b * b * st * st
+    xi1 = m.sqrt(q)
+    num1 = a * c * st - c * c * st * ct
+    num2 = a * c * ct - c * c * m.cos(2.0 * theta)
+    d2 = -num1 ** 2 / q ** 1.5 + num2 / xi1
+    d3 = (3.0 * num1 ** 3 / q ** 2.5
+          - 3.0 * num1 * num2 / q ** 1.5
+          + (2.0 * c * c * m.sin(2.0 * theta) - a * c * st) / xi1)
+    speed_num = b * (a - c * ct)
+    s = speed_num / q ** 1.5
+    return (xi1, num1 / xi1, d2, d3, (-b * st * s, (a * ct - c) * s),
+            speed_num / xi1 ** 2)
+
+
 def origin_frame_profile(params: EllipseParams, theta: float) -> PlaneKinematics:
     """Closed-form kinematics about the ellipse center."""
-    a, b, c = params.a, params.b, params.c
-    ct, st = math.cos(theta), math.sin(theta)
-    q = a * a * ct * ct + b * b * st * st
-    d = math.sqrt(q)
-    dD = -c * c * st * ct / d
-    d2D = c * c * (-a * a * ct ** 4 + b * b * st ** 4) / q ** 1.5
-    vel = Vec2(-b * st, a * ct) * (a * b / q ** 1.5)
-    return PlaneKinematics(D=d, dD=dD, d2D=d2D, rot_velocity=vel,
-                           rot_speed=a * b / q)
-
-
-def _xi1_sq(params: EllipseParams, theta: float) -> float:
-    a, b, c = params.a, params.b, params.c
-    ct, st = math.cos(theta), math.sin(theta)
-    return (a * ct - c) ** 2 + b * b * st * st
+    d, dD, d2D, vel, speed = _origin_forms(params, theta)
+    return PlaneKinematics(D=d, dD=dD, d2D=d2D, rot_velocity=Vec2(*vel),
+                           rot_speed=speed)
 
 
 def focus_profile(params: EllipseParams) -> FocusProfile:
-    """xi1 and its derivatives, each in the quotient form whose signs the
-    table tracks (not pre-simplified)."""
-    a, c = params.a, params.c
-
-    def xi1(theta):
-        return math.sqrt(_xi1_sq(params, theta))
-
-    def num1(theta):
-        ct, st = math.cos(theta), math.sin(theta)
-        return a * c * st - c * c * st * ct
-
-    def d1(theta):
-        return num1(theta) / xi1(theta)
-
-    def num2(theta):
-        ct = math.cos(theta)
-        return a * c * ct - c * c * math.cos(2.0 * theta)
-
-    def d2(theta):
-        q = _xi1_sq(params, theta)
-        return -num1(theta) ** 2 / q ** 1.5 + num2(theta) / math.sqrt(q)
-
-    def d3(theta):
-        q = _xi1_sq(params, theta)
-        st = math.sin(theta)
-        return (3.0 * num1(theta) ** 3 / q ** 2.5
-                - 3.0 * num1(theta) * num2(theta) / q ** 1.5
-                + (2.0 * c * c * math.sin(2.0 * theta) - a * c * st)
-                / math.sqrt(q))
-
-    return FocusProfile(xi1=xi1, d1=d1, d2=d2, d3=d3)
+    """xi1 and its derivatives as callables of theta."""
+    def form(k):
+        return lambda theta: _focus_forms(params, theta)[k]
+    return FocusProfile(xi1=form(0), d1=form(1), d2=form(2), d3=form(3))
 
 
 def focus_frame_profile(params: EllipseParams, theta: float) -> FocusFrameSample:
     """Kinematics about the focus (c, 0) plus the distance-profile values."""
-    a, b, c = params.a, params.b, params.c
-    profile = focus_profile(params)
-    xi1 = profile.xi1(theta)
-    d1 = profile.d1(theta)
-    d2 = profile.d2(theta)
-    ct, st = math.cos(theta), math.sin(theta)
-    speed_num = b * (a - c * ct)
-    vel = Vec2(-b * st, a * ct - c) * (speed_num / xi1 ** 3)
-    kin = PlaneKinematics(D=xi1, dD=d1, d2D=d2, rot_velocity=vel,
-                          rot_speed=speed_num / xi1 ** 2)
-    return FocusFrameSample(kinematics=kin, xi1=xi1, d1=d1, d2=d2,
-                            d3=profile.d3(theta))
+    xi1, d1, d2, d3, vel, speed = _focus_forms(params, theta)
+    kin = PlaneKinematics(D=xi1, dD=d1, d2D=d2, rot_velocity=Vec2(*vel),
+                          rot_speed=speed)
+    return FocusFrameSample(kinematics=kin, xi1=xi1, d1=d1, d2=d2, d3=d3)
 
 
 # -- local rotating-frame values (chord-limit forms) ---------------------------
@@ -256,14 +248,11 @@ def origin_reconstruction_problem(params: EllipseParams,
     """Second-order distance data about the center plus the rotational
     velocity field of the center-to-point direction; integrating it
     regenerates the ellipse."""
-    a, b, c = params.a, params.b, params.c
+    a = params.a
 
     def data(theta):
-        ct, st = np.cos(theta), np.sin(theta)
-        q = a * a * ct * ct + b * b * st * st
-        d2D = c * c * (-a * a * ct ** 4 + b * b * st ** 4) / q ** 1.5
-        rate = np.stack((-b * st, a * ct), axis=1) * (a * b / q ** 1.5)[:, None]
-        return d2D, rate[:, None, :]
+        _, _, d2D, rate, _ = _origin_forms(params, theta, np)
+        return d2D, np.stack(rate, axis=1)[:, None, :]
 
     rhs_D, (rhs_e,) = _pointwise(data, 1)
     return PlaneReconstructionProblem(
@@ -277,17 +266,11 @@ def focus_reconstruction_problem(params: EllipseParams,
                                  step: float | None = None
                                  ) -> PlaneReconstructionProblem:
     """Same as origin_reconstruction_problem but about the focus (c, 0)."""
-    a, b, c = params.a, params.b, params.c
+    a, c = params.a, params.c
 
     def data(theta):
-        ct, st = np.cos(theta), np.sin(theta)
-        q = (a * ct - c) ** 2 + b * b * st * st
-        num1 = a * c * st - c * c * st * ct
-        num2 = a * c * ct - c * c * np.cos(2.0 * theta)
-        d2 = -num1 ** 2 / q ** 1.5 + num2 / np.sqrt(q)
-        rate = (np.stack((-b * st, a * ct - c), axis=1)
-                * (b * (a - c * ct) / q ** 1.5)[:, None])
-        return d2, rate[:, None, :]
+        _, _, d2, _, rate, _ = _focus_forms(params, theta, np)
+        return d2, np.stack(rate, axis=1)[:, None, :]
 
     rhs_D, (rhs_e,) = _pointwise(data, 1)
     return PlaneReconstructionProblem(
@@ -304,13 +287,13 @@ PROFILE_HEADER = "theta,xi1,d1,d2,d3,rot_speed_origin,rot_speed_focus"
 
 def profile_rows(params: EllipseParams, n_samples: int) -> list[tuple]:
     """The PROFILE_HEADER columns at n_samples angles evenly spaced over
-    [0, 2 pi]."""
-    profile = focus_profile(params)
-    rows = []
-    for k in range(n_samples):
-        theta = _TWO_PI * k / (n_samples - 1) if n_samples > 1 else 0.0
-        rows.append((theta, profile.xi1(theta), profile.d1(theta),
-                     profile.d2(theta), profile.d3(theta),
-                     origin_frame_profile(params, theta).rot_speed,
-                     focus_frame_profile(params, theta).kinematics.rot_speed))
-    return rows
+    [0, 2 pi], computed as whole columns and returned as rows."""
+    theta = (_TWO_PI * np.arange(n_samples) / (n_samples - 1)
+             if n_samples > 1 else np.zeros(n_samples))
+    xi1, d1, d2, d3, _, speed_focus = _focus_forms(params, theta, np)
+    speed_origin = _origin_forms(params, theta, np)[4]
+    columns = (theta, xi1, d1, d2, d3, speed_origin, speed_focus)
+    if not np.isfinite(columns).all():
+        raise NonFiniteData(f"ellipse profile of a={params.a}, b={params.b} "
+                            "is not finite")
+    return list(zip(*(column.tolist() for column in columns)))

@@ -8,6 +8,8 @@ propagate into downstream limit computations.
 class KinematicsError(Exception):
     """Base class for all errors raised by rotorkin."""
 
+    t = None  # the failing parameter, when an array sampler knows it
+
 
 # -- vector algebra ---------------------------------------------------------
 

@@ -27,6 +27,10 @@ from .errors import EvalDomain, ExprSyntaxError, UnknownIdentifier
 _FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt")
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _MAX_SOURCE = 64 * 1024
+# nesting levels (parentheses, function calls, unary minus) the recursive
+# descent may open; a few Python frames each, well inside the default
+# recursion limit together with differentiation and evaluation
+_MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -118,6 +122,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -154,12 +159,22 @@ class _Parser:
             else:
                 return node
 
+    def nest(self, offset: int) -> None:
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ExprSyntaxError(
+                f"expression nested deeper than {_MAX_DEPTH} levels", offset)
+
     def parse_unary(self) -> Node:
-        kind, value, _ = self.peek()
+        kind, value, offset = self.peek()
+        self.nest(offset)
         if kind == "op" and value == "-":
             self.next()
-            return _fold_neg(self.parse_unary())
-        return self.parse_power()
+            node = _fold_neg(self.parse_unary())
+        else:
+            node = self.parse_power()
+        self.depth -= 1
+        return node
 
     def parse_power(self) -> Node:
         base = self.parse_atom()
@@ -175,7 +190,9 @@ class _Parser:
         kind, value, offset = self.peek()
         if kind == "op" and value == "(":
             self.next()
+            self.nest(offset)
             frac = self.parse_rational()
+            self.depth -= 1
             kind, value, offset = self.peek()
             if kind == "op" and value == "/":
                 self.next()

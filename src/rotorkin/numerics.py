@@ -7,10 +7,12 @@ numpy arrays), so the same code differentiates scalar and vector maps.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Callable, Sequence
 
-from .errors import KinematicsError, OrderUnsupported, RootCountMismatch
+from .errors import (BadParameters, KinematicsError, OrderUnsupported,
+                     RootCountMismatch)
 
 # Default steps balance truncation against roundoff at double precision:
 # the k-th difference divides ~eps*|f| by h^k, so higher orders need wider
@@ -32,12 +34,26 @@ _FORWARD = {
 }
 
 
+def fd_step_from_env() -> float | None:
+    """ROTOR_FD_STEP as a float, or None when it is unset; a value that is
+    not a finite number > 0 raises BadParameters."""
+    env = os.environ.get("ROTOR_FD_STEP")
+    if env is None:
+        return None
+    try:
+        step = float(env)
+    except ValueError:
+        step = math.nan
+    if not (math.isfinite(step) and step > 0.0):
+        raise BadParameters(
+            f"ROTOR_FD_STEP must be a finite number > 0, got {env!r}")
+    return step
+
+
 def default_step(order: int) -> float:
     """FD step for the given order; ROTOR_FD_STEP overrides all orders."""
-    env = os.environ.get("ROTOR_FD_STEP")
-    if env is not None:
-        return float(env)
-    return FD_STEPS[order]
+    step = fd_step_from_env()
+    return FD_STEPS[order] if step is None else step
 
 
 def fd_derivative(f: Callable[[float], object], t: float, order: int,

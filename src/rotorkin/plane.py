@@ -11,11 +11,13 @@ to position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Iterable
 
-from .errors import (CenterOnCurve, DegenerateChord, OutOfDomain,
-                     SingularPoint)
+import numpy as np
+
+from .errors import (CenterOnCurve, DegenerateChord, KinematicsError,
+                     NonFiniteData, OutOfDomain, SingularPoint)
 from .vec import EPS_NORM, Vec2
 
 ORIGIN2 = Vec2(0.0, 0.0)
@@ -80,6 +82,28 @@ def _radial_rates(d, radial, speed_sq, accel_dot):
             -radial * radial / d ** 3 + (speed_sq + accel_dot) / d)
 
 
+def _frame_terms(rel, rp, rpp, d):
+    """dD, d2D, the rotational velocity (x, y) and the rotational speed of
+    the frame tracking rel = r - center, from the components (x, y) of rel,
+    r' and r'' and from d = |rel|; floats or numpy rows alike."""
+    (x, y), (xp, yp), (xpp, ypp) = rel, rp, rpp
+    dD, d2D = _radial_rates(d, x * xp + y * yp, xp * xp + yp * yp,
+                            x * xpp + y * ypp)
+    w = x * yp - y * xp  # x y' - x' y with the center subtracted
+    s = w / d ** 3
+    return dD, d2D, (-y * s, x * s), abs(w) / (d * d)
+
+
+def _local_terms(rp, rpp, phi):
+    """phi', psi (x, y) and |psi| of the local frame, from the components
+    of r' and r'' and from phi = |r'|; floats or numpy rows alike."""
+    (xp, yp), (xpp, ypp) = rp, rpp
+    cross = xp * ypp - yp * xpp
+    s = cross / (2.0 * phi ** 3)
+    return ((xp * xpp + yp * ypp) / phi, (-yp * s, xp * s),
+            abs(cross) / (2.0 * phi * phi))
+
+
 def _plane_kinematics(curve, center: Vec2, t: float,
                       coincident) -> PlaneKinematics:
     """The rotating frame at `center` tracking the curve point at t; raises
@@ -88,14 +112,11 @@ def _plane_kinematics(curve, center: Vec2, t: float,
     d = rel.norm()
     if d <= EPS_NORM:
         raise coincident(f"the curve meets the frame center at t={t:g}")
-    rp = curve.derivative(t, 1)
-    rpp = curve.derivative(t, 2)
-    dD, d2D = _radial_rates(d, rel.dot(rp), rp.dot(rp), rel.dot(rpp))
-    w = rel.cross(rp)  # x y' - x' y with the center subtracted
-    rot_velocity = rel.perp() * (w / d ** 3)
+    dD, d2D, velocity, speed = _frame_terms(
+        rel.as_tuple(), curve.derivative(t, 1).as_tuple(),
+        curve.derivative(t, 2).as_tuple(), d)
     return PlaneKinematics(D=d, dD=dD, d2D=d2D,
-                           rot_velocity=rot_velocity,
-                           rot_speed=abs(w) / (d * d))
+                           rot_velocity=Vec2(*velocity), rot_speed=speed)
 
 
 def distance_kinematics(curve, center: Vec2, t: float) -> PlaneKinematics:
@@ -119,16 +140,93 @@ def local_limits(curve, t: float) -> LocalLimits2:
     velocity psi, which is half the curvature times the speed in magnitude
     and normal to the tangent."""
     rp = curve.derivative(t, 1)
-    rpp = curve.derivative(t, 2)
     phi = rp.norm()
     if phi <= EPS_NORM:
         raise SingularPoint(f"curve is singular at t={t:g}")
-    cross = rp.cross(rpp)  # x' y'' - x'' y'
-    psi = rp.perp() * (cross / (2.0 * phi ** 3))
-    return LocalLimits2(phi=phi,
-                        phi_prime=rp.dot(rpp) / phi,
-                        psi=psi,
-                        psi_speed=abs(cross) / (2.0 * phi * phi))
+    phi_prime, psi, psi_speed = _local_terms(
+        rp.as_tuple(), curve.derivative(t, 2).as_tuple(), phi)
+    return LocalLimits2(phi=phi, phi_prime=phi_prime, psi=Vec2(*psi),
+                        psi_speed=psi_speed)
+
+
+# -- the same frames over arrays of parameters ----------------------------
+
+def _over_samples(curve, ts, kernel, scalar):
+    """`kernel(r, r', r'')` over the curve's samples at ts; it returns the
+    result dataclass with array fields and the mask of its good rows.
+
+    Every other row is redone by `scalar(t)` in the order of ts, so the
+    first failing one raises the scalar API's typed error, with its `t`
+    set; when sampling fails, every row is.  A row that stays non-finite
+    raises NonFiniteData, so no NaN or Inf leaves the array path.
+    """
+    ts = np.asarray(ts, dtype=float)
+    try:
+        samples = curve.sample(ts)
+    except KinematicsError:
+        samples = np.full((3, len(ts), curve.dim), np.nan)
+    with np.errstate(all="ignore"):
+        out, good = kernel(*samples)
+    for i in np.flatnonzero(~good).tolist():
+        t = float(ts[i])
+        try:
+            row = _finite_row(scalar, t)
+        except KinematicsError as exc:
+            exc.t = t
+            raise
+        for f, value in zip(fields(out), row):
+            getattr(out, f.name)[i] = value
+    return out
+
+
+def _finite_row(scalar, t):
+    """The fields of scalar(t) as a tuple, which must be finite."""
+    try:
+        row = astuple(scalar(t))
+    except OverflowError as exc:
+        raise NonFiniteData(f"kinematics overflow at t={t:g}") from exc
+    if not np.isfinite(np.hstack(row)).all():
+        raise NonFiniteData(f"non-finite kinematics at t={t:g}")
+    return row
+
+
+def _finite_rows(*columns):
+    return np.isfinite(np.column_stack(columns)).all(axis=1)
+
+
+def distance_kinematics_array(curve, center: Vec2, ts) -> PlaneKinematics:
+    """distance_kinematics at every parameter of `ts`, as one
+    PlaneKinematics of arrays (rot_velocity of shape (n, 2)).  Degenerate
+    samples raise what distance_kinematics raises at the first of them."""
+    c = np.array(center.as_tuple())
+
+    def kernel(r, rp, rpp):
+        rel = r - c
+        d = np.hypot(rel[:, 0], rel[:, 1])
+        dD, d2D, velocity, speed = _frame_terms(rel.T, rp.T, rpp.T, d)
+        out = PlaneKinematics(D=d, dD=dD, d2D=d2D,
+                              rot_velocity=np.column_stack(velocity),
+                              rot_speed=speed)
+        return out, (d > EPS_NORM) & _finite_rows(d, dD, d2D, *velocity, speed)
+
+    return _over_samples(curve, ts, kernel,
+                         lambda t: distance_kinematics(curve, center, t))
+
+
+def local_limits_array(curve, ts) -> LocalLimits2:
+    """local_limits at every parameter of `ts`, as one LocalLimits2 of
+    arrays (psi of shape (n, 2)).  Singular samples raise what
+    local_limits raises at the first of them."""
+    def kernel(r, rp, rpp):
+        phi = np.hypot(rp[:, 0], rp[:, 1])
+        phi_prime, psi, psi_speed = _local_terms(rp.T, rpp.T, phi)
+        out = LocalLimits2(phi=phi, phi_prime=phi_prime,
+                           psi=np.column_stack(psi), psi_speed=psi_speed)
+        return out, ((phi > EPS_NORM)
+                     & _finite_rows(phi, phi_prime, *psi, psi_speed))
+
+    return _over_samples(curve, ts, kernel,
+                         lambda t: local_limits(curve, t))
 
 
 def plane_congruent(curve_a, curve_b, grid: Iterable[float],

@@ -16,6 +16,7 @@ and never inside the step.  Problems without it take the general
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -66,13 +67,17 @@ class Trajectory:
         return worst
 
     def write_csv(self, path) -> None:
-        header = "t,x,y" if self.dim == 2 else "t,x,y,z"
-        lines = [header]
-        for t, p in zip(self.ts, self.points):
-            cells = [f"{float(t):.17g}"] + [f"{float(c):.17g}" for c in p]
-            lines.append(",".join(cells))
+        header = ["t", "x", "y", "z"][:self.dim + 1]
+        rows = zip(self.ts.tolist(), *self.points.T.tolist())
         with open(path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.writelines(_csv_lines(header, rows))
+
+
+def _csv_lines(header, rows):
+    """CSV lines, lazily: the header, then one line per row tuple with
+    every cell as "%.17g", the same bytes as f"{float(cell):.17g}"."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    return itertools.chain([",".join(header) + "\n"], map(line.__mod__, rows))
 
 
 def _rk4_step(f, t, y, h):

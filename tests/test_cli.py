@@ -1,9 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from rotorkin import cli
+from rotorkin.reconstruct import _csv_lines
 
 
 def run(capsys, argv):
@@ -275,6 +277,96 @@ def test_samples_flag_wins_over_config(capsys, tmp_path, command):
     code, out, _ = run_sampled(capsys, tmp_path, command, samples=5)
     assert code == 0
     assert len(out.splitlines()) == 6
+
+
+@pytest.mark.parametrize("command", sorted(SAMPLED_COMMANDS))
+def test_samples_above_the_cap_are_config_errors(capsys, tmp_path, command):
+    # rejected before any array is allocated; never run at this size
+    code, out, err = run_sampled(capsys, tmp_path, command,
+                                 samples=cli.MAX_SAMPLES + 1)
+    assert code == 2
+    assert out == "" and "samples" in err
+
+
+# -- config validation -----------------------------------------------------
+
+def run_config(capsys, tmp_path, command, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return run(capsys, [command, "--config", str(path), "--samples", "3"])
+
+
+@pytest.mark.parametrize("command, config", [
+    ("kinematics", {"curve": {"kind": "expr", "domain": ["a", 1],
+                              "expr": {"x": "cos(t)", "y": "sin(t)"}}}),
+    ("kinematics", {"curve": {"kind": "ellipse", "domain": ["a", "b"]}}),
+    ("surface", {**SURFACE_CONFIG, "chart_curve": {
+        **SURFACE_CONFIG["chart_curve"], "domain": ["a", "b"]}}),
+    ("kinematics", {"curve": {"kind": "ellipse", "domain": [0.0, 1e400]}}),
+    ("kinematics", {"curve": {"kind": "line", "params": {"x0": "a"}}}),
+])
+def test_non_numeric_records_are_config_errors(capsys, tmp_path, command,
+                                               config):
+    # these crashed with TypeError or ValueError (exit 1)
+    code, out, err = run_config(capsys, tmp_path, command, config)
+    assert code == 2
+    assert out == "" and err.startswith("config error")
+
+
+def test_deeply_nested_expression_is_config_error(capsys, tmp_path):
+    # 2,000 nested parentheses crashed with RecursionError (exit 1)
+    nested = "(" * 2000 + "t" + ")" * 2000
+    code, out, err = run_config(capsys, tmp_path, "kinematics", {
+        "curve": {"kind": "expr", "expr": {"x": nested, "y": "t"},
+                  "domain": [0.0, 1.0]}})
+    assert code == 2
+    assert out == "" and "nested deeper" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf"])
+def test_bad_fd_step_is_a_config_error_at_start(capsys, monkeypatch, value):
+    # the ellipse has analytic derivatives, so the step was never read
+    monkeypatch.setenv("ROTOR_FD_STEP", value)
+    code, out, err = run(capsys, ["kinematics", "--curve", "ellipse",
+                                  "--samples", "3"])
+    assert code == 2
+    assert out == "" and "ROTOR_FD_STEP" in err
+
+
+def test_good_fd_step_is_accepted(capsys, monkeypatch):
+    monkeypatch.setenv("ROTOR_FD_STEP", "1e-6")
+    code, _, _ = run(capsys, ["kinematics", "--curve", "ellipse",
+                              "--samples", "3"])
+    assert code == 0
+
+
+# -- numerical failures on the array path ----------------------------------
+
+@pytest.mark.parametrize("args, line", [
+    (["--curve", "circle", "--frame", "point:1,0", "--samples", "9"],
+     "CenterOnCurve at t=0: the curve meets the frame center at t=0"),
+    (["--curve", "ellipse", "--frame", "point:0,-1", "--samples", "5"],
+     "CenterOnCurve at t=4.71239: the curve meets the frame center at "
+     "t=4.71239"),
+    (["--curve", "ellipse", "--a", "1e300", "--b", "1e299", "--samples", "3"],
+     "NonFiniteData at t=0: kinematics overflow at t=0"),
+])
+def test_degenerate_samples_exit_3_with_the_failing_t(capsys, args, line):
+    code, out, err = run(capsys, ["kinematics"] + args)
+    assert code == 3
+    assert out == "" and err == line + "\n"
+
+
+# -- CSV formatting ----------------------------------------------------------
+
+def test_csv_formatter_matches_per_cell_formatting():
+    rows = [(-0.0, 5e-324, 1e308), (3, -7, 2 ** 60),
+            (np.float64(0.1), np.float64(-1e-310), math.pi),
+            (1.0 / 3.0, np.float64(2.0) ** 0.5, True)]
+    want = "a,b,c\n" + "".join(
+        ",".join(f"{float(v):.17g}" for v in row) + "\n" for row in rows)
+    assert "".join(_csv_lines(["a", "b", "c"], rows)) == want
+    assert "".join(_csv_lines(["a"], [])) == "a\n"
 
 
 # -- verify ----------------------------------------------------------------------

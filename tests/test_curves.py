@@ -6,8 +6,9 @@ import pytest
 from rotorkin.curves import (CATALOG, PlaneCurve, SpaceCurve, curve_from_spec,
                              make_catalog_curve, reparametrize,
                              transform_curve)
-from rotorkin.errors import (BadParameters, DerivativeMismatch, NonMonotonic,
-                             OrderUnsupported, OutOfDomain, UnknownCurve)
+from rotorkin.errors import (BadParameters, DerivativeMismatch,
+                             KinematicsError, NonMonotonic, OrderUnsupported,
+                             OutOfDomain, UnknownCurve)
 from rotorkin.numerics import fd_derivative
 from rotorkin.vec import Vec2, Vec3
 
@@ -243,3 +244,85 @@ def test_curve_from_spec_errors():
         curve_from_spec({"kind": "expr", "expr": {"x": "t"}, "domain": [0, 1]})
     with pytest.raises(BadParameters):
         curve_from_spec({"kind": "expr", "expr": {"x": "t", "y": "t"}})
+
+
+def test_env_step_must_be_finite_and_positive(monkeypatch):
+    from rotorkin.numerics import default_step, fd_step_from_env
+    for bad in ("abc", "0", "-1e-5", "nan", "inf", ""):
+        monkeypatch.setenv("ROTOR_FD_STEP", bad)
+        with pytest.raises(BadParameters):
+            fd_step_from_env()
+        with pytest.raises(BadParameters):
+            default_step(2)
+    monkeypatch.delenv("ROTOR_FD_STEP")
+    assert fd_step_from_env() is None
+
+
+# -- sampling on arrays ----------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_sample_equals_scalar_calls(name):
+    curve = make_catalog_curve(name)
+    ts = interior_samples(curve, 30)
+    sampled = curve.sample(ts)
+    stacked = [np.array([fn(t).as_tuple() for t in ts.tolist()])
+               for fn in (curve.point, lambda t: curve.derivative(t, 1),
+                          lambda t: curve.derivative(t, 2))]
+    for got, want in zip(sampled, stacked):
+        assert got.shape == (len(ts), curve.dim)
+        assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
+
+
+def test_sample_stacks_scalar_calls_without_closed_forms():
+    spec = {"kind": "expr", "expr": {"x": "2*cos(t)", "y": "sin(t)"},
+            "domain": [0.0, 6.0]}
+    curve, catalog = curve_from_spec(spec), make_catalog_curve("ellipse")
+    assert curve.forms is None
+    ts = np.linspace(0.0, 6.0, 13)
+    for got, want in zip(curve.sample(ts), catalog.sample(ts)):
+        assert np.allclose(got, want, rtol=1e-14, atol=1e-15)
+
+
+def test_moved_and_reparametrized_curves_drop_the_closed_forms():
+    curve = make_catalog_curve("circle")
+    moved = transform_curve(curve, ((0.0, -1.0), (1.0, 0.0)), Vec2(3.0, 0.0))
+    slow = reparametrize(curve, lambda h: 0.5 * h,
+                         [lambda h: 0.5, lambda h: 0.0, lambda h: 0.0],
+                         domain_h=(0.0, 4.0 * math.pi))
+    for derived in (moved, slow):
+        assert derived.forms is None
+        ts = np.linspace(*derived.domain, 7)
+        r, r1, r2 = derived.sample(ts)
+        assert np.allclose(r, [derived.point(t).as_tuple() for t in ts])
+        assert np.allclose(r2, [derived.derivative(t, 2).as_tuple()
+                                for t in ts])
+
+
+def test_sample_checks_domain_and_finiteness():
+    curve = make_catalog_curve("ellipse")
+    with pytest.raises(OutOfDomain, match="t=7"):
+        curve.sample([0.0, 7.0, 8.0])
+    huge = make_catalog_curve("parabola", {"a": 1e308})
+    with pytest.raises(KinematicsError, match="non-finite"):
+        huge.sample([0.0, 2.0])
+
+
+@pytest.mark.parametrize("params", [
+    {"a": "x"}, {"radius": None}, {"radius": True}, {"radius": float("nan")},
+    {"x_coeffs": ["a"]}, {"x_coeffs": 3.0}, {"y_coeffs": [1.0, float("inf")]}])
+def test_catalog_params_must_be_finite_numbers(params):
+    name = next(n for n, e in CATALOG.items()
+                if set(params) <= set(e.defaults))
+    with pytest.raises(BadParameters):
+        make_catalog_curve(name, params)
+
+
+@pytest.mark.parametrize("domain", [
+    ["a", 1], ["a", "b"], [0.0], [0.0, 1.0, 2.0], "ab", [0.0, float("inf")],
+    [1.0, 0.0], [True, 2.0]])
+def test_spec_domain_must_be_two_increasing_finite_numbers(domain):
+    for record in ({"kind": "ellipse", "domain": domain},
+                   {"kind": "expr", "expr": {"x": "t", "y": "t^2"},
+                    "domain": domain}):
+        with pytest.raises(BadParameters):
+            curve_from_spec(record)

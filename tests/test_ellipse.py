@@ -207,3 +207,44 @@ def test_profile_csv(tmp_path):
     first = [float(cell) for cell in lines[1].split(",")]
     assert first[0] == 0.0
     assert abs(first[1] - (A - C)) <= 1e-15
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 1.0), (2.3, 1.4), (5.0, 0.3)])
+def test_profile_columns_equal_the_scalar_profiles(a, b):
+    params = ell.EllipseParams(a, b)
+    rows = ell.profile_rows(params, 401)
+    for row in rows:
+        theta = row[0]
+        focus = ell.focus_frame_profile(params, theta)
+        want = (theta, focus.xi1, focus.d1, focus.d2, focus.d3,
+                ell.origin_frame_profile(params, theta).rot_speed,
+                focus.kinematics.rot_speed)
+        assert row[0] == theta
+        for got, expected in zip(row[1:], want[1:]):
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-12 * a)
+
+
+@pytest.mark.parametrize("builder, profile", [
+    (ell.origin_reconstruction_problem,
+     lambda p, th: (ell.origin_frame_profile(p, th).d2D,
+                    ell.origin_frame_profile(p, th).rot_velocity)),
+    (ell.focus_reconstruction_problem,
+     lambda p, th: (ell.focus_frame_profile(p, th).d2,
+                    ell.focus_frame_profile(p, th).kinematics.rot_velocity)),
+])
+def test_reconstruction_data_is_the_scalar_closed_form(builder, profile):
+    params = ell.EllipseParams(2.3, 1.4)
+    thetas = np.linspace(0.0, TWO_PI, 97)
+    d2, rate = builder(params).data(thetas)
+    assert rate.shape == (97, 1, 2)
+    for k, theta in enumerate(thetas.tolist()):
+        d2_scalar, velocity = profile(params, theta)
+        assert d2[k] == pytest.approx(d2_scalar, rel=1e-12, abs=1e-12)
+        assert rate[k, 0] == pytest.approx(velocity.as_tuple(), rel=1e-12,
+                                           abs=1e-12)
+
+
+def test_oversized_axes_are_bad_parameters():
+    for a, b in ((math.inf, 1.0), (1e200, 1e100)):
+        with pytest.raises(BadParameters):
+            ell.EllipseParams(a, b)

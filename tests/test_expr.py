@@ -153,3 +153,21 @@ def test_ellipse_third_derivative_matches_catalog():
 def test_source_size_limit():
     with pytest.raises(ExprSyntaxError):
         expr.parse("t + " * 30000 + "t")
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 2000 + "t" + ")" * 2000,
+    "sin(" * 400 + "t" + ")" * 400,
+    "-" * 5000 + "t",
+    "t^" + "(" * 2000 + "2" + ")" * 2000,
+])
+def test_nesting_depth_limit(text):
+    # each of these used to overflow the interpreter's recursion limit
+    with pytest.raises(ExprSyntaxError, match="nested deeper"):
+        expr.parse(text)
+
+
+def test_nesting_up_to_the_limit_parses_and_differentiates():
+    assert expr.parse("(" * 99 + "t" + ")" * 99) == expr.Var()
+    node = expr.differentiate(expr.parse("sin(" * 99 + "t" + ")" * 99))
+    assert math.isfinite(expr.evaluate(node, 0.3))

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotorkin.curves import make_catalog_curve, reparametrize, transform_curve
-from rotorkin.errors import CenterOnCurve, DegenerateChord, SingularPoint
+from rotorkin.curves import (curve_from_spec, make_catalog_curve,
+                             reparametrize, transform_curve)
+from rotorkin.errors import (CenterOnCurve, DegenerateChord, KinematicsError,
+                             NonFiniteData, SingularPoint)
 from rotorkin.numerics import extrapolate_to_zero, fd_derivative
-from rotorkin.plane import (chord_kinematics, distance_kinematics, frame_at,
-                            local_limits, plane_congruent, uniform_grid)
+from rotorkin.plane import (chord_kinematics, distance_kinematics,
+                            distance_kinematics_array, frame_at, local_limits,
+                            local_limits_array, plane_congruent, uniform_grid)
 from rotorkin.vec import Vec2
 
 RNG = np.random.default_rng(522)
@@ -320,3 +323,146 @@ def test_local_limits_invariant_under_rigid_motion(name, where, angle, dx, dy):
     for q in ("phi", "phi_prime", "psi_speed"):
         assert getattr(after, q) == pytest.approx(getattr(before, q),
                                                   rel=1e-12, abs=1e-12), q
+
+
+# -- the array path against the scalar API ---------------------------------
+
+coordinate = st.floats(-3.0, 3.0)
+CATALOG_PARAMS = {
+    "line": st.fixed_dictionaries({"x0": coordinate, "y0": coordinate,
+                                   "a": st.floats(0.1, 4.0),
+                                   "b": st.floats(-4.0, 4.0)}),
+    "circle": st.fixed_dictionaries({"radius": st.floats(0.1, 5.0),
+                                     "cx": coordinate, "cy": coordinate}),
+    "ellipse": st.floats(0.5, 5.0).flatmap(lambda a: st.fixed_dictionaries(
+        {"a": st.just(a), "b": st.floats(0.1, 0.95).map(lambda r: a * r)})),
+    "parabola": st.fixed_dictionaries({"a": st.floats(-3.0, 3.0),
+                                       "x0": coordinate, "y0": coordinate}),
+    "polynomial": st.fixed_dictionaries({
+        "x_coeffs": st.lists(coordinate, min_size=1, max_size=5),
+        "y_coeffs": st.lists(coordinate, min_size=1, max_size=5)}),
+}
+
+
+def scalar_loop(fn, ts):
+    """The scalar API over ts as columns, or the (class, t) of the first
+    sample it fails on."""
+    rows = []
+    for t in ts.tolist():
+        try:
+            rows.append(fn(t))
+        except KinematicsError as exc:
+            return None, (type(exc), t)
+    return rows, None
+
+
+def array_call(fn, ts):
+    try:
+        return fn(ts), None
+    except KinematicsError as exc:
+        return None, (type(exc), exc.t)
+
+
+def assert_columns_match(array, rows, names):
+    """Each named field within 1e-12 of the scalar rows, relative to the
+    larger of the value and the column's scale."""
+    for name in names:
+        want = np.array([getattr(r, name).as_tuple()
+                         if isinstance(getattr(r, name), Vec2)
+                         else getattr(r, name) for r in rows])
+        bound = 1e-12 * np.maximum(np.abs(want), max(1.0, np.abs(want).max()))
+        assert np.all(np.abs(getattr(array, name) - want) <= bound), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(CATALOG_PARAMS)), data=st.data(),
+       frame=st.sampled_from(("origin", "point", "local")),
+       cx=coordinate, cy=coordinate)
+def test_array_path_equals_scalar_api(name, data, frame, cx, cy):
+    curve = make_catalog_curve(name, data.draw(CATALOG_PARAMS[name]))
+    t0, t1 = curve.domain
+    ts = t0 + (t1 - t0) * np.arange(41) / 40
+    if frame == "local":
+        def array(ts):
+            return local_limits_array(curve, ts)
+
+        def scalar(t):
+            return local_limits(curve, t)
+        names = ("phi", "phi_prime", "psi", "psi_speed")
+    else:
+        center = ORIGIN if frame == "origin" else Vec2(cx, cy)
+
+        def array(ts):
+            return distance_kinematics_array(curve, center, ts)
+
+        def scalar(t):
+            return distance_kinematics(curve, center, t)
+        names = ("D", "dD", "d2D", "rot_velocity", "rot_speed")
+    rows, scalar_error = scalar_loop(scalar, ts)
+    result, array_error = array_call(array, ts)
+    assert array_error == scalar_error
+    if rows is not None:
+        assert_columns_match(result, rows, names)
+
+
+def test_circle_through_the_center_fails_at_the_same_first_t():
+    circle = make_catalog_curve("circle", {"radius": 1.0, "cx": 1.0})
+    ts = 2.0 * math.pi * np.arange(9) / 8  # t = pi is on the grid
+    fn = lambda t: distance_kinematics(circle, ORIGIN, t)  # noqa: E731
+    assert scalar_loop(fn, ts)[1] == (CenterOnCurve, math.pi)
+    with pytest.raises(CenterOnCurve) as exc:
+        distance_kinematics_array(circle, ORIGIN, ts)
+    assert exc.value.t == math.pi
+    with pytest.raises(CenterOnCurve) as scalar_exc:
+        fn(math.pi)
+    assert str(exc.value) == str(scalar_exc.value)
+
+
+def test_point_center_on_the_curve_fails_at_the_same_first_t():
+    curve = ellipse()
+    ts = np.linspace(0.0, 2.0 * math.pi, 5)
+    center = Vec2(0.0, -B)  # the curve point at t = 3 pi / 2
+    fn = lambda t: distance_kinematics(curve, center, t)  # noqa: E731
+    error = scalar_loop(fn, ts)[1]
+    assert error[0] is CenterOnCurve
+    assert array_call(lambda ts: distance_kinematics_array(curve, center, ts),
+                      ts)[1] == error
+
+
+def test_singular_point_fails_at_the_same_first_t():
+    # x = t^3 - t^2 + 1, y = t^2: r' = (3t^2 - 2t, 2t) vanishes at t = 0
+    curve = make_catalog_curve("polynomial",
+                               {"x_coeffs": (1.0, 0.0, -1.0, 1.0),
+                                "y_coeffs": (0.0, 0.0, 1.0)})
+    ts = np.linspace(-1.0, 1.0, 5)
+    error = scalar_loop(lambda t: local_limits(curve, t), ts)[1]
+    assert error == (SingularPoint, 0.0)
+    assert array_call(lambda ts: local_limits_array(curve, ts), ts)[1] == error
+
+
+def test_expr_curve_frame_error_wins_over_a_later_evaluation_error():
+    # the curve meets the origin at t = 0.25; sqrt(0.5 - t) fails past 0.5
+    curve = curve_from_spec({"kind": "expr", "domain": [0.0, 1.0],
+                             "expr": {"x": "t - 0.25",
+                                      "y": "sqrt(0.5 - t) - 0.5"}})
+    ts = np.linspace(0.0, 1.0, 5)
+    fn = lambda t: distance_kinematics(curve, ORIGIN, t)  # noqa: E731
+    assert scalar_loop(fn, ts)[1] == (CenterOnCurve, 0.25)
+    assert array_call(lambda ts: distance_kinematics_array(curve, ORIGIN, ts),
+                      ts)[1] == (CenterOnCurve, 0.25)
+
+
+def test_expr_curve_array_path_equals_scalar_api():
+    curve = curve_from_spec({"kind": "expr", "domain": [0.0, 6.0],
+                             "expr": {"x": "2 + cos(t)", "y": "sin(2*t)"}})
+    ts = np.linspace(0.0, 6.0, 25)
+    rows, _ = scalar_loop(lambda t: distance_kinematics(curve, ORIGIN, t), ts)
+    assert_columns_match(distance_kinematics_array(curve, ORIGIN, ts), rows,
+                         ("D", "dD", "d2D", "rot_velocity", "rot_speed"))
+
+
+def test_overflowing_kinematics_raise_instead_of_leaking_inf():
+    curve = make_catalog_curve("ellipse", {"a": 1e300, "b": 1e299})
+    with pytest.raises(NonFiniteData) as exc:
+        distance_kinematics_array(curve, ORIGIN, np.linspace(0.0, 1.0, 3))
+    assert exc.value.t == 0.0
