@@ -17,13 +17,12 @@ import numpy as np
 
 from . import ellipse as ell
 from . import reconstruct, surface, verify
-from .curves import (_expr_coordinate, _spec_domain, curve_from_spec,
-                     make_catalog_curve)
+from .curves import _spec_domain, curve_from_spec, make_catalog_curve
 from .errors import BadParameters, KinematicsError, UnknownCurve
 from .numerics import fd_step_from_env
 from .plane import distance_kinematics_array, local_limits_array
 from .reconstruct import _csv_lines
-from .space import space_distance_kinematics
+from .space import space_distance_kinematics_array
 from .surface import chart_curve, surface_from_spec
 from .vec import Vec2
 
@@ -33,6 +32,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 # the most samples one run may ask for, as for reconstruction steps
 MAX_SAMPLES = 10 ** 6
+# rows converted to Python floats at a time on their way to the output
+_ROW_BLOCK = 4096
 
 
 class ConfigError(Exception):
@@ -111,13 +112,36 @@ def _samples(args, config) -> int:
     return samples
 
 
+def _out_path(args, config) -> Optional[str]:
+    """The output path, None for stdout: the flag when given, else the
+    config's, which must be a string (an integer would be opened as a
+    file descriptor)."""
+    out = args.out or config.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"out must be a path string, got {out!r}")
+    return out
+
+
+def _format(args, config) -> str:
+    """The output format: the flag when given, else the config's, else
+    csv; it must be csv or json."""
+    fmt = args.format or config.get("format", "csv")
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"format must be csv or json, got {fmt!r}")
+    return fmt
+
+
 def _grid(domain, samples: int) -> np.ndarray:
     t0, t1 = domain
     return t0 + (t1 - t0) * np.arange(samples) / (samples - 1)
 
 
-def _rows(*columns) -> list[tuple]:
-    return list(zip(*(column.tolist() for column in columns)))
+def _rows(*columns):
+    """The row tuples of equal-length arrays, lazily: one `tolist` per
+    block of _ROW_BLOCK rows, so the rows are never all held at once."""
+    for start in range(0, len(columns[0]), _ROW_BLOCK):
+        yield from zip(*(column[start:start + _ROW_BLOCK].tolist()
+                         for column in columns))
 
 
 def _emit(headers, rows, out_path: Optional[str], fmt: str) -> None:
@@ -148,7 +172,9 @@ def _resolve_curve(args, config):
     raise ConfigError("no curve given (use --curve or config curve record)")
 
 
-def _parse_frame(spec: str):
+def _parse_frame(spec):
+    if not isinstance(spec, str):
+        raise ConfigError(f"bad frame spec {spec!r}")
     if spec in ("origin", "local", "focus"):
         return spec, None
     if spec.startswith("point:"):
@@ -165,8 +191,8 @@ def cmd_kinematics(args) -> int:
     curve = _resolve_curve(args, config)
     frame_spec = args.frame or config.get("frame", "origin")
     samples = _samples(args, config)
-    fmt = args.format or config.get("format", "csv")
-    out = args.out or config.get("out")
+    fmt = _format(args, config)
+    out = _out_path(args, config)
     frame, point = _parse_frame(frame_spec)
 
     if frame == "focus":
@@ -183,15 +209,12 @@ def cmd_kinematics(args) -> int:
         raise ConfigError("the local frame sampler applies to plane curves")
 
     ts = _grid(curve.domain, samples)
-    t = None
     try:
         if curve.dim == 3:
             headers = ["t", "D", "dD", "d2D", "speed_A", "speed_B", "speed_C"]
-            rows = []
-            for t in ts.tolist():
-                kin = space_distance_kinematics(curve, t)
-                rows.append((t, kin.D, kin.dD, kin.d2D,
-                             kin.speed_a, kin.speed_b, kin.speed_c))
+            kin = space_distance_kinematics_array(curve, ts)
+            rows = _rows(ts, kin.D, kin.dD, kin.d2D,
+                         kin.speed_a, kin.speed_b, kin.speed_c)
         elif frame == "local":
             headers = ["t", "D", "dD", "d2D", "rot_speed", "phi", "psi_speed"]
             lim = local_limits_array(curve, ts)
@@ -204,8 +227,7 @@ def cmd_kinematics(args) -> int:
             kin = distance_kinematics_array(curve, center, ts)
             rows = _rows(ts, kin.D, kin.dD, kin.d2D, kin.rot_speed)
     except KinematicsError as exc:
-        at = t if exc.t is None else exc.t
-        print(f"{type(exc).__name__} at t={at:g}: {exc}", file=sys.stderr)
+        print(f"{type(exc).__name__} at t={exc.t:g}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     _emit(headers, rows, out, fmt)
     return EXIT_OK
@@ -215,7 +237,7 @@ def cmd_reconstruct(args) -> int:
     config = _load_config(args)
     preset_name = args.preset or config.get("preset")
     step = args.step if args.step is not None else config.get("step")
-    out = args.out or config.get("out")
+    out = _out_path(args, config)
     domain = config.get("domain")
     try:
         if preset_name:
@@ -263,14 +285,15 @@ def cmd_surface(args) -> int:
 
     def coordinate(text):
         return [lambda t, node=node: expr_mod.evaluate(node, t)
-                for node in _expr_coordinate(text)]
+                for node in expr_mod.derivative_chain(expr_mod.parse(text))]
 
     u, v = coordinate(cc["u"]), coordinate(cc["v"])
     curve = chart_curve(u[0], v[0], domain=_spec_domain(cc["domain"]),
                         u_derivs=u[1:], v_derivs=v[1:])
 
     samples = _samples(args, config)
-    fmt = args.format or config.get("format", "csv")
+    fmt = _format(args, config)
+    out = _out_path(args, config)
     headers = ["t", "D", "dD", "d2D", "speed_A", "speed_B", "speed_C"]
     rows = []
     try:
@@ -281,7 +304,7 @@ def cmd_surface(args) -> int:
     except KinematicsError as exc:
         print(f"{type(exc).__name__} at t={t:g}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    _emit(headers, rows, args.out or config.get("out"), fmt)
+    _emit(headers, rows, out, fmt)
     return EXIT_OK
 
 
@@ -290,10 +313,10 @@ def cmd_ellipse(args) -> int:
     a = args.a if args.a is not None else config.get("a", 2.0)
     b = args.b if args.b is not None else config.get("b", 1.0)
     samples = _samples(args, config)
-    fmt = args.format or config.get("format", "csv")
+    fmt = _format(args, config)
+    out = _out_path(args, config)
     rows = ell.profile_rows(ell.EllipseParams(a, b), samples)
-    _emit(ell.PROFILE_HEADER.split(","), rows, args.out or config.get("out"),
-          fmt)
+    _emit(ell.PROFILE_HEADER.split(","), rows, out, fmt)
     return EXIT_OK
 
 

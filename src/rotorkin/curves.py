@@ -344,6 +344,8 @@ def make_catalog_curve(name: str, params: dict | None = None,
     entry = CATALOG.get(name)
     if entry is None:
         raise UnknownCurve(f"no catalog curve named {name!r}")
+    if not isinstance(params, (dict, type(None))):
+        raise BadParameters(f"{name}: params must be an object, got {params!r}")
     params = dict(params or {})
     unknown = set(params) - set(entry.defaults)
     if unknown:
@@ -383,14 +385,6 @@ def _spec_domain(value) -> tuple[float, float]:
 
 # -- curve specification records (CLI / config) --------------------------------
 
-def _expr_coordinate(text: str):
-    ast = expr_mod.parse(text)
-    chain = [ast]
-    for _ in range(3):
-        chain.append(expr_mod.differentiate(chain[-1]))
-    return chain
-
-
 def curve_from_spec(record: dict):
     """Build a curve from a specification record:
 
@@ -410,7 +404,7 @@ def curve_from_spec(record: dict):
     if domain is None:
         raise BadParameters("expr curve needs an explicit domain")
     domain = _spec_domain(domain)
-    chains = {axis: _expr_coordinate(exprs[axis])
+    chains = {axis: expr_mod.derivative_chain(expr_mod.parse(exprs[axis]))
               for axis in ("x", "y", "z") if axis in exprs}
 
     if "z" in chains:

@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from .curves import _finite_real
 from .errors import BadParameters, NonFiniteData
 from .numerics import adaptive_simpson, find_roots
 from .plane import PlaneKinematics
@@ -30,11 +31,13 @@ class EllipseParams:
     c: float = field(init=False)
 
     def __post_init__(self):
+        for name in ("a", "b"):
+            _finite_real(getattr(self, name), f"ellipse {name}")
         if self.allow_circle:
             ok = self.a >= self.b > 0
         else:
             ok = self.a > self.b > 0
-        if not (ok and math.isfinite(self.a)):
+        if not ok:
             raise BadParameters(
                 f"ellipse needs a > b > 0, got a={self.a}, b={self.b}")
         try:

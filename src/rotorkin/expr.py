@@ -22,15 +22,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import EvalDomain, ExprSyntaxError, UnknownIdentifier
+from .errors import (BadParameters, EvalDomain, ExprSyntaxError,
+                     UnknownIdentifier)
 
 _FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt")
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _MAX_SOURCE = 64 * 1024
 # nesting levels (parentheses, function calls, unary minus) the recursive
-# descent may open; a few Python frames each, well inside the default
-# recursion limit together with differentiation and evaluation
+# descent may open, and levels of the parsed tree, where an operator chain
+# such as t+t+...+t is one level per operator; differentiation and
+# evaluation recurse once per tree level, and three derivatives of a tree
+# this deep stay well inside the default recursion limit
 _MAX_DEPTH = 100
+# nodes a derivative chain (a tree and its derivatives) may hold, counted
+# as `evaluate` walks them; each derivative can multiply the count, as
+# the product rule repeats its factors
+_MAX_CHAIN_NODES = 20_000
 
 
 @dataclass(frozen=True)
@@ -240,7 +247,9 @@ class _Parser:
 
 def parse(text: str) -> Node:
     """Parse expression text into an AST."""
-    if not text or not text.strip():
+    if not isinstance(text, str):
+        raise ExprSyntaxError(f"expression must be text, got {text!r}", 0)
+    if not text.strip():
         raise ExprSyntaxError("empty expression", 0)
     if len(text) > _MAX_SOURCE:
         raise ExprSyntaxError("expression too long", _MAX_SOURCE)
@@ -249,7 +258,44 @@ def parse(text: str) -> Node:
     kind, _, offset = parser.peek()
     if kind != "end":
         raise ExprSyntaxError("trailing input", offset)
+    if _measure(node)[0] > _MAX_DEPTH:
+        raise ExprSyntaxError(
+            f"expression tree deeper than {_MAX_DEPTH} levels", 0)
     return node
+
+
+def _children(node: Node) -> tuple:
+    if isinstance(node, BinOp):
+        return node.left, node.right
+    if isinstance(node, Pow):
+        return (node.base,)
+    if isinstance(node, (Neg, Func)):
+        return (node.child,)
+    return ()
+
+
+def _measure(node: Node) -> tuple[int, int]:
+    """(depth, size) of the tree under `node`, the size counted as
+    `evaluate` walks it: a shared subtree once per reference.  It is
+    memoized over shared subtrees and does not recurse, so it costs one
+    visit per distinct node at any depth."""
+    known = {}  # id(node) -> (depth, size); the tree keeps the ids alive
+    stack = [node]
+    while stack:
+        top = stack[-1]
+        if id(top) in known:  # pushed by more than one parent
+            stack.pop()
+            continue
+        children = _children(top)
+        pending = [c for c in children if id(c) not in known]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        known[id(top)] = (
+            1 + max((known[id(c)][0] for c in children), default=0),
+            1 + sum(known[id(c)][1] for c in children))
+    return known[id(node)]
 
 
 # -- constant folding constructors -------------------------------------------
@@ -414,6 +460,21 @@ def differentiate(node: Node) -> Node:
                 "/", Const(1.0), _fold_binop("*", Const(2.0), Func("sqrt", u)))
         return _fold_binop("*", outer, du)
     raise TypeError(f"not an AST node: {node!r}")
+
+
+def derivative_chain(node: Node, order: int = 3) -> list[Node]:
+    """node and its derivatives up to `order`.  A chain of more than
+    _MAX_CHAIN_NODES nodes, as `evaluate` walks them, raises BadParameters;
+    each tree is measured before it is differentiated."""
+    chain = [node]
+    total = _measure(node)[1]
+    while len(chain) <= order and total <= _MAX_CHAIN_NODES:
+        chain.append(differentiate(chain[-1]))
+        total += _measure(chain[-1])[1]
+    if total > _MAX_CHAIN_NODES:
+        raise BadParameters(f"an expression and its derivatives exceed "
+                            f"{_MAX_CHAIN_NODES} nodes")
+    return chain
 
 
 # -- pretty printer ------------------------------------------------------------

@@ -11,7 +11,8 @@ to position.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields
+import math
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
@@ -151,42 +152,61 @@ def local_limits(curve, t: float) -> LocalLimits2:
 
 # -- the same frames over arrays of parameters ----------------------------
 
-def _over_samples(curve, ts, kernel, scalar):
+# rows the scalar API redoes before they are written to the result arrays;
+# bounds the Python rows held at once
+_REDO_BLOCK = 1024
+
+
+def _over_samples(curve, ts, kernel, scalar, sample=True):
     """`kernel(r, r', r'')` over the curve's samples at ts; it returns the
     result dataclass with array fields and the mask of its good rows.
 
     Every other row is redone by `scalar(t)` in the order of ts, so the
     first failing one raises the scalar API's typed error, with its `t`
-    set; when sampling fails, every row is.  A row that stays non-finite
-    raises NonFiniteData, so no NaN or Inf leaves the array path.
+    set; when sampling fails, or `sample` is false, every row is.  A row
+    that stays non-finite raises NonFiniteData, so no NaN or Inf leaves
+    the array path.
     """
     ts = np.asarray(ts, dtype=float)
-    try:
-        samples = curve.sample(ts)
-    except KinematicsError:
+    samples = None
+    if sample:
+        try:
+            samples = curve.sample(ts)
+        except KinematicsError:
+            pass
+    if samples is None:
         samples = np.full((3, len(ts), curve.dim), np.nan)
     with np.errstate(all="ignore"):
         out, good = kernel(*samples)
-    for i in np.flatnonzero(~good).tolist():
-        t = float(ts[i])
-        try:
-            row = _finite_row(scalar, t)
-        except KinematicsError as exc:
-            exc.t = t
-            raise
-        for f, value in zip(fields(out), row):
-            getattr(out, f.name)[i] = value
+    names = [f.name for f in fields(out)]
+    redo = np.flatnonzero(~good)
+    for start in range(0, len(redo), _REDO_BLOCK):
+        block = redo[start:start + _REDO_BLOCK]
+        rows = []
+        for t in ts[block].tolist():
+            try:
+                rows.append(_finite_row(scalar, t, names))
+            except KinematicsError as exc:
+                exc.t = t
+                raise
+        for name, column in zip(names, zip(*rows)):
+            getattr(out, name)[block] = column
     return out
 
 
-def _finite_row(scalar, t):
-    """The fields of scalar(t) as a tuple, which must be finite."""
+def _finite_row(scalar, t, names):
+    """The fields `names` of scalar(t), vectors as component tuples; each
+    must be finite (a vector is, by construction)."""
     try:
-        row = astuple(scalar(t))
+        result = scalar(t)
     except OverflowError as exc:
         raise NonFiniteData(f"kinematics overflow at t={t:g}") from exc
-    if not np.isfinite(np.hstack(row)).all():
-        raise NonFiniteData(f"non-finite kinematics at t={t:g}")
+    row = [getattr(result, name) for name in names]
+    for k, value in enumerate(row):
+        if isinstance(value, Vec2):
+            row[k] = value.as_tuple()
+        elif not math.isfinite(value):
+            raise NonFiniteData(f"non-finite kinematics at t={t:g}")
     return row
 
 

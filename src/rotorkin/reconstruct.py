@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import (BadParameters, InconsistentDirections, NonFiniteData,
                      NonTangentField, ProjectionCollapse, StepTooLarge)
-from .plane import _radial_rates
+from .plane import _frame_terms
+from .space import _PLANES, _distance_rates, _pair_terms
 from .vec import Vec2, Vec3
 
 _TANGENCY_TOL = 1e-8
@@ -38,8 +39,6 @@ _TRIANGULATION_TOL = 1e-6
 _MAX_STEPS = 10 ** 6
 # steps per block of the time-only path; bounds its per-block Python lists
 _BLOCK = 128
-# coordinate planes of the space projections, in the order eA, eB, eC
-_PLANES = ((0, 1), (0, 2), (1, 2))
 
 
 @dataclass(frozen=True)
@@ -428,17 +427,14 @@ def reconstruct_space(problem: SpaceReconstructionProblem) -> Trajectory:
 # -- analytic data generators ---------------------------------------------------
 
 def _sample(curve, ts: np.ndarray, order: int, center):
-    """Arrays of r - center and r' at each t, one curve call each, and the
-    dot products r.r', r'.r' and r.r'' (0 for order 1) of the distance
-    rates."""
+    """Arrays of r - center, r' and r'' at each t, one curve call each;
+    order 1 data needs no r'', so it is zero there."""
     ts = ts.tolist()
     r = np.array([curve.point(t).as_tuple() for t in ts]) - center
     rp = np.array([curve.derivative(t, 1).as_tuple() for t in ts])
-    accel_dot = 0.0
-    if order == 2:
-        rpp = np.array([curve.derivative(t, 2).as_tuple() for t in ts])
-        accel_dot = (r * rpp).sum(axis=1)
-    return r, rp, ((r * rp).sum(axis=1), (rp * rp).sum(axis=1), accel_dot)
+    if order == 1:
+        return r, rp, np.zeros_like(rp)
+    return r, rp, np.array([curve.derivative(t, 2).as_tuple() for t in ts])
 
 
 def plane_data_from_curve(curve, center: Vec2 = Vec2(0.0, 0.0),
@@ -451,11 +447,10 @@ def plane_data_from_curve(curve, center: Vec2 = Vec2(0.0, 0.0),
     c = np.array(center.as_tuple())
 
     def data(ts):
-        r, rp, dots = _sample(curve, ts, order, c)
+        r, rp, rpp = _sample(curve, ts, order, c)
         d = np.hypot(r[:, 0], r[:, 1])
-        w = r[:, 0] * rp[:, 1] - r[:, 1] * rp[:, 0]
-        e_rate = np.stack((-r[:, 1], r[:, 0]), axis=1) * (w / d ** 3)[:, None]
-        return _radial_rates(d, *dots)[order - 1], e_rate[:, None, :]
+        dD, d2D, velocity, _ = _frame_terms(r.T, rp.T, rpp.T, d)
+        return (dD, d2D)[order - 1], np.stack(velocity, axis=1)[:, None, :]
 
     rhs_D, (rhs_e,) = _pointwise(data, 1)
     r0 = np.array(curve.point(t0).as_tuple()) - c
@@ -478,15 +473,15 @@ def space_data_from_curve(curve, order: int = 1,
     t0, t1 = curve.domain
 
     def data(ts):
-        r, rp, dots = _sample(curve, ts, order, 0.0)
-        d = np.sqrt((r * r).sum(axis=1))
+        r, rp, rpp = _sample(curve, ts, order, 0.0)
         fields = np.zeros((len(ts), 3, 3))
         for n, (i, j) in enumerate(_PLANES):
-            w = r[:, i] * rp[:, j] - rp[:, i] * r[:, j]
-            s = w / (r[:, i] ** 2 + r[:, j] ** 2) ** 1.5
+            cross, denom = _pair_terms(r[:, i], r[:, j], rp[:, i], rp[:, j])
+            s = cross / denom ** 1.5
             fields[:, n, i] = -r[:, j] * s
             fields[:, n, j] = r[:, i] * s
-        return _radial_rates(d, *dots)[order - 1], fields
+        _, dD, d2D = _distance_rates(r, rp, rpp)
+        return (dD, d2D)[order - 1], fields
 
     r0 = np.array(curve.point(t0).as_tuple())
     rp0 = np.array(curve.derivative(t0, 1).as_tuple())

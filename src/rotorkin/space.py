@@ -21,8 +21,11 @@ from .errors import (AxisProjectionDegenerate, CenterOnCurve, CurvesIntersect,
                      DegenerateFrame, DegenerateProjection, OutOfDomain,
                      SingularPoint)
 from .numerics import fd1_wide
-from .plane import _radial_rates
+from .plane import _finite_rows, _over_samples, _radial_rates
 from .vec import EPS_NORM, Vec3, triple_product
+
+# coordinate planes of the projected speeds A, B, C (xOy, xOz, yOz)
+_PLANES = ((0, 1), (0, 2), (1, 2))
 
 
 @dataclass(frozen=True)
@@ -65,12 +68,19 @@ class SpaceCongruenceReport:
     chain_max_rel_err: float
 
 
+def _pair_terms(u, v, du, dv):
+    """u v' - u' v and u^2 + v^2 of the projection (u, v) with derivative
+    (du, dv): its rotational speed is the first over the second.  Plain
+    arithmetic, so it takes floats or numpy rows alike."""
+    return u * dv - du * v, u * u + v * v
+
+
 def _pair_speed(u: float, v: float, du: float, dv: float, label: str,
                 t: float, error) -> float:
-    denom = u * u + v * v
+    cross, denom = _pair_terms(u, v, du, dv)
     if denom <= EPS_NORM ** 2:
         raise error(f"{label}-plane projection vanishes at t={t:g}")
-    return abs(u * dv - du * v) / denom
+    return abs(cross) / denom
 
 
 def _space_kinematics(rel: Vec3, rp: Vec3, rpp: Vec3, t: float, coincident,
@@ -96,6 +106,41 @@ def space_distance_kinematics(curve, t: float) -> SpaceKinematics:
     return _space_kinematics(curve.point(t), curve.derivative(t, 1),
                              curve.derivative(t, 2), t, CenterOnCurve,
                              AxisProjectionDegenerate)
+
+
+def _distance_rates(r, rp, rpp):
+    """D = |r|, dD and d2D over rows of r, r' and r'' (arrays (n, 3)),
+    with the operations of the scalar API."""
+    (x, y, z), (xp, yp, zp), (xpp, ypp, zpp) = r.T, rp.T, rpp.T
+    d = np.sqrt(x * x + y * y + z * z)
+    return (d, *_radial_rates(d, x * xp + y * yp + z * zp,
+                              xp * xp + yp * yp + zp * zp,
+                              x * xpp + y * ypp + z * zpp))
+
+
+def space_distance_kinematics_array(curve, ts) -> SpaceKinematics:
+    """space_distance_kinematics at every parameter of `ts`, as one
+    SpaceKinematics of arrays.  Degenerate samples raise what
+    space_distance_kinematics raises at the first of them.
+
+    Only closed-form curves are sampled on arrays; any other curve runs
+    space_distance_kinematics once per sample, since sampling it would
+    stack the same scalar calls.
+    """
+    def kernel(r, rp, rpp):
+        d, dD, d2D = _distance_rates(r, rp, rpp)
+        good = d > EPS_NORM
+        speeds = []
+        for i, j in _PLANES:
+            cross, denom = _pair_terms(r[:, i], r[:, j], rp[:, i], rp[:, j])
+            good &= denom > EPS_NORM ** 2
+            speeds.append(np.abs(cross) / denom)
+        out = SpaceKinematics(d, dD, d2D, *speeds)
+        return out, good & _finite_rows(d, dD, d2D, *speeds)
+
+    return _over_samples(curve, ts, kernel,
+                         lambda t: space_distance_kinematics(curve, t),
+                         sample=curve.forms is not None)
 
 
 def pair_kinematics(curve_a, curve_b, t: float) -> SpaceKinematics:

@@ -1,11 +1,15 @@
 import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from rotorkin import cli
+from rotorkin.curves import curve_from_spec, make_catalog_curve
 from rotorkin.reconstruct import _csv_lines
+from rotorkin.space import (space_distance_kinematics,
+                            space_distance_kinematics_array)
 
 
 def run(capsys, argv):
@@ -304,6 +308,10 @@ def run_config(capsys, tmp_path, command, config):
         **SURFACE_CONFIG["chart_curve"], "domain": ["a", "b"]}}),
     ("kinematics", {"curve": {"kind": "ellipse", "domain": [0.0, 1e400]}}),
     ("kinematics", {"curve": {"kind": "line", "params": {"x0": "a"}}}),
+    ("kinematics", {"curve": {"kind": "ellipse", "params": "abc"}}),
+    ("kinematics", {"curve": {"kind": "ellipse", "params": [1, 2]}}),
+    ("ellipse", {"a": "x"}),
+    ("ellipse", {"b": [1]}),
 ])
 def test_non_numeric_records_are_config_errors(capsys, tmp_path, command,
                                                config):
@@ -321,6 +329,57 @@ def test_deeply_nested_expression_is_config_error(capsys, tmp_path):
                   "domain": [0.0, 1.0]}})
     assert code == 2
     assert out == "" and "nested deeper" in err
+
+
+@pytest.mark.parametrize("command", sorted(SAMPLED_COMMANDS))
+@pytest.mark.parametrize("field", [{"out": 7}, {"out": 1}, {"out": ["a"]},
+                                   {"format": "xml"}, {"format": 1}])
+def test_bad_output_fields_are_config_errors(capsys, tmp_path, command,
+                                             field):
+    # an integer out was opened as a file descriptor (1 would close
+    # stdout), and an unknown format silently wrote CSV
+    code, out, err = run_sampled(capsys, tmp_path, command, **field)
+    assert code == 2
+    assert out == "" and err.startswith("config error")
+
+
+@pytest.mark.parametrize("config", [
+    {"curve": {"kind": "ellipse"}, "frame": 5},
+    {"curve": {"kind": "ellipse"}, "frame": ["origin"]},
+    {"curve": {"kind": "expr", "expr": {"x": 5, "y": "t"},
+               "domain": [0.0, 1.0]}},
+])
+def test_non_string_frame_and_expression_are_config_errors(capsys, tmp_path,
+                                                           config):
+    # these crashed with AttributeError (exit 1)
+    code, out, err = run_config(capsys, tmp_path, "kinematics", config)
+    assert code == 2
+    assert out == "" and err.startswith("config error")
+
+
+def test_bad_reconstruct_out_is_a_config_error(capsys, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"preset": "circle", "out": 7}))
+    code, out, err = run(capsys, ["reconstruct", "--config", str(path)])
+    assert code == 2
+    assert out == "" and "out must be" in err
+
+
+@pytest.mark.parametrize("command, config", [
+    ("kinematics", {"curve": {"kind": "expr", "domain": [0.0, 1.0], "expr": {
+        "x": "+".join(["t"] * 10000), "y": "t"}}}),
+    ("kinematics", {"curve": {"kind": "expr", "domain": [0.0, 1.0], "expr": {
+        "x": "1 + t", "y": "*".join(["sin(t)"] * 80)}}}),
+    ("surface", {**SURFACE_CONFIG, "chart_curve": {
+        **SURFACE_CONFIG["chart_curve"], "v": "*".join(["sin(t)"] * 80)}}),
+])
+def test_oversized_expressions_are_config_errors(capsys, tmp_path, command,
+                                                 config):
+    # a 10,000-term sum crashed differentiation with RecursionError (exit
+    # 1); an 80-factor product has a 33-million-node third derivative
+    code, out, err = run_config(capsys, tmp_path, command, config)
+    assert code == 2
+    assert out == "" and err.startswith("config error")
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf"])
@@ -350,11 +409,51 @@ def test_good_fd_step_is_accepted(capsys, monkeypatch):
      "t=4.71239"),
     (["--curve", "ellipse", "--a", "1e300", "--b", "1e299", "--samples", "3"],
      "NonFiniteData at t=0: kinematics overflow at t=0"),
+    (["--curve", "helix", "--samples", "5"],
+     "AxisProjectionDegenerate at t=0: yOz-plane projection vanishes at t=0"),
+    # used to print inf and nan cells and exit 0
+    (["--curve", "cubic", "--a", "1e200", "--samples", "3"],
+     "NonFiniteData at t=0.2: non-finite kinematics at t=0.2"),
 ])
 def test_degenerate_samples_exit_3_with_the_failing_t(capsys, args, line):
     code, out, err = run(capsys, ["kinematics"] + args)
     assert code == 3
     assert out == "" and err == line + "\n"
+
+
+# -- the space path ------------------------------------------------------------
+
+def test_expr_space_curve_csv_is_the_scalar_loop(capsys, tmp_path):
+    record = {"kind": "expr", "domain": [0.1, 2.0],
+              "expr": {"x": "1.5 + cos(t)", "y": "2 + sin(2*t)", "z": "t"}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"curve": record, "samples": 50}))
+    code, out, _ = run(capsys, ["kinematics", "--config", str(path)])
+    assert code == 0
+    curve = curve_from_spec(record)
+    rows = [(t, *astuple(space_distance_kinematics(curve, t)))
+            for t in cli._grid(curve.domain, 50).tolist()]
+    header = ["t", "D", "dD", "d2D", "speed_A", "speed_B", "speed_C"]
+    assert out == "".join(_csv_lines(header, rows))
+
+
+@pytest.mark.parametrize("n", [2, cli._ROW_BLOCK - 1, cli._ROW_BLOCK,
+                               cli._ROW_BLOCK + 1])
+def test_streamed_rows_match_per_cell_formatting(capsys, n):
+    code, out, _ = run(capsys, ["kinematics", "--curve", "cubic",
+                                "--samples", str(n)])
+    assert code == 0
+    curve = make_catalog_curve("cubic")
+    ts = cli._grid(curve.domain, n)
+    columns = (ts, *astuple(space_distance_kinematics_array(curve, ts)))
+    want = "".join(",".join(f"{float(cell):.17g}" for cell in row) + "\n"
+                   for row in zip(*columns))
+    assert out == "t,D,dD,d2D,speed_A,speed_B,speed_C\n" + want
+
+
+def test_space_curve_json_matches_csv(capsys):
+    assert_json_matches_csv(
+        capsys, ["kinematics", "--curve", "cubic", "--samples", "7"], 7)
 
 
 # -- CSV formatting ----------------------------------------------------------

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rotorkin import expr
-from rotorkin.errors import EvalDomain, ExprSyntaxError, UnknownIdentifier
+from rotorkin.errors import (BadParameters, EvalDomain, ExprSyntaxError,
+                             UnknownIdentifier)
 
 RNG = np.random.default_rng(877)
 
@@ -171,3 +172,49 @@ def test_nesting_up_to_the_limit_parses_and_differentiates():
     assert expr.parse("(" * 99 + "t" + ")" * 99) == expr.Var()
     node = expr.differentiate(expr.parse("sin(" * 99 + "t" + ")" * 99))
     assert math.isfinite(expr.evaluate(node, 0.3))
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+def test_operator_chains_count_toward_the_depth_limit(op):
+    # a 10,000-term sum parsed, then crashed differentiation with
+    # RecursionError; a chain of n terms is a tree n levels deep
+    with pytest.raises(ExprSyntaxError, match="deeper than 100 levels"):
+        expr.parse(op.join(["t"] * 10000))
+    with pytest.raises(ExprSyntaxError, match="deeper than 100 levels"):
+        expr.parse(op.join(["t"] * 101))
+    node = expr.parse(op.join(["t"] * 100))
+    assert math.isfinite(expr.evaluate(expr.differentiate(node), 0.7))
+
+
+def test_measure_walks_shared_subtrees_once_per_reference():
+    s = expr.Func("sin", expr.Var())
+    assert expr._measure(expr.BinOp("*", s, s)) == (3, 5)
+    assert expr._measure(expr.parse("t")) == (1, 1)
+
+
+@pytest.mark.parametrize("text", [
+    "0.3 + 1.7*cos(t) + 0.2*sin(2*t)",  # the benchmark's expression shapes
+    "0.4 + 0.9*t + 0.3*sin(t)",
+    "*".join(["sin(t)"] * 10),
+    "sin(" * 12 + "t" + ")" * 12,
+    "+".join(["t"] * 100),
+], ids=["bench-plane", "bench-space", "product-10", "sin-12", "sum-100"])
+def test_derivative_chain_is_the_repeated_derivative(text):
+    node = expr.parse(text)
+    chain = expr.derivative_chain(node)
+    assert len(chain) == 4 and chain[0] is node
+    for lower, higher in zip(chain, chain[1:]):
+        assert higher == expr.differentiate(lower)
+
+
+@pytest.mark.parametrize("text", [
+    "*".join(["sin(t)"] * 80),  # second derivative walks 540,916 nodes
+    "*".join(["sin(t)"] * 20),  # third walks 156,943
+    "*".join(["t"] * 100),
+    "1/(" * 40 + "t" + ")" * 40,
+    "sin(" * 99 + "t" + ")" * 99,
+], ids=["product-80", "product-20", "t-product-100", "reciprocal-40",
+        "sin-99"])
+def test_derivative_chain_node_cap(text):
+    with pytest.raises(BadParameters, match="exceed"):
+        expr.derivative_chain(expr.parse(text))

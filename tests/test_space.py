@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -7,14 +8,17 @@ from hypothesis import strategies as st
 
 from rotorkin.curves import SpaceCurve, make_catalog_curve, reparametrize, \
     transform_curve
+from rotorkin.curves import curve_from_spec
 from rotorkin.errors import (AxisProjectionDegenerate, CenterOnCurve,
-                             CurvesIntersect, DegenerateFrame)
+                             CurvesIntersect, DegenerateFrame, KinematicsError,
+                             NonFiniteData)
 from rotorkin.numerics import extrapolate_to_zero, fd_derivative
 from rotorkin.plane import uniform_grid
 from rotorkin.space import (derivative_plane_limits,
                             derivative_plane_speeds, invariants,
                             pair_kinematics, space_congruent,
                             space_distance_kinematics,
+                            space_distance_kinematics_array,
                             verify_invariant_chain)
 from rotorkin.vec import Vec3
 
@@ -337,3 +341,90 @@ def test_invariants_unchanged_under_rigid_motion(name, where, seed, offset):
     for q in ("phi", "s12", "s13", "s23"):
         assert getattr(after, q) == pytest.approx(getattr(before, q),
                                                   rel=1e-12, abs=1e-12), q
+
+
+# -- the array path against the scalar API ---------------------------------
+
+def scalar_columns(curve, ts):
+    """space_distance_kinematics over ts as an (n, 6) array, or the
+    (class, t) of the first sample it fails on."""
+    rows = []
+    for t in ts.tolist():
+        try:
+            rows.append(astuple(space_distance_kinematics(curve, t)))
+        except KinematicsError as exc:
+            return None, (type(exc), t)
+    return np.array(rows), None
+
+
+def array_columns(curve, ts):
+    try:
+        return np.column_stack(astuple(
+            space_distance_kinematics_array(curve, ts))), None
+    except KinematicsError as exc:
+        return None, (type(exc), exc.t)
+
+
+coordinate = st.floats(-3.0, 3.0)
+SPACE_PARAMS = {
+    "cubic": st.fixed_dictionaries({"a": coordinate, "b": coordinate,
+                                    "c": coordinate}),
+    "helix": st.fixed_dictionaries({
+        "radius": st.floats(0.1, 5.0), "pitch": coordinate,
+        "cx": coordinate, "cy": coordinate, "cz": coordinate}),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(SPACE_PARAMS)), data=st.data())
+def test_array_path_equals_scalar_api(name, data):
+    # within 1e-12 of the larger of the value and the column's scale, or
+    # the same error class at the same first t
+    curve = make_catalog_curve(name, data.draw(SPACE_PARAMS[name]))
+    t0, t1 = curve.domain
+    ts = t0 + (t1 - t0) * np.arange(41) / 40
+    want, scalar_error = scalar_columns(curve, ts)
+    got, array_error = array_columns(curve, ts)
+    assert array_error == scalar_error
+    if want is not None:
+        scale = np.maximum(np.abs(want).max(axis=0), 1.0)
+        assert np.all(np.abs(got - want)
+                      <= 1e-12 * np.maximum(np.abs(want), scale))
+
+
+def test_default_helix_fails_at_the_first_sample():
+    # the yOz projection of (cos t, sin t, t) vanishes at t = 0
+    helix = make_catalog_curve("helix")
+    ts = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(AxisProjectionDegenerate) as exc:
+        space_distance_kinematics_array(helix, ts)
+    assert exc.value.t == 0.0
+    assert str(exc.value) == "yOz-plane projection vanishes at t=0"
+
+
+def test_overflowing_space_kinematics_raise_instead_of_leaking_inf():
+    # |r|^2 overflows, which the scalar loop used to print as inf and nan
+    cubic = make_catalog_curve("cubic", {"a": 1e200})
+    with pytest.raises(NonFiniteData) as exc:
+        space_distance_kinematics_array(cubic, np.linspace(0.2, 1.5, 4))
+    assert exc.value.t == 0.2
+
+
+def test_curves_without_closed_forms_run_the_scalar_api_per_sample(
+        monkeypatch):
+    from rotorkin import space
+    expr_curve = curve_from_spec({
+        "kind": "expr", "domain": [0.1, 1.0],
+        "expr": {"x": "1 + cos(t)", "y": "2 + sin(t)", "z": "t"}})
+    moved = transform_curve(make_catalog_curve("cubic"),
+                            ((1, 0, 0), (0, 1, 0), (0, 0, 1)), Vec3(1, 1, 1))
+    scalar = space.space_distance_kinematics
+    for curve in (expr_curve, moved):
+        ts = np.linspace(*curve.domain, 7)
+        calls = []
+        monkeypatch.setattr(space, "space_distance_kinematics",
+                            lambda c, t: calls.append(t) or scalar(c, t))
+        got, _ = array_columns(curve, ts)
+        monkeypatch.undo()
+        assert calls == ts.tolist()
+        assert got.tolist() == scalar_columns(curve, ts)[0].tolist()
