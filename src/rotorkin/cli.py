@@ -20,7 +20,7 @@ from . import reconstruct, surface, verify
 from .curves import _spec_domain, curve_from_spec, make_catalog_curve
 from .errors import BadParameters, KinematicsError, UnknownCurve
 from .numerics import fd_step_from_env
-from .plane import distance_kinematics_array, local_limits_array
+from .plane import _finite_row, distance_kinematics_array, local_limits_array
 from .reconstruct import _csv_lines
 from .space import space_distance_kinematics_array
 from .surface import chart_curve, surface_from_spec
@@ -237,6 +237,7 @@ def cmd_reconstruct(args) -> int:
     config = _load_config(args)
     preset_name = args.preset or config.get("preset")
     step = args.step if args.step is not None else config.get("step")
+    fmt = _format(args, config)
     out = _out_path(args, config)
     domain = config.get("domain")
     try:
@@ -262,7 +263,8 @@ def cmd_reconstruct(args) -> int:
         print(f"{type(exc).__name__}: {exc} (step={step})", file=sys.stderr)
         return EXIT_NUMERIC
     if out:
-        trajectory.write_csv(out)
+        _emit(trajectory.header, _rows(trajectory.ts, *trajectory.points.T),
+              out, fmt)
     print(f"max_error={max_error:.17g}")
     return EXIT_OK if max_error < tolerance else EXIT_TOLERANCE
 
@@ -295,12 +297,16 @@ def cmd_surface(args) -> int:
     fmt = _format(args, config)
     out = _out_path(args, config)
     headers = ["t", "D", "dD", "d2D", "speed_A", "speed_B", "speed_C"]
+    names = ["D", "dD", "d2D", "speed_a", "speed_b", "speed_c"]
+
+    def kinematics(t):
+        return surface.surface_distance_kinematics(surf, curve, t)
+
     rows = []
     try:
         for t in _grid(curve.domain, samples).tolist():
-            kin = surface.surface_distance_kinematics(surf, curve, t)
-            rows.append((t, kin.D, kin.dD, kin.d2D,
-                         kin.speed_a, kin.speed_b, kin.speed_c))
+            # a non-finite row raises NonFiniteData instead of printing inf
+            rows.append((t, *_finite_row(kinematics, t, names)))
     except KinematicsError as exc:
         print(f"{type(exc).__name__} at t={t:g}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

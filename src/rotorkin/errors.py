@@ -17,10 +17,6 @@ class DegenerateVector(KinematicsError):
     """Vector too short to normalize."""
 
 
-class DegenerateSpan(KinematicsError):
-    """The two given vectors are nearly parallel and do not span a plane."""
-
-
 # -- curves -----------------------------------------------------------------
 
 class OutOfDomain(KinematicsError):

@@ -21,19 +21,6 @@ from .errors import (CenterOnCurve, DegenerateChord, KinematicsError,
                      NonFiniteData, OutOfDomain, SingularPoint)
 from .vec import EPS_NORM, Vec2
 
-ORIGIN2 = Vec2(0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class FrameSample2:
-    """Orthonormal frame axes at one parameter value, plus the frame
-    coordinates (xi, eta) of the tracked point; eta is identically 0."""
-    e1: Vec2
-    e2: Vec2
-    xi: float
-    eta: float = 0.0
-
-
 @dataclass(frozen=True)
 class PlaneKinematics:
     D: float
@@ -57,20 +44,6 @@ class CongruenceReport:
     max_deviation: float
     argmax_t: float
     quantity: str
-
-
-def frame_at(curve, center: Vec2, t: float) -> FrameSample2:
-    """Rotating frame at `center` tracking the curve point at t.
-
-    e2 is e1 rotated by +90 degrees, fixing the sign convention for all
-    rotational velocity directions downstream.
-    """
-    rel = curve.point(t) - center
-    d = rel.norm()
-    if d <= EPS_NORM:
-        raise CenterOnCurve(f"curve passes through the frame center at t={t:g}")
-    e1 = rel / d
-    return FrameSample2(e1=e1, e2=e1.perp(), xi=d)
 
 
 def _radial_rates(d, radial, speed_sq, accel_dot):

@@ -59,17 +59,19 @@ class Trajectory:
             points = self.points[start:start + _BLOCK]
             if not np.isfinite(points).all():
                 raise NonFiniteData("trajectory has a non-finite point")
-            ref = np.array([curve.point(t).as_tuple()
-                            for t in self.ts[start:start + _BLOCK].tolist()])
+            ref = curve.sample(self.ts[start:start + _BLOCK], 0)[0]
             worst = max(worst,
                         float(np.linalg.norm(points - ref, axis=1).max()))
         return worst
 
+    @property
+    def header(self) -> list[str]:
+        return ["t", "x", "y", "z"][:self.dim + 1]
+
     def write_csv(self, path) -> None:
-        header = ["t", "x", "y", "z"][:self.dim + 1]
         rows = zip(self.ts.tolist(), *self.points.T.tolist())
         with open(path, "w", newline="") as fh:
-            fh.writelines(_csv_lines(header, rows))
+            fh.writelines(_csv_lines(self.header, rows))
 
 
 def _csv_lines(header, rows):
@@ -426,17 +428,6 @@ def reconstruct_space(problem: SpaceReconstructionProblem) -> Trajectory:
 
 # -- analytic data generators ---------------------------------------------------
 
-def _sample(curve, ts: np.ndarray, order: int, center):
-    """Arrays of r - center, r' and r'' at each t, one curve call each;
-    order 1 data needs no r'', so it is zero there."""
-    ts = ts.tolist()
-    r = np.array([curve.point(t).as_tuple() for t in ts]) - center
-    rp = np.array([curve.derivative(t, 1).as_tuple() for t in ts])
-    if order == 1:
-        return r, rp, np.zeros_like(rp)
-    return r, rp, np.array([curve.derivative(t, 2).as_tuple() for t in ts])
-
-
 def plane_data_from_curve(curve, center: Vec2 = Vec2(0.0, 0.0),
                           order: int = 1,
                           step: Optional[float] = None) -> PlaneReconstructionProblem:
@@ -447,14 +438,16 @@ def plane_data_from_curve(curve, center: Vec2 = Vec2(0.0, 0.0),
     c = np.array(center.as_tuple())
 
     def data(ts):
-        r, rp, rpp = _sample(curve, ts, order, c)
-        d = np.hypot(r[:, 0], r[:, 1])
-        dD, d2D, velocity, _ = _frame_terms(r.T, rp.T, rpp.T, d)
+        r, rp, *rpp = curve.sample(ts, order)
+        rpp = rpp[0] if rpp else np.zeros_like(rp)  # order 1 needs no r''
+        rel = r - c
+        d = np.hypot(rel[:, 0], rel[:, 1])
+        dD, d2D, velocity, _ = _frame_terms(rel.T, rp.T, rpp.T, d)
         return (dD, d2D)[order - 1], np.stack(velocity, axis=1)[:, None, :]
 
     rhs_D, (rhs_e,) = _pointwise(data, 1)
-    r0 = np.array(curve.point(t0).as_tuple()) - c
-    rp0 = np.array(curve.derivative(t0, 1).as_tuple())
+    r0, rp0 = (a[0] for a in curve.sample([t0], 1))
+    r0 = r0 - c
     d0 = float(np.hypot(*r0))
     return PlaneReconstructionProblem(
         rhs_D=rhs_D, rhs_e=rhs_e, D0=d0,
@@ -473,7 +466,8 @@ def space_data_from_curve(curve, order: int = 1,
     t0, t1 = curve.domain
 
     def data(ts):
-        r, rp, rpp = _sample(curve, ts, order, 0.0)
+        r, rp, *rpp = curve.sample(ts, order)
+        rpp = rpp[0] if rpp else np.zeros_like(rp)  # order 1 needs no r''
         fields = np.zeros((len(ts), 3, 3))
         for n, (i, j) in enumerate(_PLANES):
             cross, denom = _pair_terms(r[:, i], r[:, j], rp[:, i], rp[:, j])
@@ -483,8 +477,7 @@ def space_data_from_curve(curve, order: int = 1,
         _, dD, d2D = _distance_rates(r, rp, rpp)
         return (dD, d2D)[order - 1], fields
 
-    r0 = np.array(curve.point(t0).as_tuple())
-    rp0 = np.array(curve.derivative(t0, 1).as_tuple())
+    r0, rp0 = (a[0] for a in curve.sample([t0], 1))
     d0 = float(np.linalg.norm(r0))
     if np.abs(r0).min() < _COLLAPSE_TOL * d0:
         raise ProjectionCollapse(

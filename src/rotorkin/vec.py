@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import DegenerateSpan, DegenerateVector, KinematicsError
+from .errors import DegenerateVector, KinematicsError
 
 EPS_NORM = 1e-12
 
@@ -55,10 +55,6 @@ class Vec2:
 
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
-
-    def perp(self) -> "Vec2":
-        """Counterclockwise quarter turn: (x, y) -> (-y, x)."""
-        return Vec2(-self.y, self.x)
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.x, self.y)
@@ -121,16 +117,3 @@ def unit_vector(v: Vec, eps: float = EPS_NORM) -> Vec:
 def triple_product(a: Vec3, b: Vec3, c: Vec3) -> float:
     """a vedge b . c (the 3x3 determinant of the rows a, b, c)."""
     return a.cross(b).dot(c)
-
-
-def project_onto_span(v: Vec3, a: Vec3, b: Vec3, eps: float = EPS_NORM) -> Vec3:
-    """Orthogonal projection of v onto span{a, b}.
-
-    a and b need not be orthogonal; they must be linearly independent
-    (|a vedge b| above eps scaled by the factor norms), else DegenerateSpan.
-    """
-    w = a.cross(b)
-    if w.norm() <= eps * max(a.norm() * b.norm(), 1.0):
-        raise DegenerateSpan("spanning vectors are nearly parallel")
-    n = unit_vector(w)
-    return v - n * v.dot(n)

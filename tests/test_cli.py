@@ -191,6 +191,52 @@ def test_reconstruct_start_on_coordinate_plane_exits_3(capsys, tmp_path):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["--preset", "circle", "--step", "0.01"],
+    ["--preset", "helix", "--step", "0.01"],
+])
+def test_reconstruct_json_matches_csv(capsys, tmp_path, args):
+    csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
+    code, csv_out, _ = run(capsys, ["reconstruct", *args,
+                                    "--out", str(csv_path)])
+    assert code == 0
+    code, json_out, _ = run(capsys, ["reconstruct", *args, "--format", "json",
+                                     "--out", str(json_path)])
+    assert code == 0
+    assert json_out == csv_out and csv_out.startswith("max_error=")
+    lines = csv_path.read_text().splitlines()
+    payload = json.loads(json_path.read_text())
+    assert len(payload) == len(lines) - 1 > 1
+    for row_text, row_obj in zip(lines[1:], payload):
+        assert list(row_obj.keys()) == lines[0].split(",")
+        assert [float(cell) for cell in row_text.split(",")] == list(
+            row_obj.values())
+
+
+def test_reconstruct_format_comes_from_the_config(capsys, tmp_path):
+    out_path = tmp_path / "t.json"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"preset": "circle", "step": 0.01,
+                                "format": "json", "out": str(out_path)}))
+    code, _, _ = run(capsys, ["reconstruct", "--config", str(path)])
+    assert code == 0
+    assert json.loads(out_path.read_text())[0] == {"t": 0.0, "x": 1.0,
+                                                    "y": 0.0}
+
+
+@pytest.mark.parametrize("fmt", ["xml", 1])
+def test_reconstruct_bad_format_is_a_config_error(capsys, tmp_path, fmt):
+    # an unknown format used to be accepted and written as CSV
+    out_path = tmp_path / "t.csv"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"preset": "circle", "format": fmt}))
+    code, out, err = run(capsys, ["reconstruct", "--config", str(path),
+                                  "--out", str(out_path)])
+    assert code == 2
+    assert out == "" and err.startswith("config error: format")
+    assert not out_path.exists()
+
+
 # -- surface ---------------------------------------------------------------------
 
 def test_surface_command(capsys, tmp_path):
@@ -211,6 +257,24 @@ def test_surface_command(capsys, tmp_path):
 def test_surface_needs_chart_curve(capsys):
     code, _, err = run(capsys, ["surface", "--surface", "sphere"])
     assert code == 2
+
+
+def test_surface_overflow_exits_3_without_rows(capsys, tmp_path):
+    # a sphere of radius 1e200 used to print inf and nan cells and exit 0
+    config = {
+        "surface": {"kind": "sphere", "params": {"radius": 1e200, "cz": 5.0}},
+        "chart_curve": {"u": "t", "v": "0.3*sin(t)", "domain": [0.2, 5.8]},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out_path = tmp_path / "surface.csv"
+    for out_args in ([], ["--out", str(out_path)]):
+        code, out, err = run(capsys, ["surface", "--config", str(path),
+                                      "--samples", "5", *out_args])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("NonFiniteData at t=0.2: ")
+    assert not out_path.exists()
 
 
 # -- ellipse ---------------------------------------------------------------------

@@ -283,6 +283,23 @@ def test_sample_stacks_scalar_calls_without_closed_forms():
         assert np.allclose(got, want, rtol=1e-14, atol=1e-15)
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "ellipse"},
+    {"kind": "expr", "expr": {"x": "2*cos(t)", "y": "sin(t)"},
+     "domain": [0.0, 6.0]},
+])
+def test_sample_order_gives_the_first_derivatives(spec):
+    curve = curve_from_spec(spec)
+    ts = np.linspace(0.0, 6.0, 13)
+    full = curve.sample(ts)
+    assert len(full) == 3
+    for order in (0, 1, 2):
+        part = curve.sample(ts, order)
+        assert len(part) == order + 1
+        for got, want in zip(part, full):
+            assert np.array_equal(got, want)
+
+
 def test_moved_and_reparametrized_curves_drop_the_closed_forms():
     curve = make_catalog_curve("circle")
     moved = transform_curve(curve, ((0.0, -1.0), (1.0, 0.0)), Vec2(3.0, 0.0))

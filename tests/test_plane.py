@@ -11,7 +11,7 @@ from rotorkin.errors import (CenterOnCurve, DegenerateChord, KinematicsError,
                              NonFiniteData, SingularPoint)
 from rotorkin.numerics import extrapolate_to_zero, fd_derivative
 from rotorkin.plane import (chord_kinematics, distance_kinematics,
-                            distance_kinematics_array, frame_at, local_limits,
+                            distance_kinematics_array, local_limits,
                             local_limits_array, plane_congruent, uniform_grid)
 from rotorkin.vec import Vec2
 
@@ -30,34 +30,38 @@ def ellipse():
 # -- frames -----------------------------------------------------------------
 
 def test_frame_unit_circle():
-    circle = make_catalog_curve("circle")
-    frame = frame_at(circle, ORIGIN, 0.0)
-    assert frame.e1 == Vec2(1.0, 0.0)
-    assert frame.e2 == Vec2(0.0, 1.0)
-    assert frame.xi == 1.0
-    assert frame.eta == 0.0
+    kin = distance_kinematics(make_catalog_curve("circle"), ORIGIN, 0.0)
+    assert kin.D == 1.0
+    # the frame axis is e1 = (1, 0); the rotation is a quarter turn from it
+    assert kin.rot_velocity == Vec2(0.0, 1.0)
+    assert kin.rot_speed == 1.0
 
 
 def test_frame_ellipse_distances():
     curve = ellipse()
-    assert frame_at(curve, ORIGIN, 0.0).xi == A
-    assert abs(frame_at(curve, Vec2(C, 0.0), 0.0).xi - (A - C)) <= 1e-15
+    assert distance_kinematics(curve, ORIGIN, 0.0).D == A
+    assert abs(distance_kinematics(curve, Vec2(C, 0.0), 0.0).D
+               - (A - C)) <= 1e-15
 
 
 def test_frame_orthonormal_invariants():
+    # D is the distance to the center, and the rotational velocity is
+    # perpendicular to the radial direction (the frame axis e1)
     curve = ellipse()
+    center = Vec2(0.3, -0.2)
     for t in RNG.uniform(0, 2 * math.pi, size=200):
-        frame = frame_at(curve, Vec2(0.3, -0.2), float(t))
-        assert abs(frame.e1.norm() - 1.0) <= 1e-12
-        assert abs(frame.e2.norm() - 1.0) <= 1e-12
-        assert abs(frame.e1.dot(frame.e2)) <= 1e-12
-        assert frame.e2 == frame.e1.perp()
+        kin = distance_kinematics(curve, center, float(t))
+        rel = curve.point(float(t)) - center
+        assert kin.D == rel.norm()
+        e1 = rel / kin.D
+        assert abs(e1.norm() - 1.0) <= 1e-12
+        assert abs(kin.rot_velocity.dot(e1)) <= 1e-12 * kin.rot_speed + 1e-15
 
 
 def test_frame_center_on_curve():
     line = make_catalog_curve("line", {"x0": 0.0, "y0": 0.0, "a": 1.0, "b": 1.0})
     with pytest.raises(CenterOnCurve):
-        frame_at(line, ORIGIN, 0.0)
+        distance_kinematics(line, ORIGIN, 0.0)
 
 
 # -- distance kinematics -------------------------------------------------------
@@ -113,9 +117,9 @@ def test_rot_velocity_structure():
     curve = ellipse()
     for t in RNG.uniform(0, 2 * math.pi, size=100):
         kin = distance_kinematics(curve, Vec2(0.2, 0.4), float(t))
-        frame = frame_at(curve, Vec2(0.2, 0.4), float(t))
+        e1 = (curve.point(float(t)) - Vec2(0.2, 0.4)) / kin.D
         assert abs(kin.rot_velocity.norm() - kin.rot_speed) <= 1e-14
-        assert abs(kin.rot_velocity.dot(frame.e1)) <= 1e-10 * kin.rot_speed + 1e-15
+        assert abs(kin.rot_velocity.dot(e1)) <= 1e-10 * kin.rot_speed + 1e-15
 
 
 # -- chord (local frame) kinematics ---------------------------------------------

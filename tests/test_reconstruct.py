@@ -1,17 +1,19 @@
+import collections
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rotorkin import Vec2
 from rotorkin import ellipse as ell
-from rotorkin.curves import make_catalog_curve
+from rotorkin.curves import _Curve, curve_from_spec, make_catalog_curve
 from rotorkin.errors import (BadParameters, NonFiniteData, NonTangentField,
                              ProjectionCollapse, StepTooLarge)
-from rotorkin.reconstruct import (PlaneReconstructionProblem,
+from rotorkin.reconstruct import (PlaneReconstructionProblem, Trajectory,
                                   integrate_unit_direction,
                                   plane_data_from_curve, reconstruct_plane,
                                   reconstruct_space, run_preset,
@@ -404,3 +406,145 @@ def test_offset_helix_round_trip_property(radius, pitch, gap, cz):
                   "cy": offset, "cz": cz}, domain=(0.0, math.pi))
     trajectory = reconstruct_space(space_data_from_curve(curve))
     assert trajectory.max_error_vs(curve) <= 1e-5
+
+
+# -- curve data from curve.sample ---------------------------------------------------
+
+def scalar_twin(curve):
+    """The same curve without closed forms: its samples are stacked scalar
+    point/derivative calls."""
+    return replace(curve, forms=None)
+
+
+def scalar_start(curve, center, order):
+    """D0, dD0 and the unit direction of r - center at the start of the
+    domain, from scalar point/derivative calls."""
+    t0 = curve.domain[0]
+    rel = np.array(curve.point(t0).as_tuple()) - center
+    rp = np.array(curve.derivative(t0, 1).as_tuple())
+    d0 = float(np.linalg.norm(rel))
+    return [d0, float(rel @ rp) / d0 if order == 2 else 0.0], rel / d0
+
+
+def assert_data_close(got, want):
+    """Within 1e-12 of the larger of each value and its column's scale."""
+    for g, w in zip(got, want):
+        g, w = np.asarray(g, dtype=float), np.asarray(w, dtype=float)
+        scale = np.abs(w).max(axis=0, keepdims=True)
+        assert np.all(np.abs(g - w) <= 1e-12 * np.maximum(np.abs(w), scale))
+
+
+coordinate = st.floats(-3.0, 3.0)
+coefficients = st.lists(coordinate, min_size=2, max_size=4)
+PLANE_PARAMS = {
+    "circle": st.fixed_dictionaries({"radius": st.floats(0.5, 2.0),
+                                     "cx": coordinate, "cy": coordinate}),
+    "ellipse": st.floats(1.0, 3.0).flatmap(lambda a: st.fixed_dictionaries(
+        {"a": st.just(a), "b": st.floats(0.2, 0.95).map(lambda r: a * r)})),
+    "parabola": st.fixed_dictionaries({"a": coordinate, "x0": coordinate,
+                                       "y0": coordinate}),
+    "polynomial": st.fixed_dictionaries({"x_coeffs": coefficients,
+                                         "y_coeffs": coefficients}),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name_params=st.sampled_from(sorted(PLANE_PARAMS)).flatmap(
+           lambda name: st.tuples(st.just(name), PLANE_PARAMS[name])),
+       center=st.tuples(coordinate, coordinate), order=st.sampled_from([1, 2]))
+def test_plane_data_equals_data_from_scalar_calls(name_params, center, order):
+    name, params = name_params
+    curve = make_catalog_curve(name, params)
+    ts = np.linspace(*curve.domain, 65)
+    r = curve.sample(ts, 0)[0] - np.array(center)
+    assume(np.hypot(r[:, 0], r[:, 1]).min() > 0.1)
+    fast, slow = (plane_data_from_curve(c, center=Vec2(*center), order=order)
+                  for c in (curve, scalar_twin(curve)))
+    assert_data_close(fast.data(ts), slow.data(ts))
+    assert_data_close(([fast.D0, fast.dD0], fast.e0),
+                      scalar_start(curve, center, order))
+
+
+positive = st.floats(0.3, 2.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(curve=st.one_of(
+           st.builds(lambda a, b, c: make_catalog_curve(
+               "cubic", {"a": a, "b": b, "c": c}), positive, positive,
+               positive),
+           st.builds(lambda radius, pitch, gap, cz: make_catalog_curve(
+               "helix", {"radius": radius, "pitch": pitch, "cx": radius + gap,
+                         "cy": radius + gap, "cz": cz}),
+               st.floats(0.5, 2.0), positive, positive, positive)),
+       order=st.sampled_from([1, 2]))
+def test_space_data_equals_data_from_scalar_calls(curve, order):
+    ts = np.linspace(*curve.domain, 65)
+    fast, slow = (space_data_from_curve(c, order=order)
+                  for c in (curve, scalar_twin(curve)))
+    assert_data_close(fast.data(ts), slow.data(ts))
+    rates, e = scalar_start(curve, 0.0, order)
+    projections = [e * np.array(keep) for keep in ((1, 1, 0), (1, 0, 1),
+                                                   (0, 1, 1))]
+    assert_data_close(
+        ([fast.D0, fast.dD0], fast.eA0, fast.eB0, fast.eC0),
+        [rates] + [p / np.linalg.norm(p) for p in projections])
+
+
+@pytest.fixture
+def curve_calls(monkeypatch):
+    """Counts of scalar curve calls: "point", and the derivative orders."""
+    calls = collections.Counter()
+    point, derivative = _Curve.point, _Curve.derivative
+
+    def counting_point(self, t):
+        calls["point"] += 1
+        return point(self, t)
+
+    def counting_derivative(self, t, order):
+        calls[order] += 1
+        return derivative(self, t, order)
+
+    monkeypatch.setattr(_Curve, "point", counting_point)
+    monkeypatch.setattr(_Curve, "derivative", counting_derivative)
+    return calls
+
+
+@pytest.mark.parametrize("expr, builder, run", [
+    ({"x": "2 + cos(t)", "y": "1 + sin(t)"}, plane_data_from_curve,
+     reconstruct_plane),
+    ({"x": "2 + cos(t)", "y": "2 + sin(t)", "z": "1 + t"},
+     space_data_from_curve, reconstruct_space),
+])
+def test_expression_record_makes_only_the_calls_it_needs(curve_calls, expr,
+                                                         builder, run):
+    curve = curve_from_spec({"kind": "expr", "expr": expr,
+                             "domain": [0.0, 1.0]})
+    trajectory = run(builder(curve, order=1, step=1e-2))
+    # order 1: one point and one first derivative per abscissa, no r''
+    assert set(curve_calls) == {"point", 1}
+    assert curve_calls["point"] == curve_calls[1] > 2 * 100
+    curve_calls.clear()
+    trajectory.max_error_vs(curve)
+    assert curve_calls == {"point": len(trajectory.ts)}
+    curve_calls.clear()
+    run(builder(curve, order=2, step=1e-2))
+    # the start values need no r''
+    assert curve_calls["point"] == curve_calls[1] == curve_calls[2] + 1
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "ellipse", "params": {"a": 2.5, "b": 1.5}},
+    {"kind": "expr", "expr": {"x": "2 + cos(t)", "y": "2 + sin(t)",
+                              "z": "1 + t"}, "domain": [0.0, 3.0]},
+])
+def test_max_error_is_the_largest_scalar_distance(spec):
+    curve = curve_from_spec(spec)
+    ts = np.linspace(*curve.domain, 301)  # three blocks, the last partial
+    exact = [curve.point(t).as_tuple() for t in ts.tolist()]
+    points = np.array(exact) + np.random.default_rng(11).normal(
+        scale=1e-3, size=(len(ts), curve.dim))
+    points[290] += 0.01
+    want = max(math.dist(p, q) for p, q in zip(points.tolist(), exact))
+    got = Trajectory(ts=ts, points=points, max_drift=0.0).max_error_vs(curve)
+    assert got == pytest.approx(want, rel=1e-12)

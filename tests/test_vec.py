@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rotorkin.errors import DegenerateSpan, DegenerateVector, KinematicsError
-from rotorkin.vec import (Vec2, Vec3, project_onto_span, triple_product,
-                          unit_vector)
+from rotorkin.errors import DegenerateVector, KinematicsError
+from rotorkin.vec import Vec2, Vec3, triple_product, unit_vector
 
 RNG = np.random.default_rng(411)
 
@@ -37,59 +36,6 @@ def test_unit_vector_norm_property():
         if v.norm() <= 1e-12:
             continue
         assert abs(unit_vector(v).norm() - 1.0) <= 1e-14
-
-
-def test_project_coordinate_plane():
-    p = project_onto_span(Vec3(1, 2, 3), Vec3(1, 0, 0), Vec3(0, 1, 0))
-    assert p == Vec3(1.0, 2.0, 0.0)
-
-
-def test_project_orthogonal_input():
-    p = project_onto_span(Vec3(0, 0, 5), Vec3(1, 0, 0), Vec3(0, 1, 0))
-    assert p.norm() == 0.0
-
-
-def test_project_oblique_span():
-    # frozen from the Gram-Schmidt oracle below: span{(1,1,0),(1,-1,0)}
-    # is the z=0 plane, so (1,1,1) projects to (1,1,0)
-    p = project_onto_span(Vec3(1, 1, 1), Vec3(1, 1, 0), Vec3(1, -1, 0))
-    assert (p - Vec3(1.0, 1.0, 0.0)).norm() < 1e-15
-
-
-def gram_schmidt_project(v, a, b):
-    q1 = unit_vector(a)
-    b_perp = b - q1 * b.dot(q1)
-    q2 = unit_vector(b_perp)
-    return q1 * v.dot(q1) + q2 * v.dot(q2)
-
-
-def test_project_matches_gram_schmidt_oracle():
-    for _ in range(300):
-        a, b, v = rand_vec3(), rand_vec3(), rand_vec3(5.0)
-        if a.cross(b).norm() < 1e-6:
-            continue
-        p = project_onto_span(v, a, b)
-        q = gram_schmidt_project(v, a, b)
-        assert (p - q).norm() <= 1e-12 * max(v.norm(), 1.0)
-        # residual orthogonal to both spanning vectors
-        r = v - p
-        assert abs(r.dot(a)) <= 1e-10 * v.norm() * a.norm() + 1e-15
-        assert abs(r.dot(b)) <= 1e-10 * v.norm() * b.norm() + 1e-15
-
-
-def test_project_idempotent():
-    for _ in range(100):
-        a, b, v = rand_vec3(), rand_vec3(), rand_vec3()
-        if a.cross(b).norm() < 1e-6:
-            continue
-        p = project_onto_span(v, a, b)
-        pp = project_onto_span(p, a, b)
-        assert (pp - p).norm() < 1e-12 * max(v.norm(), 1.0)
-
-
-def test_project_parallel_span_raises():
-    with pytest.raises(DegenerateSpan):
-        project_onto_span(Vec3(1, 2, 3), Vec3(1, 1, 0), Vec3(2, 2, 0))
 
 
 def test_triple_product_basis():
