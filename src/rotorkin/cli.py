@@ -19,6 +19,7 @@ from . import ellipse as ell
 from . import reconstruct, surface, verify
 from .curves import _spec_domain, curve_from_spec, make_catalog_curve
 from .errors import BadParameters, KinematicsError, UnknownCurve
+from .expr import compile_chain
 from .numerics import fd_step_from_env
 from .plane import _finite_row, distance_kinematics_array, local_limits_array
 from .reconstruct import _csv_lines
@@ -283,13 +284,7 @@ def cmd_surface(args) -> int:
     if not cc or "u" not in cc or "v" not in cc or "domain" not in cc:
         raise ConfigError(
             "surface command needs a chart_curve record {u, v, domain}")
-    from . import expr as expr_mod
-
-    def coordinate(text):
-        return [lambda t, node=node: expr_mod.evaluate(node, t)
-                for node in expr_mod.derivative_chain(expr_mod.parse(text))]
-
-    u, v = coordinate(cc["u"]), coordinate(cc["v"])
+    u, v = compile_chain(cc["u"]), compile_chain(cc["v"])
     curve = chart_curve(u[0], v[0], domain=_spec_domain(cc["domain"]),
                         u_derivs=u[1:], v_derivs=v[1:])
 

@@ -407,23 +407,18 @@ def curve_from_spec(record: dict):
     if domain is None:
         raise BadParameters("expr curve needs an explicit domain")
     domain = _spec_domain(domain)
-    chains = {axis: expr_mod.derivative_chain(expr_mod.parse(exprs[axis]))
-              for axis in ("x", "y", "z") if axis in exprs}
+    fx, fy, fz = (expr_mod.compile_chain(exprs[axis]) if axis in exprs
+                  else None for axis in ("x", "y", "z"))
 
-    if "z" in chains:
+    if fz is not None:
         def make3(order):
-            def fn(t):
-                return Vec3(expr_mod.evaluate(chains["x"][order], t),
-                            expr_mod.evaluate(chains["y"][order], t),
-                            expr_mod.evaluate(chains["z"][order], t))
-            return fn
+            x, y, z = fx[order], fy[order], fz[order]
+            return lambda t: Vec3(x(t), y(t), z(t))
         return SpaceCurve(position=make3(0), domain=domain,
                           d1=make3(1), d2=make3(2), d3=make3(3), name="expr")
 
     def make2(order):
-        def fn(t):
-            return Vec2(expr_mod.evaluate(chains["x"][order], t),
-                        expr_mod.evaluate(chains["y"][order], t))
-        return fn
+        x, y = fx[order], fy[order]
+        return lambda t: Vec2(x(t), y(t))
     return PlaneCurve(position=make2(0), domain=domain,
                       d1=make2(1), d2=make2(2), d3=make2(3), name="expr")

@@ -13,6 +13,8 @@ Grammar (recursive descent, standard precedence):
 Differentiation is closed over this node set, so derivatives of any order
 exist; the only rewriting applied is constant folding and elision of 0/1
 identities, which keeps order-3 derivative trees small enough to evaluate.
+`evaluate` walks a tree; `compile_tree` turns it into straight-line Python
+that computes the same floats, for trees evaluated at many parameters.
 """
 
 from __future__ import annotations
@@ -20,12 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 from .errors import (BadParameters, EvalDomain, ExprSyntaxError,
                      UnknownIdentifier)
 
-_FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt")
+_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "tan": math.tan,
+              "exp": math.exp, "ln": math.log, "sqrt": math.sqrt}
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _MAX_SOURCE = 64 * 1024
 # nesting levels (parentheses, function calls, unary minus) the recursive
@@ -355,7 +358,10 @@ def _pow_eval(base: float, exponent: Fraction) -> float:
         raise EvalDomain("zero base with negative exponent")
     if base < 0.0 and exponent.denominator != 1:
         raise EvalDomain("negative base with fractional exponent")
-    return math.pow(base, float(exponent))
+    try:
+        return math.pow(base, float(exponent))
+    except OverflowError:
+        raise EvalDomain(f"{base:g}^{exponent} overflows") from None
 
 
 def evaluate(node: Node, t: float) -> float:
@@ -382,22 +388,94 @@ def evaluate(node: Node, t: float) -> float:
         return _pow_eval(evaluate(node.base, t), node.exponent)
     if isinstance(node, Func):
         x = evaluate(node.child, t)
-        if node.name == "sin":
-            return math.sin(x)
-        if node.name == "cos":
-            return math.cos(x)
-        if node.name == "tan":
-            return math.tan(x)
-        if node.name == "exp":
-            return math.exp(x)
-        if node.name == "ln":
-            if x <= 0.0:
-                raise EvalDomain(f"ln of non-positive value {x:g}")
-            return math.log(x)
-        if x < 0.0:
+        if node.name == "ln" and x <= 0.0:
+            raise EvalDomain(f"ln of non-positive value {x:g}")
+        if node.name == "sqrt" and x < 0.0:
             raise EvalDomain(f"sqrt of negative value {x:g}")
-        return math.sqrt(x)
+        try:
+            return _FUNCTIONS[node.name](x)
+        except OverflowError:
+            raise EvalDomain(f"{node.name} of {x:g} overflows") from None
+        except ValueError:  # sin, cos and tan of an infinity
+            raise EvalDomain(f"{node.name} of {x:g} is undefined") from None
     raise TypeError(f"not an AST node: {node!r}")
+
+
+# -- compilation --------------------------------------------------------------
+
+# what the compiled operations raise exactly where `evaluate` raises
+# EvalDomain: float division by zero, math.log of x <= 0, math.sqrt of
+# x < 0, overflow of math.exp and math.pow, and math's sin, cos and tan
+# of an infinity (_pow_eval raises EvalDomain itself); +, -, * and unary
+# minus never raise on floats
+_FAILURES = (ArithmeticError, ValueError, EvalDomain)
+_OPERATORS = ("+", "-", "*", "/")
+
+
+def compile_tree(node: Node) -> Callable[[float], float]:
+    """`node` as one generated Python function of t that returns what
+    `evaluate(node, t)` returns, bit for bit.
+
+    The function is straight-line code: one statement per distinct node,
+    in the walker's post-order, with the walker's float operations, so a
+    subtree shared by identity is computed once.  It runs without the
+    walker's domain checks; the operations raise where those checks
+    would (see _FAILURES), and then `evaluate` walks the tree at that t
+    to raise its typed error with its message.  The source is built from
+    node types, operator symbols and the names of _FUNCTIONS only; the
+    constants and exponents reach it as one tuple, so folded infinities
+    need no literal.
+    """
+    operands = {}  # id(node) -> the name holding its value
+    constants = []
+    lines = []
+    stack = [node]
+    while stack:  # iterative, as in _measure, so depth costs no recursion
+        top = stack[-1]
+        if id(top) in operands:  # pushed by more than one parent
+            stack.pop()
+            continue
+        pending = [c for c in _children(top) if id(c) not in operands]
+        if pending:
+            stack.extend(reversed(pending))  # the left child runs first
+            continue
+        stack.pop()
+        if isinstance(top, Var):
+            operands[id(top)] = "t"
+            continue
+        if isinstance(top, Const):
+            operands[id(top)] = f"k{len(constants)}"
+            constants.append(top.value)
+            continue
+        if isinstance(top, Neg):
+            value = f"-{operands[id(top.child)]}"
+        elif isinstance(top, BinOp) and top.op in _OPERATORS:
+            value = (f"{operands[id(top.left)]} {top.op} "
+                     f"{operands[id(top.right)]}")
+        elif isinstance(top, Pow):
+            value = (f"_pow_eval({operands[id(top.base)]}, "
+                     f"k{len(constants)})")
+            constants.append(top.exponent)
+        elif isinstance(top, Func) and top.name in _FUNCTIONS:
+            value = f"{top.name}({operands[id(top.child)]})"
+        else:
+            raise TypeError(f"not an AST node: {top!r}")
+        operands[id(top)] = f"v{len(lines)}"
+        lines.append(f"            v{len(lines)} = {value}\n")
+    unpack = "".join(f"k{i}, " for i in range(len(constants)))
+    source = (f"def _bind(_node, _constants):\n"
+              f"    ({unpack}) = _constants\n"
+              f"    def compiled(t):\n"
+              f"        try:\n"
+              f"{''.join(lines)}"
+              f"            return {operands[id(node)]}\n"
+              f"        except _FAILURES:\n"
+              f"            return _evaluate(_node, t)\n"
+              f"    return compiled\n")
+    namespace = {**_FUNCTIONS, "_pow_eval": _pow_eval,
+                 "_FAILURES": _FAILURES, "_evaluate": evaluate}
+    exec(compile(source, "<expr>", "exec"), namespace)
+    return namespace["_bind"](node, tuple(constants))
 
 
 # -- differentiation ----------------------------------------------------------
@@ -475,6 +553,13 @@ def derivative_chain(node: Node, order: int = 3) -> list[Node]:
         raise BadParameters(f"an expression and its derivatives exceed "
                             f"{_MAX_CHAIN_NODES} nodes")
     return chain
+
+
+def compile_chain(text: str, order: int = 3) -> list[Callable[[float], float]]:
+    """The compiled functions of the expression `text` and of its first
+    `order` derivatives: parse, derivative_chain, then compile_tree."""
+    return [compile_tree(node)
+            for node in derivative_chain(parse(text), order)]
 
 
 # -- pretty printer ------------------------------------------------------------

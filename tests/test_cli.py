@@ -465,6 +465,10 @@ def test_good_fd_step_is_accepted(capsys, monkeypatch):
 
 # -- numerical failures on the array path ----------------------------------
 
+EXP_CURVE = {"kind": "expr", "expr": {"x": "exp(t)", "y": "t+2"},
+             "domain": [0, 800]}
+
+
 @pytest.mark.parametrize("args, line", [
     (["--curve", "circle", "--frame", "point:1,0", "--samples", "9"],
      "CenterOnCurve at t=0: the curve meets the frame center at t=0"),
@@ -478,8 +482,31 @@ def test_good_fd_step_is_accepted(capsys, monkeypatch):
     # used to print inf and nan cells and exit 0
     (["--curve", "cubic", "--a", "1e200", "--samples", "3"],
      "NonFiniteData at t=0.2: non-finite kinematics at t=0.2"),
+    # a config instead of flags; math's OverflowError and ValueError used
+    # to escape the expression evaluator with a traceback and exit 1
+    ({"curve": EXP_CURVE, "samples": 5},
+     "NonFiniteData at t=200: non-finite kinematics at t=200"),
+    ({"curve": EXP_CURVE, "samples": 5, "frame": "local"},
+     "NonFiniteData at t=400: kinematics overflow at t=400"),
+    ({"curve": {**EXP_CURVE, "expr": {"x": "exp(t)", "y": "t+2", "z": "t"}},
+      "samples": 5},
+     "NonFiniteData at t=200: non-finite kinematics at t=200"),
+    ({"curve": {"kind": "expr", "expr": {"x": "t^300", "y": "t+2"},
+                "domain": [1, 1000]}, "samples": 5},
+     "EvalDomain at t=250.75: 250.75^300 overflows"),
+    ({"curve": {"kind": "expr", "expr": {"x": "t", "y": "exp(1000*t)"},
+                "domain": [0, 1]}, "samples": 2},
+     "EvalDomain at t=1: exp of 1000 overflows"),
+    ({"curve": {"kind": "expr", "expr": {"x": "sin(t*1e308*10)", "y": "t"},
+                "domain": [1, 2]}, "samples": 3},
+     "EvalDomain at t=1: sin of inf is undefined"),
 ])
-def test_degenerate_samples_exit_3_with_the_failing_t(capsys, args, line):
+def test_degenerate_samples_exit_3_with_the_failing_t(capsys, tmp_path, args,
+                                                       line):
+    if isinstance(args, dict):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(args))
+        args = ["--config", str(path)]
     code, out, err = run(capsys, ["kinematics"] + args)
     assert code == 3
     assert out == "" and err == line + "\n"

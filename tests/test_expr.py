@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotorkin import expr
 from rotorkin.errors import (BadParameters, EvalDomain, ExprSyntaxError,
@@ -218,3 +221,152 @@ def test_derivative_chain_is_the_repeated_derivative(text):
 def test_derivative_chain_node_cap(text):
     with pytest.raises(BadParameters, match="exceed"):
         expr.derivative_chain(expr.parse(text))
+
+
+# -- compiled trees -------------------------------------------------------------
+
+def _outcome(fn, *args):
+    """repr of fn's value, or the class and message of what it raised."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the comparison is the point
+        return type(exc), str(exc)
+
+
+_LEAVES = st.one_of(
+    st.just(expr.Var()),
+    st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, 710.0, 1e200, math.inf])
+    .map(expr.Const),
+    st.floats(-5.0, 5.0).map(expr.Const))
+# p/q with q up to 3: integer powers, roots and reciprocals
+_EXPONENTS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def _dags(draw, leaves=_LEAVES, steps=12):
+    """A tree grown from a pool of subtrees: each step puts one node on
+    the pool, its operands drawn from the last few, so depth grows and a
+    subtree can sit under several parents, shared by identity."""
+    pool = [draw(leaves)]
+
+    def operand():
+        return pool[-1 - draw(st.integers(0, min(3, len(pool) - 1)))]
+
+    for _ in range(draw(st.integers(steps // 2, steps))):
+        kind = draw(st.sampled_from(["func", "binop", "pow", "neg", "leaf"]))
+        if kind == "leaf":
+            node = draw(leaves)
+        elif kind == "neg":
+            node = expr.Neg(operand())
+        elif kind == "func":
+            node = expr.Func(draw(st.sampled_from(sorted(expr._FUNCTIONS))),
+                             operand())
+        elif kind == "pow":
+            node = expr.Pow(operand(), draw(_EXPONENTS))
+        else:
+            node = expr.BinOp(draw(st.sampled_from("+-*/")), operand(),
+                              operand())
+        pool.append(node)
+    return pool[-1]
+
+
+# derivatives share the subtrees of the tree they come from
+TREES = st.one_of(_dags(), _dags().map(expr.differentiate),
+                  _dags(steps=4).map(lambda n: expr.differentiate(
+                      expr.differentiate(n))))
+# no 1e200, where t + c rounds to c and the function is flat in floats
+MODERATE_LEAVES = st.one_of(st.just(expr.Var()),
+                            st.floats(-5.0, 5.0).map(expr.Const))
+ARGUMENTS = st.one_of(st.floats(-4.0, 4.0),
+                      st.sampled_from([0.0, -0.0, 1.0, 400.0, 1e300]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(node=TREES, t=ARGUMENTS)
+def test_compiled_tree_is_the_walker(node, t):
+    # the same bits, or the same error class with the same message
+    assert _outcome(expr.compile_tree(node), t) == _outcome(expr.evaluate,
+                                                            node, t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(node=_dags(MODERATE_LEAVES), t=st.floats(-3.0, 3.0))
+def test_derivative_matches_a_central_difference(node, t):
+    d = expr.differentiate(node)
+    f = expr.compile_tree(node)
+    h = 1e-3 * max(1.0, abs(t))
+    try:
+        values = [f(t + k * h / 2) for k in (-2, -1, 0, 1, 2)]
+        slope = expr.evaluate(d, t)
+    except expr.EvalDomain:
+        return  # undefined near t
+    if not all(math.isfinite(v) and abs(v) < 1e6 for v in values + [slope]):
+        return
+    # rounding costs about eps * |f| / h in a difference quotient
+    rounding = 1e3 * 2.0 ** -52 * max(map(abs, values)) / h
+    ahead = (values[3] - values[2]) / (h / 2)
+    behind = (values[2] - values[1]) / (h / 2)
+    if abs(ahead - behind) > 0.1 * max(abs(ahead), abs(behind)) + rounding:
+        return  # a kink at t, such as sqrt(t*t) at 0, or a sharp bend
+    wide = (values[4] - values[0]) / (2 * h)
+    narrow = (values[3] - values[1]) / h
+    # the narrow difference's truncation error is about a third of the
+    # gap between the two
+    assert abs(slope - narrow) <= (2 * abs(wide - narrow) + rounding
+                                   + 1e-6 * (1.0 + abs(slope)))
+
+
+@pytest.mark.parametrize("text, t", [
+    ("0.3 + 1.7*cos(t) + 0.2*sin(2*t)", 0.4),  # the benchmark's shapes
+    ("0.4 + 0.9*t + 0.3*sin(t)", 2.5),
+    ("tan(t)^2/(1 + t) - sqrt(t)*ln(t)", 1.2),
+    ("1e308*10*t", 2.0),  # a folded infinity
+])
+def test_compiled_chain_is_the_walked_chain(text, t):
+    chain = expr.derivative_chain(expr.parse(text))
+    compiled = expr.compile_chain(text)
+    assert len(compiled) == len(chain) == 4
+    for node, fn in zip(chain, compiled):
+        assert repr(fn(t)) == repr(expr.evaluate(node, t))
+
+
+@pytest.mark.parametrize("text, t, message", [
+    ("exp(t)", 800.0, "exp of 800 overflows"),
+    ("t^300", 1000.0, "1000^300 overflows"),
+    ("(1e200)^2 + t", 0.0, "1e+200^2 overflows"),  # left unfolded
+    ("sin(t*1e308*10)", 1.0, "sin of inf is undefined"),
+    ("1/(t - 1) + ln(t - 1)", 1.0, "division by zero at t=1"),
+    ("ln(t - 1) + 1/(t - 1)", 1.0, "ln of non-positive value 0"),
+    ("sqrt(t - 2)", 1.0, "sqrt of negative value -1"),
+])
+def test_math_failures_raise_eval_domain(text, t, message):
+    # overflow used to escape as OverflowError, sin(inf) as ValueError
+    node = expr.parse(text)
+    for fn in (lambda s: expr.evaluate(node, s), expr.compile_tree(node)):
+        with pytest.raises(EvalDomain) as info:
+            fn(t)
+        assert str(info.value) == message
+
+
+def test_shared_subtree_is_one_local():
+    s = expr.Func("sin", expr.Var())
+    fn = expr.compile_tree(expr.BinOp("*", s, s))
+    assert fn.__code__.co_varnames == ("t", "v0", "v1")
+    assert fn(0.5) == math.sin(0.5) * math.sin(0.5)
+
+
+def test_compiling_does_not_recurse_per_level():
+    node = expr.Var()
+    for _ in range(5000):  # far past the recursion limit of the walker
+        node = expr.BinOp("+", node, expr.Const(1.0))
+    assert expr.compile_tree(node)(0.5) == 5000.5
+
+
+@pytest.mark.parametrize("node", [
+    expr.Func("__import__", expr.Var()),
+    expr.BinOp("**", expr.Var(), expr.Var()),
+    expr.Neg("t"),
+])
+def test_only_node_types_and_function_names_reach_the_source(node):
+    with pytest.raises(TypeError, match="not an AST node"):
+        expr.compile_tree(node)
