@@ -186,24 +186,16 @@ def _general_path(problem, fields, e0s, assemble) -> Trajectory:
     return Trajectory(ts=ts, points=points, max_drift=max_drift)
 
 
-def _block_data(data, abscissae):
-    """`data` on each distinct abscissa once, spread back to all of them."""
-    unique, inverse = np.unique(abscissae, return_inverse=True)
-    with np.errstate(all="ignore"):
-        g, f = data(unique)
-    return (np.asarray(g, dtype=float)[inverse],
-            np.asarray(f, dtype=float)[inverse])
-
-
 def _time_only_path(problem, e0s, assemble) -> Trajectory:
     """RK4 on time-only data, a block of steps at a time.
 
-    Per block: the data on t_k, t_k + h/2 and t_k + h (the abscissae of
-    the general path, computed the same way) in one call, the RK4
-    increments in numpy, then one Python-float loop that adds them,
-    renormalizes and checks D > 0.  `assemble(Ds, Es, ts)` turns the
-    block's distances and directions into points and raises for a bad row;
-    the error raised is that of the first failing step.
+    Per block of m steps: the data in one call on the m + 1 grid points
+    t_k = t0 + k h that bound its steps and on their m midpoints
+    t_k + h/2, so a step ends on the grid point the next one starts from;
+    then the RK4 increments in numpy, then one Python-float loop that
+    adds them, renormalizes and checks D > 0.  `assemble(Ds, Es, ts)`
+    turns the block's distances and directions into points and raises for
+    a bad row; the error raised is that of the first failing step.
     """
     t0 = problem.domain[0]
     n_steps, h = _step_count(problem)
@@ -218,13 +210,16 @@ def _time_only_path(problem, e0s, assemble) -> Trajectory:
     points[0] = assemble(np.array([D]), np.array([es]), ts[:1])[0]
     max_drift = 0.0
     for start in range(0, n_steps, _BLOCK):
-        k = np.arange(start, min(start + _BLOCK, n_steps))
-        m = len(k)
-        t = t0 + k * h
-        g, f = _block_data(problem.data, np.concatenate((t, t + hh, t + h)))
+        k = np.arange(start, min(start + _BLOCK, n_steps) + 1)
+        m = len(k) - 1
+        grid = t0 + k * h
+        t = grid[:m]
+        with np.errstate(all="ignore"):
+            g, f = problem.data(np.concatenate((grid, t + hh)))
+        g, f = np.asarray(g, dtype=float), np.asarray(f, dtype=float)
         if start == 0:
             _check_tangent(f[0], es)
-        now, mid, end = slice(0, m), slice(m, 2 * m), slice(2 * m, 3 * m)
+        now, end, mid = slice(0, m), slice(1, m + 1), slice(m + 1, 2 * m + 1)
         finite = np.isfinite(g) & np.isfinite(f).all(axis=(1, 2))
         finite = finite[now] & finite[mid] & finite[end]
         n_ok = m if finite.all() else int(np.argmin(finite))
@@ -260,7 +255,7 @@ def _time_only_path(problem, e0s, assemble) -> Trajectory:
         done = len(Ds)
         if done:
             rows = slice(start + 1, start + 1 + done)
-            ts[rows] = t0 + (k[:done] + 1) * h
+            ts[rows] = grid[1:done + 1]
             points[rows] = assemble(np.array(Ds), np.array(Es), ts[rows])
         if error is None and n_ok < m:
             error = NonFiniteData(

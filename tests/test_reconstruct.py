@@ -533,6 +533,17 @@ def test_expression_record_makes_only_the_calls_it_needs(curve_calls, expr,
     assert curve_calls["point"] == curve_calls[1] == curve_calls[2] + 1
 
 
+def test_each_abscissa_is_evaluated_once(curve_calls):
+    # 300 steps in blocks of 128, 128 and 44: each block's m + 1 grid
+    # points and m midpoints, plus the start values; a step used to end on
+    # t_k + h, a last bit off the grid point t0 + (k + 1) h the next starts
+    # from, so both were evaluated (671 calls)
+    curve = curve_from_spec({"kind": "expr", "domain": [0.0, 3.0],
+                             "expr": {"x": "2 + cos(t)", "y": "1 + sin(t)"}})
+    reconstruct_plane(plane_data_from_curve(curve, order=1, step=1e-2))
+    assert curve_calls["point"] == 2 * 300 + 3 + 1
+
+
 @pytest.mark.parametrize("spec", [
     {"kind": "ellipse", "params": {"a": 2.5, "b": 1.5}},
     {"kind": "expr", "expr": {"x": "2 + cos(t)", "y": "2 + sin(t)",
