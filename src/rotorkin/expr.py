@@ -555,11 +555,10 @@ def derivative_chain(node: Node, order: int = 3) -> list[Node]:
     return chain
 
 
-def compile_chain(text: str, order: int = 3) -> list[Callable[[float], float]]:
+def compile_chain(text: str) -> list[Callable[[float], float]]:
     """The compiled functions of the expression `text` and of its first
-    `order` derivatives: parse, derivative_chain, then compile_tree."""
-    return [compile_tree(node)
-            for node in derivative_chain(parse(text), order)]
+    three derivatives: parse, derivative_chain, then compile_tree."""
+    return [compile_tree(node) for node in derivative_chain(parse(text))]
 
 
 # -- pretty printer ------------------------------------------------------------
