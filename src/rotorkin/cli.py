@@ -17,7 +17,8 @@ import numpy as np
 
 from . import ellipse as ell
 from . import reconstruct, surface, verify
-from .curves import _spec_domain, curve_from_spec, make_catalog_curve
+from .curves import (CATALOG, _spec_domain, curve_from_spec,
+                     make_catalog_curve)
 from .errors import BadParameters, KinematicsError, UnknownCurve
 from .expr import compile_chain
 from .numerics import fd_step_from_env
@@ -159,6 +160,8 @@ def _emit(headers, rows, out_path: Optional[str], fmt: str) -> None:
 
 
 def _resolve_curve(args, config):
+    """The curve and the parameters it was built from: the flags, or the
+    record's params (None when it has none)."""
     record = config.get("curve")
     name = getattr(args, "curve", None)
     if name:
@@ -167,9 +170,9 @@ def _resolve_curve(args, config):
             value = getattr(args, key, None)
             if value is not None:
                 params[key] = value
-        return make_catalog_curve(name, params)
+        return make_catalog_curve(name, params), params
     if record:
-        return curve_from_spec(record)
+        return curve_from_spec(record), record.get("params")
     raise ConfigError("no curve given (use --curve or config curve record)")
 
 
@@ -189,7 +192,7 @@ def _parse_frame(spec):
 
 def cmd_kinematics(args) -> int:
     config = _load_config(args)
-    curve = _resolve_curve(args, config)
+    curve, params = _resolve_curve(args, config)
     frame_spec = args.frame or config.get("frame", "origin")
     samples = _samples(args, config)
     fmt = _format(args, config)
@@ -199,9 +202,9 @@ def cmd_kinematics(args) -> int:
     if frame == "focus":
         if curve.name != "ellipse":
             raise ConfigError("focus frame is only valid for the ellipse")
-        spec_params = (config.get("curve") or {}).get("params", {})
-        a = args.a if args.a is not None else spec_params.get("a", 2.0)
-        b = args.b if args.b is not None else spec_params.get("b", 1.0)
+        # the axes the curve was built with
+        axes = {**CATALOG["ellipse"].defaults, **(params or {})}
+        a, b = axes["a"], axes["b"]
         point = Vec2(math.sqrt(a * a - b * b), 0.0)
         frame = "point"
     if curve.dim == 3 and frame != "origin":
@@ -237,6 +240,8 @@ def cmd_kinematics(args) -> int:
 def cmd_reconstruct(args) -> int:
     config = _load_config(args)
     preset_name = args.preset or config.get("preset")
+    if preset_name is not None and not isinstance(preset_name, str):
+        raise ConfigError(f"preset must be a name, got {preset_name!r}")
     step = args.step if args.step is not None else config.get("step")
     fmt = _format(args, config)
     out = _out_path(args, config)
@@ -274,6 +279,9 @@ def cmd_surface(args) -> int:
     config = _load_config(args)
     record = config.get("surface")
     if args.surface_kind:
+        if not isinstance(record, (dict, type(None))):
+            raise ConfigError(
+                f"surface record must be an object, got {record!r}")
         record = {"kind": args.surface_kind,
                   "params": (record or {}).get("params")}
     if not record:
@@ -281,7 +289,7 @@ def cmd_surface(args) -> int:
     surf = surface_from_spec(record)
 
     cc = config.get("chart_curve")
-    if not cc or "u" not in cc or "v" not in cc or "domain" not in cc:
+    if not isinstance(cc, dict) or not {"u", "v", "domain"} <= cc.keys():
         raise ConfigError(
             "surface command needs a chart_curve record {u, v, domain}")
     u, v = compile_chain(cc["u"]), compile_chain(cc["v"])

@@ -344,7 +344,7 @@ def make_catalog_curve(name: str, params: dict | None = None,
                        domain: tuple[float, float] | None = None):
     """Construct a catalog curve; unknown names raise UnknownCurve and
     incomplete/invalid parameters raise BadParameters."""
-    entry = CATALOG.get(name)
+    entry = CATALOG.get(name) if isinstance(name, str) else None
     if entry is None:
         raise UnknownCurve(f"no catalog curve named {name!r}")
     if not isinstance(params, (dict, type(None))):

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .curves import SpaceCurve
+from .curves import SpaceCurve, _finite_real
 from .errors import (BadParameters, DegenerateProjection, IrregularNet,
                      OutOfDomain, SingularPoint)
 from .numerics import default_step, fd_derivative
@@ -107,24 +108,29 @@ class SurfaceGeometry:
     r2: Vec3
 
 
+# (u, v) multi-indices (a, b) of the partials, by order; key "u" * a + "v" * b
+_ORDERS = tuple(tuple((n - b, b) for b in range(n + 1)) for n in range(4))
+# for order n, the index array [i, j, ...] -> b, the number of v's among the
+# derivative indices (0 is u, 1 is v): the partials are symmetric
+_V_COUNTS = tuple(np.indices((2,) * n).sum(axis=0) for n in range(4))
+
+
+def _partial_array(surface: Surface, u: float, v: float, n: int) -> np.ndarray:
+    """The order-n partials at (u, v) as an array [i, j, ..., xyz]."""
+    rows = np.array([surface.partials["u" * a + "v" * b](u, v).as_tuple()
+                     for a, b in _ORDERS[n]])
+    return rows[_V_COUNTS[n]]
+
+
 def surface_geometry(surface: Surface, u: float, v: float) -> SurfaceGeometry:
     """All natural-frame data at (u, v); raises IrregularNet when r_u, r_v
     fail to span the tangent plane."""
-    p = surface.partials
-    r1v = p["u"](u, v)
-    r2v = p["v"](u, v)
-    first = [np.array(r1v.as_tuple()), np.array(r2v.as_tuple())]
-    keys2 = (("uu", "uv"), ("uv", "vv"))
-    second = [[np.array(p[keys2[i][j]](u, v).as_tuple()) for j in range(2)]
-              for i in range(2)]
-    key3 = {(0, 0, 0): "uuu", (0, 0, 1): "uuv", (0, 1, 1): "uvv",
-            (1, 1, 1): "vvv"}
-    third = np.empty((2, 2, 2, 3))
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                idx = tuple(sorted((i, j, k)))
-                third[i, j, k] = np.array(p[key3[idx]](u, v).as_tuple())
+    r1v = surface.partials["u"](u, v)
+    r2v = surface.partials["v"](u, v)
+    # first[i] = r_i, second[i, j] = r_ij, third[i, j, k] = r_ijk
+    first = np.array((r1v.as_tuple(), r2v.as_tuple()))
+    second = _partial_array(surface, u, v, 2)
+    third = _partial_array(surface, u, v, 3)
 
     cross = r1v.cross(r2v)
     if cross.norm() <= EPS_NORM * max(r1v.norm() * r2v.norm(), 1.0):
@@ -132,65 +138,30 @@ def surface_geometry(surface: Surface, u: float, v: float) -> SurfaceGeometry:
     n = unit_vector(cross)
     n_arr = np.array(n.as_tuple())
 
-    g = np.empty((2, 2))
-    for i in range(2):
-        for j in range(2):
-            g[i, j] = first[i] @ first[j]
+    g = np.einsum("id,jd->ij", first, first)
     g_inv = np.linalg.inv(g)
-
-    L = np.empty((2, 2))
-    for i in range(2):
-        for j in range(2):
-            L[i, j] = second[i][j] @ n_arr
-
-    # dg[l, i, j] = d_l g_ij
-    dg = np.empty((2, 2, 2))
-    for l in range(2):
-        for i in range(2):
-            for j in range(2):
-                dg[l, i, j] = second[i][l] @ first[j] + first[i] @ second[j][l]
-
+    L = second @ n_arr
+    # dg[l, i, j] = d_l g_ij = r_il . r_j + r_i . r_jl
+    half = np.einsum("ild,jd->lij", second, first)
+    dg = half + half.transpose(0, 2, 1)
     # ddg[l, m, i, j] = d_l d_m g_ij
-    ddg = np.empty((2, 2, 2, 2))
-    for l in range(2):
-        for m in range(2):
-            for i in range(2):
-                for j in range(2):
-                    ddg[l, m, i, j] = (third[i, m, l] @ first[j]
-                                       + second[i][m] @ second[j][l]
-                                       + second[i][l] @ second[j][m]
-                                       + first[i] @ third[j, m, l])
+    half = (np.einsum("imld,jd->lmij", third, first)
+            + np.einsum("imd,jld->lmij", second, second))
+    ddg = half + half.transpose(0, 1, 3, 2)
 
-    # A[m, i, j] = d_i g_mj + d_j g_mi - d_m g_ij
-    A = np.empty((2, 2, 2))
-    for m in range(2):
-        for i in range(2):
-            for j in range(2):
-                A[m, i, j] = dg[i, m, j] + dg[j, m, i] - dg[m, i, j]
+    # A[m, i, j] = d_i g_mj + d_j g_mi - d_m g_ij, and its partials dA
+    A = np.einsum("imj->mij", dg) + np.einsum("jmi->mij", dg) - dg
+    dA = (np.einsum("limj->lmij", ddg) + np.einsum("ljmi->lmij", ddg)
+          - ddg)
     Gamma = 0.5 * np.einsum("km,mij->kij", g_inv, A)
-
-    dA = np.empty((2, 2, 2, 2))
-    for l in range(2):
-        for m in range(2):
-            for i in range(2):
-                for j in range(2):
-                    dA[l, m, i, j] = (ddg[l, i, m, j] + ddg[l, j, m, i]
-                                      - ddg[l, m, i, j])
-    dg_inv = np.empty((2, 2, 2))
-    for l in range(2):
-        dg_inv[l] = -g_inv @ dg[l] @ g_inv
+    dg_inv = -g_inv @ dg @ g_inv
     Gamma_partials = 0.5 * (np.einsum("lkm,mij->lkij", dg_inv, A)
                             + np.einsum("km,lmij->lkij", g_inv, dA))
 
     # Weingarten: n_k = -sum_{l,m} L_kl g^{lm} r_m
-    n_partial = -np.einsum("kl,lm,md->kd", L, g_inv,
-                           np.stack(first))
-    L_partials = np.empty((2, 2, 2))
-    for k in range(2):
-        for i in range(2):
-            for j in range(2):
-                L_partials[k, i, j] = (third[i, j, k] @ n_arr
-                                       + second[i][j] @ n_partial[k])
+    n_partial = -np.einsum("kl,lm,md->kd", L, g_inv, first)
+    L_partials = (np.einsum("ijkd,d->kij", third, n_arr)
+                  + np.einsum("ijd,kd->kij", second, n_partial))
 
     return SurfaceGeometry(g=g, g_inv=g_inv, L=L, Gamma=Gamma,
                            Gamma_partials=Gamma_partials,
@@ -362,179 +333,118 @@ def surface_plane_rot_limits(surface: Surface, curve: ChartCurve, t: float,
 
 # -- surface catalog -------------------------------------------------------------
 
-def _sphere(radius=1.0, cx=0.0, cy=0.0, cz=0.0):
+def _partials(make: Callable[[int, int], Callable]) -> dict:
+    """The nine partials make(a, b) = d^a_u d^b_v r, keyed "u"*a + "v"*b."""
+    return {"u" * a + "v" * b: make(a, b)
+            for n in (1, 2, 3) for a, b in _ORDERS[n]}
+
+
+# cos and its derivatives as (function, sign): cos, -sin, -cos, sin; sin is
+# the same cycle three steps on
+_CYCLE = ((math.cos, 1.0), (math.sin, -1.0), (math.cos, -1.0), (math.sin, 1.0))
+
+
+def _cos_derivatives(scale: float, shift: int = 0) -> tuple:
+    """f, f', f'', f''' of f = scale * cos (shift 0) or scale * sin (3)."""
+    return tuple(lambda v, fn=fn, c=scale * sign: c * fn(v)
+                 for fn, sign in (_CYCLE[(shift + k) % 4] for k in range(4)))
+
+
+def _revolution(name, profile, v_range, **params) -> Surface:
+    """The surface of revolution c + (rho(v) cos u, rho(v) sin u, h(v)) over
+    u in [0, 2 pi], v in v_range (do Carmo 1976, 2-3).  Every parameter must
+    be a finite number; the center is (cx, cy, cz) and profile(**rest)
+    returns the derivatives (rho, rho', rho'', rho''') and (h, ..., h''')."""
+    params = {key: _finite_real(value, f"{name}: {key}")
+              for key, value in params.items()}
+    cx, cy, cz = (params.pop(key, 0.0) for key in ("cx", "cy", "cz"))
+    rho, height = profile(**params)
+    cos, sin, rho0, h0 = math.cos, math.sin, rho[0], height[0]
+
+    def chart(u, v):
+        q = rho0(v)
+        return Vec3(cx + q * cos(u), cy + q * sin(u), cz + h0(v))
+
+    def make_partial(a, b):
+        # d^a_u (cos u, sin u) taken from the cycle once, here
+        (fx, sx), (fy, sy) = _CYCLE[a], _CYCLE[(a + 3) % 4]
+        p, h = rho[b], height[b] if a == 0 else (lambda v: 0.0)
+
+        def r_ab(u, v):
+            q = p(v)
+            return Vec3(sx * q * fx(u), sy * q * fy(u), h(v))
+        return r_ab
+
+    return Surface(chart=chart, partials=_partials(make_partial),
+                   domain=((0.0, 2.0 * math.pi), v_range), name=name)
+
+
+def _sphere_profile(radius=1.0):
     if radius <= 0:
         raise BadParameters("sphere needs radius > 0")
-    R = radius
-
-    def mk(fx, fy, fz):
-        return lambda u, v: Vec3(fx(u, v), fy(u, v), fz(u, v))
-
-    cos, sin = math.cos, math.sin
-    chart = mk(lambda u, v: cx + R * cos(v) * cos(u),
-               lambda u, v: cy + R * cos(v) * sin(u),
-               lambda u, v: cz + R * sin(v))
-    partials = {
-        "u": mk(lambda u, v: -R * cos(v) * sin(u),
-                lambda u, v: R * cos(v) * cos(u),
-                lambda u, v: 0.0),
-        "v": mk(lambda u, v: -R * sin(v) * cos(u),
-                lambda u, v: -R * sin(v) * sin(u),
-                lambda u, v: R * cos(v)),
-        "uu": mk(lambda u, v: -R * cos(v) * cos(u),
-                 lambda u, v: -R * cos(v) * sin(u),
-                 lambda u, v: 0.0),
-        "uv": mk(lambda u, v: R * sin(v) * sin(u),
-                 lambda u, v: -R * sin(v) * cos(u),
-                 lambda u, v: 0.0),
-        "vv": mk(lambda u, v: -R * cos(v) * cos(u),
-                 lambda u, v: -R * cos(v) * sin(u),
-                 lambda u, v: -R * sin(v)),
-        "uuu": mk(lambda u, v: R * cos(v) * sin(u),
-                  lambda u, v: -R * cos(v) * cos(u),
-                  lambda u, v: 0.0),
-        "uuv": mk(lambda u, v: R * sin(v) * cos(u),
-                  lambda u, v: R * sin(v) * sin(u),
-                  lambda u, v: 0.0),
-        "uvv": mk(lambda u, v: R * cos(v) * sin(u),
-                  lambda u, v: -R * cos(v) * cos(u),
-                  lambda u, v: 0.0),
-        "vvv": mk(lambda u, v: R * sin(v) * cos(u),
-                  lambda u, v: R * sin(v) * sin(u),
-                  lambda u, v: -R * cos(v)),
-    }
-    return Surface(chart=chart, partials=partials,
-                   domain=((0.0, 2.0 * math.pi), (-1.2, 1.2)), name="sphere")
+    return _cos_derivatives(radius), _cos_derivatives(radius, 3)
 
 
-def _torus(R=2.0, r=0.5, cx=0.0, cy=0.0, cz=0.0):
+def _torus_profile(R=2.0, r=0.5):
     if not (R > r > 0):
         raise BadParameters("torus needs R > r > 0")
-    cos, sin = math.cos, math.sin
-
-    def w(v):
-        return R + r * cos(v)
-
-    def mk(fx, fy, fz):
-        return lambda u, v: Vec3(fx(u, v), fy(u, v), fz(u, v))
-
-    chart = mk(lambda u, v: cx + w(v) * cos(u),
-               lambda u, v: cy + w(v) * sin(u),
-               lambda u, v: cz + r * sin(v))
-    partials = {
-        "u": mk(lambda u, v: -w(v) * sin(u), lambda u, v: w(v) * cos(u),
-                lambda u, v: 0.0),
-        "v": mk(lambda u, v: -r * sin(v) * cos(u),
-                lambda u, v: -r * sin(v) * sin(u),
-                lambda u, v: r * cos(v)),
-        "uu": mk(lambda u, v: -w(v) * cos(u), lambda u, v: -w(v) * sin(u),
-                 lambda u, v: 0.0),
-        "uv": mk(lambda u, v: r * sin(v) * sin(u),
-                 lambda u, v: -r * sin(v) * cos(u),
-                 lambda u, v: 0.0),
-        "vv": mk(lambda u, v: -r * cos(v) * cos(u),
-                 lambda u, v: -r * cos(v) * sin(u),
-                 lambda u, v: -r * sin(v)),
-        "uuu": mk(lambda u, v: w(v) * sin(u), lambda u, v: -w(v) * cos(u),
-                  lambda u, v: 0.0),
-        "uuv": mk(lambda u, v: r * sin(v) * cos(u),
-                  lambda u, v: r * sin(v) * sin(u),
-                  lambda u, v: 0.0),
-        "uvv": mk(lambda u, v: r * cos(v) * sin(u),
-                  lambda u, v: -r * cos(v) * cos(u),
-                  lambda u, v: 0.0),
-        "vvv": mk(lambda u, v: r * sin(v) * cos(u),
-                  lambda u, v: r * sin(v) * sin(u),
-                  lambda u, v: -r * cos(v)),
-    }
-    return Surface(chart=chart, partials=partials,
-                   domain=((0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi)),
-                   name="torus")
+    rho = (lambda v: R + r * math.cos(v),) + _cos_derivatives(r)[1:]
+    return rho, _cos_derivatives(r, 3)
 
 
-def _cylinder(radius=1.0, cx=0.0, cy=0.0, cz=0.0):
+def _cylinder_profile(radius=1.0):
     if radius <= 0:
         raise BadParameters("cylinder needs radius > 0")
-    R = radius
-    cos, sin = math.cos, math.sin
-    zero = lambda u, v: Vec3(0.0, 0.0, 0.0)
-    partials = {
-        "u": lambda u, v: Vec3(-R * sin(u), R * cos(u), 0.0),
-        "v": lambda u, v: Vec3(0.0, 0.0, 1.0),
-        "uu": lambda u, v: Vec3(-R * cos(u), -R * sin(u), 0.0),
-        "uv": zero, "vv": zero,
-        "uuu": lambda u, v: Vec3(R * sin(u), -R * cos(u), 0.0),
-        "uuv": zero, "uvv": zero, "vvv": zero,
-    }
-    return Surface(
-        chart=lambda u, v: Vec3(cx + R * cos(u), cy + R * sin(u), cz + v),
-        partials=partials,
-        domain=((0.0, 2.0 * math.pi), (-2.0, 2.0)), name="cylinder")
+    zero = lambda v: 0.0  # noqa: E731
+    return ((lambda v: radius, zero, zero, zero),
+            (lambda v: v, lambda v: 1.0, zero, zero))
 
 
 def _poly2_partial(coeffs: dict, au: int, av: int):
-    """Partial d^au_u d^av_v of f(u, v) = sum c_ij u^i v^j (i + j <= 3)."""
-    terms = []
-    for key, c in coeffs.items():
-        i, j = int(key[1]), int(key[2])
-        if i < au or j < av:
-            continue
-        fac = float(c)
-        for k in range(i, i - au, -1):
-            fac *= k
-        for k in range(j, j - av, -1):
-            fac *= k
-        terms.append((fac, i - au, j - av))
-
-    def f(u, v):
-        return sum(fac * u ** i * v ** j for fac, i, j in terms)
-    return f
+    """Partial d^au_u d^av_v of f(u, v) = sum c_ij u^i v^j, where coeffs
+    maps (i, j) to c_ij."""
+    terms = [(c * math.perm(i, au) * math.perm(j, av), i - au, j - av)
+             for (i, j), c in coeffs.items() if i >= au and j >= av]
+    return lambda u, v: sum(fac * u ** i * v ** j for fac, i, j in terms)
 
 
 def _graph(coeffs=None, **inline):
-    coeffs = dict(coeffs or {})
-    coeffs.update(inline)
-    if not coeffs:
-        coeffs = {"c00": 0.0}
-    for key, value in coeffs.items():
-        if (len(key) != 3 or key[0] != "c" or not key[1:].isdigit()
+    if not isinstance(coeffs, (dict, type(None))):
+        raise BadParameters(f"graph: coeffs must be an object, got {coeffs!r}")
+    c = {}
+    for key, value in {**(coeffs or {}), **inline}.items():
+        if (len(key) != 3 or key[0] != "c" or not key[1:].isdecimal()
                 or int(key[1]) + int(key[2]) > 3):
             raise BadParameters(
                 f"graph coefficient {key!r}: expected cIJ with I+J <= 3")
-        coeffs[key] = float(value)
+        c[int(key[1]), int(key[2])] = _finite_real(value, f"graph: {key}")
+    c = c or {(0, 0): 0.0}
 
-    def partial_vec(au, av):
-        fz = _poly2_partial(coeffs, au, av)
-        if (au, av) == (1, 0):
-            return lambda u, v: Vec3(1.0, 0.0, fz(u, v))
-        if (au, av) == (0, 1):
-            return lambda u, v: Vec3(0.0, 1.0, fz(u, v))
-        return lambda u, v: Vec3(0.0, 0.0, fz(u, v))
+    def make_partial(a, b):
+        # r = (u, v, f(u, v))
+        x, y = float((a, b) == (1, 0)), float((a, b) == (0, 1))
+        fz = _poly2_partial(c, a, b)
+        return lambda u, v: Vec3(x, y, fz(u, v))
 
-    f0 = _poly2_partial(coeffs, 0, 0)
-    partials = {
-        "u": partial_vec(1, 0), "v": partial_vec(0, 1),
-        "uu": partial_vec(2, 0), "uv": partial_vec(1, 1),
-        "vv": partial_vec(0, 2),
-        "uuu": partial_vec(3, 0), "uuv": partial_vec(2, 1),
-        "uvv": partial_vec(1, 2), "vvv": partial_vec(0, 3),
-    }
+    f0 = _poly2_partial(c, 0, 0)
     return Surface(chart=lambda u, v: Vec3(u, v, f0(u, v)),
-                   partials=partials,
+                   partials=_partials(make_partial),
                    domain=((-2.0, 2.0), (-2.0, 2.0)), name="graph")
 
 
 _SURFACES = {
-    "sphere": _sphere,
-    "torus": _torus,
-    "cylinder": _cylinder,
+    "sphere": partial(_revolution, "sphere", _sphere_profile, (-1.2, 1.2)),
+    "torus": partial(_revolution, "torus", _torus_profile,
+                     (0.0, 2.0 * math.pi)),
+    "cylinder": partial(_revolution, "cylinder", _cylinder_profile,
+                        (-2.0, 2.0)),
     "graph": _graph,
-    "plane": lambda **params: _graph(**params) if params else _graph(c00=0.0),
+    "plane": _graph,
 }
 
 
 def make_surface(kind: str, params: dict | None = None) -> Surface:
-    builder = _SURFACES.get(kind)
+    builder = _SURFACES.get(kind) if isinstance(kind, str) else None
     if builder is None:
         raise BadParameters(f"no surface catalog entry named {kind!r}")
     try:

@@ -79,6 +79,29 @@ def test_kinematics_point_frame(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("flags, record, axes", [
+    (["--curve", "ellipse", "--a", "3", "--b", "1.5"], None,
+     {"a": 3, "b": 1.5}),
+    ([], {"kind": "ellipse", "params": {"a": 3}}, {"a": 3}),
+    # the flags build the curve; the record is not read
+    (["--curve", "ellipse"], {"kind": "ellipse", "params": {"a": 3}}, {}),
+    ([], {"kind": "ellipse", "params": None}, {}),
+])
+def test_focus_frame_uses_the_axes_of_the_curve(capsys, tmp_path, flags,
+                                                record, axes):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"curve": record} if record else {}))
+    curve = make_catalog_curve("ellipse", axes)
+    a, b = curve.point(0.0).x, curve.point(0.5 * math.pi).y
+    c = math.sqrt(a * a - b * b)
+    argv = ["kinematics", "--config", str(path), "--samples", "7"] + flags
+    code, focus, _ = run(capsys, argv + ["--frame", "focus"])
+    assert code == 0
+    code, point, _ = run(capsys, argv + ["--frame", f"point:{c!r},0"])
+    assert code == 0
+    assert focus == point
+
+
 def test_unknown_curve_is_config_error(capsys):
     code, _, err = run(capsys, ["kinematics", "--curve", "nosuch"])
     assert code == 2
@@ -376,11 +399,44 @@ def run_config(capsys, tmp_path, command, config):
     ("kinematics", {"curve": {"kind": "ellipse", "params": [1, 2]}}),
     ("ellipse", {"a": "x"}),
     ("ellipse", {"b": [1]}),
+    # surface parameters (JSON accepts NaN and Infinity)
+    ("surface", {**SURFACE_CONFIG, "surface": {
+        "kind": "sphere", "params": {"cz": "a"}}}),
+    ("surface", {**SURFACE_CONFIG, "surface": {
+        "kind": "graph", "params": {"c11": "abc"}}}),
+    ("surface", {**SURFACE_CONFIG, "surface": {
+        "kind": "sphere", "params": {"radius": math.nan}}}),
+    ("surface", {**SURFACE_CONFIG, "surface": {
+        "kind": "graph", "params": {"c11": math.inf}}}),
+    ("surface", {**SURFACE_CONFIG, "surface": {
+        "kind": "torus", "params": {"cz": math.inf}}}),
+    ("surface", {**SURFACE_CONFIG, "surface": {
+        "kind": "sphere", "params": {"radius": True}}}),
 ])
 def test_non_numeric_records_are_config_errors(capsys, tmp_path, command,
                                                config):
     # these crashed with TypeError or ValueError (exit 1)
     code, out, err = run_config(capsys, tmp_path, command, config)
+    assert code == 2
+    assert out == "" and err.startswith("config error")
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["surface"], {**SURFACE_CONFIG, "chart_curve": ["u", "v", "domain"]}),
+    (["surface"], {**SURFACE_CONFIG, "surface": {"kind": ["sphere"]}}),
+    (["surface"], {**SURFACE_CONFIG, "surface": {
+        "kind": "graph", "params": {"coeffs": "ab"}}}),
+    (["reconstruct"], {"preset": ["circle"]}),
+    (["reconstruct"], {"curve": {"kind": ["ellipse"]}}),
+    (["kinematics"], {"curve": {"kind": ["ellipse"]}}),
+    (["surface", "--surface", "sphere"], {**SURFACE_CONFIG, "surface": [1]}),
+])
+def test_records_of_the_wrong_type_are_config_errors(capsys, tmp_path, argv,
+                                                     config):
+    # these crashed with TypeError or ValueError (exit 1)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, argv + ["--config", str(path)])
     assert code == 2
     assert out == "" and err.startswith("config error")
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotorkin.errors import (AxisProjectionDegenerate, BadParameters,
                              DegenerateProjection, IrregularNet, OutOfDomain)
@@ -103,6 +105,74 @@ def test_surface_catalog_errors():
         make_surface("moebius")
     with pytest.raises(BadParameters):
         make_surface("graph", {"c99": 1.0})
+
+
+# -- catalog partials ------------------------------------------------------
+
+PARTIAL_KEYS = ("u", "v", "uu", "uv", "vv", "uuu", "uuv", "uvv", "vvv")
+
+
+@st.composite
+def catalog_surfaces(draw):
+    kind = draw(st.sampled_from(["sphere", "torus", "cylinder", "graph"]))
+    center = {key: draw(st.floats(-10.0, 10.0)) for key in ("cx", "cy", "cz")}
+    if kind == "graph":
+        keys = [f"c{i}{j}" for i in range(4) for j in range(4 - i)]
+        return kind, draw(st.dictionaries(st.sampled_from(keys),
+                                          st.floats(-3.0, 3.0)))
+    if kind == "torus":
+        r = draw(st.floats(0.1, 3.0))
+        return kind, {"R": r + draw(st.floats(0.1, 5.0)), "r": r, **center}
+    return kind, {"radius": draw(st.floats(0.1, 10.0)), **center}
+
+
+def off_surface(kind, params, point):
+    """How far `point` is from satisfying the surface's implicit equation."""
+    x, y, z = point
+    if kind == "graph":
+        return abs(z - sum(c * x ** int(key[1]) * y ** int(key[2])
+                           for key, c in params.items()))
+    rho = math.hypot(x - params["cx"], y - params["cy"])
+    if kind == "sphere":
+        return abs(math.hypot(rho, z - params["cz"]) - params["radius"])
+    if kind == "torus":
+        return abs(math.hypot(rho - params["R"], z - params["cz"])
+                   - params["r"])
+    return abs(rho - params["radius"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=catalog_surfaces(), s=st.floats(0.0, 1.0), w=st.floats(0.0, 1.0))
+def test_catalog_partials_are_derivatives_of_the_chart(case, s, w):
+    # each partial (a, b) against a central difference of the one an order
+    # lower (in u when a > 0, else in v; the chart at order 0), within the
+    # difference's truncation estimate |D(2h) - D(h)| plus rounding
+    kind, params = case
+    surf = make_surface(kind, params)
+    (u0, u1), (v0, v1) = surf.domain
+    u, v = u0 + s * (u1 - u0), v0 + w * (v1 - v0)
+    assert sorted(surf.partials) == sorted(PARTIAL_KEYS)
+    point = surf.chart(u, v).as_tuple()
+    scale = max(1.0, *map(abs, point))
+    assert off_surface(kind, params, point) <= 1e-12 * scale
+
+    def at(key, du, dv):
+        fn = surf.partials[key] if key else surf.chart
+        return np.array(fn(u + du, v + dv).as_tuple())
+
+    for key in PARTIAL_KEYS:
+        a, b = key.count("u"), key.count("v")
+        lower = "u" * (a - 1) + "v" * b if a else "v" * (b - 1)
+        step = np.array((1.0, 0.0) if a else (0.0, 1.0))
+
+        def central(h):
+            return (at(lower, *(h * step)) - at(lower, *(-h * step))) / (2 * h)
+
+        h = 1e-3
+        estimate = np.abs(central(2 * h) - central(h))
+        rounding = 1e-9 * max(scale, np.abs(at(lower, 0.0, 0.0)).max())
+        error = np.abs(at(key, 0.0, 0.0) - central(h))
+        assert (error <= estimate + rounding).all(), (key, error, estimate)
 
 
 # -- chart-curve derivative expansion ------------------------------------------------
