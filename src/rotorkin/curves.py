@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -48,11 +49,18 @@ class _Curve:
     def analytic(self) -> bool:
         return self.d1 is not None and self.d2 is not None and self.d3 is not None
 
+    @cached_property
+    def _bounds(self) -> tuple[float, float]:
+        """The domain widened by a slack that absorbs roundoff at the ends
+        (computed once; `replace` builds a new curve)."""
+        t0, t1 = self.domain
+        slack = 1e-12 * max(1.0, abs(t0), abs(t1))
+        return t0 - slack, t1 + slack
+
     def contains(self, t):
         """Whether t (a float, or elementwise an array) lies in the domain."""
-        t0, t1 = self.domain
-        slack = 1e-12 * max(1.0, abs(t0), abs(t1))  # absorb roundoff at ends
-        return (t0 - slack <= t) & (t <= t1 + slack)
+        lo, hi = self._bounds
+        return (lo <= t) & (t <= hi)
 
     def _outside(self, t: float) -> OutOfDomain:
         return OutOfDomain(

@@ -1,13 +1,15 @@
 """Fixed-size 2- and 3-vector arithmetic.
 
-Plain frozen dataclasses over 64-bit floats.  Components are validated to be
-finite on construction, so NaN/Inf cannot leak out of any public operation.
+Frozen, slotted dataclasses over 64-bit floats.  The constructor stores each
+component through its slot and then runs `__post_init__`, the one finite
+check per construction, so NaN/Inf cannot leak out of any public operation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import isfinite
 from typing import Union
 
 from .errors import DegenerateVector, KinematicsError
@@ -21,13 +23,23 @@ def _check_finite(*components: float) -> None:
             raise KinematicsError(f"non-finite vector component: {c!r}")
 
 
-@dataclass(frozen=True)
+# The constructors store components through the slot descriptors bound
+# below each class (object.__setattr__ would double their cost), then run
+# __post_init__ once: perfbench/tracer.py counts vectors by patching it.
+
+@dataclass(frozen=True, slots=True, init=False)
 class Vec2:
     x: float
     y: float
 
+    def __init__(self, x: float, y: float):
+        _set_x2(self, x)
+        _set_y2(self, y)
+        self.__post_init__()
+
     def __post_init__(self):
-        _check_finite(self.x, self.y)
+        if not (isfinite(self.x) and isfinite(self.y)):
+            _check_finite(self.x, self.y)
 
     def __add__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x + other.x, self.y + other.y)
@@ -60,14 +72,24 @@ class Vec2:
         return (self.x, self.y)
 
 
-@dataclass(frozen=True)
+_set_x2, _set_y2 = Vec2.x.__set__, Vec2.y.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Vec3:
     x: float
     y: float
     z: float
 
+    def __init__(self, x: float, y: float, z: float):
+        _set_x3(self, x)
+        _set_y3(self, y)
+        _set_z3(self, z)
+        self.__post_init__()
+
     def __post_init__(self):
-        _check_finite(self.x, self.y, self.z)
+        if not (isfinite(self.x) and isfinite(self.y) and isfinite(self.z)):
+            _check_finite(self.x, self.y, self.z)
 
     def __add__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
@@ -101,6 +123,9 @@ class Vec3:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
+
+
+_set_x3, _set_y3, _set_z3 = Vec3.x.__set__, Vec3.y.__set__, Vec3.z.__set__
 
 
 Vec = Union[Vec2, Vec3]

@@ -114,6 +114,16 @@ def test_focus_frame_requires_ellipse(capsys):
     assert code == 2
 
 
+def test_focus_frame_of_a_huge_ellipse_is_too_large(capsys):
+    # a * a overflowed into "non-finite vector component: inf"
+    message = "config error: ellipse axis a=1e+200 is too large\n"
+    for argv in (["kinematics", "--curve", "ellipse", "--a", "1e200",
+                  "--b", "1", "--samples", "5", "--frame", "focus"],
+                 ["ellipse", "--a", "1e200", "--b", "1"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (2, "", message)
+
+
 def test_center_on_curve_is_numeric_error(capsys, tmp_path):
     # a line through the origin hits the frame center at t = 0
     config = {"curve": {"kind": "line",

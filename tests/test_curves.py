@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotorkin.curves import (CATALOG, PlaneCurve, SpaceCurve, curve_from_spec,
                              make_catalog_curve, reparametrize,
@@ -185,6 +187,68 @@ def test_reparametrize_inverse_roundtrip():
         domain_h=(0.5, 2.5))
     for t in (0.6, 1.2, 2.4):
         assert (back.point(t) - ellipse.point(t)).norm() <= 1e-10
+
+
+@st.composite
+def monotone_maps(draw):
+    """phi and its first three derivatives, phi strictly monotone on
+    [0, 1]: a cubic, an exponential or a sine wave on a slope."""
+    kind = draw(st.sampled_from(["cubic", "exp", "wave"]))
+    if kind == "cubic":
+        a = draw(st.floats(0.0, 5.0))
+        return (lambda h: h + a * h ** 3, lambda h: 1.0 + 3.0 * a * h * h,
+                lambda h: 6.0 * a * h, lambda h: 6.0 * a)
+    if kind == "exp":
+        k = draw(st.floats(0.2, 3.0)) * draw(st.sampled_from([-1.0, 1.0]))
+        return tuple(lambda h, n=n: k ** n * math.exp(k * h)
+                     for n in range(4))
+    w = draw(st.floats(0.5, 8.0))
+    a = draw(st.floats(0.0, 0.9)) / w  # phi' = 1 + a w cos(w h) > 0
+    return (lambda h: h + a * math.sin(w * h),
+            lambda h: 1.0 + a * w * math.cos(w * h),
+            lambda h: -a * w * w * math.sin(w * h),
+            lambda h: -a * w ** 3 * math.cos(w * h))
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(["ellipse", "cubic", "helix", "polynomial"]),
+       phi=monotone_maps(), start=st.floats(0.01, 0.5),
+       width=st.floats(0.1, 0.49), increasing=st.booleans(),
+       h=st.floats(0.01, 0.99))
+def test_reparametrized_derivatives_are_derivatives(name, phi, start, width,
+                                                    increasing, h):
+    # t = g(h) maps [0, 1] onto [lo, hi] inside the domain, either way
+    # round; each derivative of the reparametrized curve (Faa di Bruno to
+    # order 3) against a central difference of the one an order lower,
+    # within the difference's truncation estimate |D(2d) - D(d)| plus
+    # rounding
+    curve = make_catalog_curve(name)
+    t0, t1 = curve.domain
+    lo, hi = t0 + start * (t1 - t0), t0 + (start + width) * (t1 - t0)
+    scale = (hi - lo) / (phi[0](1.0) - phi[0](0.0))
+    origin = lo
+    if not increasing:
+        scale, origin = -scale, hi
+    g = (lambda s: origin + scale * (phi[0](s) - phi[0](0.0)),
+         *(lambda s, f=f: scale * f(s) for f in phi[1:]))
+    warped = reparametrize(curve, g[0], g_derivatives=g[1:],
+                           domain_h=(0.0, 1.0))
+
+    def at(order, s):
+        value = warped.point(s) if order == 0 else warped.derivative(s, order)
+        return np.array(value.as_tuple())
+
+    for order in (1, 2, 3):
+        def central(d):
+            return (at(order - 1, h + d) - at(order - 1, h - d)) / (2 * d)
+
+        d = 1e-3
+        estimate = np.abs(central(2 * d) - central(d))
+        exact = at(order, h)
+        rounding = 1e-9 * max(1.0, np.abs(at(order - 1, h)).max(),
+                              np.abs(exact).max())
+        error = np.abs(exact - central(d))
+        assert (error <= estimate + rounding).all(), (order, error, estimate)
 
 
 def test_reparametrize_rejects_non_monotonic():
