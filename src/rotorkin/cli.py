@@ -205,10 +205,9 @@ def cmd_kinematics(args) -> int:
         # the axes the curve was built with
         axes = {**CATALOG["ellipse"].defaults, **(params or {})}
         a, b = axes["a"], axes["b"]
-        c2 = a * a - b * b  # not EllipseParams.c: a ** 2 rounds differently
-        if not math.isfinite(c2):
-            raise BadParameters(f"ellipse axis a={a} is too large")
-        point = Vec2(math.sqrt(c2), 0.0)
+        ell.EllipseParams(a, b)  # raises if a is too large to square
+        # not EllipseParams.c: a ** 2 rounds differently from a * a
+        point = Vec2(math.sqrt(a * a - b * b), 0.0)
         frame = "point"
     if curve.dim == 3 and frame != "origin":
         raise ConfigError("space curves support only the origin frame")

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 from .errors import (BadParameters, EvalDomain, ExprSyntaxError,
                      UnknownIdentifier)
@@ -405,23 +405,11 @@ def evaluate(node: Node, t: float) -> float:
 
 # what the compiled operations raise exactly where `evaluate` raises
 # EvalDomain: float division by zero, math.log of x <= 0, math.sqrt of
-# x < 0, math.pow of 0 to a negative power, overflow of math.exp and
-# math.pow, and math's sin, cos and tan of an infinity (_pow_eval raises
-# EvalDomain itself); +, -, * and unary minus never raise on floats
+# x < 0, overflow of math.exp and math.pow, and math's sin, cos and tan
+# of an infinity (_pow_eval raises EvalDomain itself); +, -, * and unary
+# minus never raise on floats
 _FAILURES = (ArithmeticError, ValueError, EvalDomain)
 _OPERATORS = ("+", "-", "*", "/")
-
-
-def _float_integer(exponent: Fraction) -> Optional[float]:
-    """float(exponent) for an integer exponent, the float _pow_eval would
-    pass to math.pow; None for a fraction (whose checks math.pow lacks:
-    1.00000000000000000001 rounds to 1.0) or an integer beyond floats."""
-    if exponent.denominator != 1:
-        return None
-    try:
-        return float(exponent)
-    except OverflowError:
-        return None
 
 
 def compile_tree(node: Node) -> Callable[[float], float]:
@@ -433,9 +421,7 @@ def compile_tree(node: Node) -> Callable[[float], float]:
     subtree shared by identity is computed once.  It runs without the
     walker's domain checks; the operations raise where those checks
     would (see _FAILURES), and then `evaluate` walks the tree at that t
-    to raise its typed error with its message.  An integer power calls
-    math.pow, as _pow_eval does once its checks pass, and those checks
-    fail exactly where math.pow raises.  The source is built from
+    to raise its typed error with its message.  The source is built from
     node types, operator symbols and the names of _FUNCTIONS only; the
     constants and exponents reach it as one tuple, so folded infinities
     need no literal.
@@ -467,11 +453,9 @@ def compile_tree(node: Node) -> Callable[[float], float]:
             value = (f"{operands[id(top.left)]} {top.op} "
                      f"{operands[id(top.right)]}")
         elif isinstance(top, Pow):
-            power = _float_integer(top.exponent)
-            function = "_pow_eval" if power is None else "_pow"
-            value = (f"{function}({operands[id(top.base)]}, "
+            value = (f"_pow_eval({operands[id(top.base)]}, "
                      f"k{len(constants)})")
-            constants.append(top.exponent if power is None else power)
+            constants.append(top.exponent)
         elif isinstance(top, Func) and top.name in _FUNCTIONS:
             value = f"{top.name}({operands[id(top.child)]})"
         else:
@@ -488,7 +472,7 @@ def compile_tree(node: Node) -> Callable[[float], float]:
               f"        except _FAILURES:\n"
               f"            return _evaluate(_node, t)\n"
               f"    return compiled\n")
-    namespace = {**_FUNCTIONS, "_pow_eval": _pow_eval, "_pow": math.pow,
+    namespace = {**_FUNCTIONS, "_pow_eval": _pow_eval,
                  "_FAILURES": _FAILURES, "_evaluate": evaluate}
     exec(compile(source, "<expr>", "exec"), namespace)
     return namespace["_bind"](node, tuple(constants))

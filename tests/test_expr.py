@@ -377,30 +377,6 @@ def test_math_failures_raise_eval_domain(text, t, message):
         assert str(info.value) == message
 
 
-_ONE_AND_A_BIT = expr.Pow(expr.Var(), Fraction(10 ** 20 + 1, 10 ** 20))
-
-
-@pytest.mark.parametrize("node, t, power", [
-    (expr.parse("t^-2"), 0.0, "_pow"),
-    (expr.parse("t^-2"), -0.0, "_pow"),
-    (expr.parse("t^300"), 1e3, "_pow"),
-    (expr.parse("t^300"), -1e3, "_pow"),
-    (expr.parse("(-t)^3"), 2.5, "_pow"),
-    (expr.parse("(-t)^3"), -1e200, "_pow"),
-    (expr.parse("t^(1/2)"), -1.0, "_pow_eval"),
-    (expr.parse("t^(1/2)"), 4.0, "_pow_eval"),
-    # rounds to t^1.0, which math.pow would allow at t < 0
-    (_ONE_AND_A_BIT, -2.0, "_pow_eval"),
-    # an integer beyond floats keeps the walker's conversion
-    (expr.Pow(expr.Var(), Fraction(10 ** 400)), 1.0, "_pow_eval"),
-])
-def test_compiled_powers_are_the_walked_powers(node, t, power):
-    # integer exponents call math.pow directly, the rest _pow_eval
-    fn = expr.compile_tree(node)
-    assert {"_pow", "_pow_eval"} & set(fn.__code__.co_names) == {power}
-    assert _outcome(fn, t) == _outcome(expr.evaluate, node, t)
-
-
 def test_shared_subtree_is_one_local():
     s = expr.Func("sin", expr.Var())
     fn = expr.compile_tree(expr.BinOp("*", s, s))
