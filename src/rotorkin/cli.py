@@ -326,7 +326,12 @@ def cmd_ellipse(args) -> int:
     samples = _samples(args, config)
     fmt = _format(args, config)
     out = _out_path(args, config)
-    rows = ell.profile_rows(ell.EllipseParams(a, b), samples)
+    params = ell.EllipseParams(a, b)  # bad axes are config errors
+    try:
+        rows = ell.profile_rows(params, samples)
+    except KinematicsError as exc:
+        print(f"{type(exc).__name__} at t={exc.t:g}: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     _emit(ell.PROFILE_HEADER.split(","), rows, out, fmt)
     return EXIT_OK
 

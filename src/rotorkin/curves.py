@@ -37,6 +37,9 @@ class _Curve:
     # closed forms of r and its first three derivatives: forms[k](t, m)
     # gives the components, floats for m = math and arrays for m = numpy
     forms: Optional[tuple] = None
+    # expression curves: the array functions (expr.compile_tree) of the
+    # components of r and of its first three derivatives, one tuple per order
+    arrays: Optional[tuple] = None
 
     def __post_init__(self):
         t0, t1 = self.domain
@@ -86,31 +89,55 @@ class _Curve:
 
     def sample(self, ts, order: int = 2):
         """r and its first `order` (0-2) derivatives at every parameter of
-        `ts`, each of shape (n, dim): the closed forms on arrays when the
-        curve has them, else stacked scalar calls of only those orders.
-        Raises OutOfDomain for the first parameter outside the domain and
-        KinematicsError for a non-finite component."""
+        `ts`, each of shape (n, dim).  Raises OutOfDomain for the first
+        parameter outside the domain.
+
+        Catalog curves evaluate their closed forms on arrays and raise
+        KinematicsError for the first row with a non-finite component.
+        Expression curves run their array functions under numpy's raising
+        errstate; on a FloatingPointError, or on any non-finite value, the
+        whole sample is redone by the stacked scalar calls that sample
+        every other curve, so the walker's EvalDomain is raised where it
+        would be.
+        """
         ts = np.asarray(ts, dtype=float)
         outside = ts[~self.contains(ts)]
         if outside.size:
             raise self._outside(float(outside[0]))
-        if self.forms is None:
-            calls = (self.point, lambda t: self.derivative(t, 1),
-                     lambda t: self.derivative(t, 2))[:order + 1]
-            return tuple(np.array([fn(t).as_tuple() for t in ts.tolist()],
-                                  dtype=float).reshape(len(ts), self.dim)
-                         for fn in calls)
+        if self.forms is not None:
+            with np.errstate(all="ignore"):  # non-finite values raise below
+                arrays = self._columns(ts, order, (form(ts, np)
+                                                   for form in self.forms))
+            finite = np.isfinite(arrays).all(axis=(0, 2))
+            if not finite.all():
+                raise KinematicsError("non-finite vector component at "
+                                      f"t={ts[np.argmin(finite)]:g}")
+            return arrays
+        if self.arrays is not None:
+            try:
+                with np.errstate(divide="raise", over="raise",
+                                 invalid="raise", under="ignore"):
+                    arrays = self._columns(ts, order, ([f(ts) for f in fns]
+                                                       for fns in self.arrays))
+                if np.isfinite(arrays).all():
+                    return arrays
+            except FloatingPointError:
+                pass
+        calls = (self.point, lambda t: self.derivative(t, 1),
+                 lambda t: self.derivative(t, 2))[:order + 1]
+        return tuple(np.array([fn(t).as_tuple() for t in ts.tolist()],
+                              dtype=float).reshape(len(ts), self.dim)
+                     for fn in calls)
+
+    def _columns(self, ts, order, components):
+        """One (n, dim) array per order up to `order`, filled from the
+        component sequences of r, r', r'' in `components`."""
         # one array per order: a single (order + 1, n, dim) block raised
         # the peak RSS of 1e5-sample kinematics runs by 0.7 MB
         arrays = tuple(np.empty((len(ts), self.dim)) for _ in range(order + 1))
-        with np.errstate(all="ignore"):  # non-finite values raise below
-            for array, form in zip(arrays, self.forms):
-                for k, component in enumerate(form(ts, np)):
-                    array[:, k] = component  # a constant fills the column
-        finite = np.isfinite(arrays).all(axis=(0, 2))
-        if not finite.all():
-            raise KinematicsError("non-finite vector component at "
-                                  f"t={ts[np.argmin(finite)]:g}")
+        for array, values in zip(arrays, components):
+            for k, component in enumerate(values):
+                array[:, k] = component  # a constant fills the column
         return arrays
 
     def validate_derivatives(self, n_grid: int = 100, rel_tol: float = 1e-5):
@@ -191,7 +218,7 @@ def reparametrize(curve, g: Callable[[float], float],
                 + curve.derivative(t, 1) * g3(h))
 
     return replace(curve, position=pos, domain=(h0, h1),
-                   d1=dd1, d2=dd2, d3=dd3, forms=None,
+                   d1=dd1, d2=dd2, d3=dd3, forms=None, arrays=None,
                    name=f"{curve.name}@reparam" if curve.name else "reparam")
 
 
@@ -220,7 +247,7 @@ def transform_curve(curve, matrix, offset=None):
     return replace(curve,
                    position=lambda t: apply(curve.point(t)) + b,
                    d1=make_deriv(1), d2=make_deriv(2), d3=make_deriv(3),
-                   forms=None,
+                   forms=None, arrays=None,
                    name=f"{curve.name}@moved" if curve.name else "moved")
 
 
@@ -417,16 +444,21 @@ def curve_from_spec(record: dict):
     domain = _spec_domain(domain)
     fx, fy, fz = (expr_mod.compile_chain(exprs[axis]) if axis in exprs
                   else None for axis in ("x", "y", "z"))
+    # per order, the array functions of the coordinates
+    arrays = tuple(tuple(f.array for f in fns)
+                   for fns in zip(*(c for c in (fx, fy, fz) if c is not None)))
 
     if fz is not None:
         def make3(order):
             x, y, z = fx[order], fy[order], fz[order]
             return lambda t: Vec3(x(t), y(t), z(t))
         return SpaceCurve(position=make3(0), domain=domain,
-                          d1=make3(1), d2=make3(2), d3=make3(3), name="expr")
+                          d1=make3(1), d2=make3(2), d3=make3(3), name="expr",
+                          arrays=arrays)
 
     def make2(order):
         x, y = fx[order], fy[order]
         return lambda t: Vec2(x(t), y(t))
     return PlaneCurve(position=make2(0), domain=domain,
-                      d1=make2(1), d2=make2(2), d3=make2(3), name="expr")
+                      d1=make2(1), d2=make2(2), d3=make2(3), name="expr",
+                      arrays=arrays)

@@ -290,13 +290,18 @@ PROFILE_HEADER = "theta,xi1,d1,d2,d3,rot_speed_origin,rot_speed_focus"
 
 def profile_rows(params: EllipseParams, n_samples: int) -> list[tuple]:
     """The PROFILE_HEADER columns at n_samples angles evenly spaced over
-    [0, 2 pi], computed as whole columns and returned as rows."""
+    [0, 2 pi], computed as whole columns and returned as rows.  A row with
+    a non-finite cell raises NonFiniteData, its `t` the first such theta."""
     theta = (_TWO_PI * np.arange(n_samples) / (n_samples - 1)
              if n_samples > 1 else np.zeros(n_samples))
-    xi1, d1, d2, d3, _, speed_focus = _focus_forms(params, theta, np)
-    speed_origin = _origin_forms(params, theta, np)[4]
+    with np.errstate(all="ignore"):  # non-finite rows raise below
+        xi1, d1, d2, d3, _, speed_focus = _focus_forms(params, theta, np)
+        speed_origin = _origin_forms(params, theta, np)[4]
     columns = (theta, xi1, d1, d2, d3, speed_origin, speed_focus)
-    if not np.isfinite(columns).all():
-        raise NonFiniteData(f"ellipse profile of a={params.a}, b={params.b} "
+    finite = np.isfinite(columns).all(axis=0)
+    if not finite.all():
+        exc = NonFiniteData(f"ellipse profile of a={params.a}, b={params.b} "
                             "is not finite")
+        exc.t = float(theta[np.argmin(finite)])
+        raise exc
     return list(zip(*(column.tolist() for column in columns)))

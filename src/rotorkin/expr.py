@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
+import numpy as np
+
 from .errors import (BadParameters, EvalDomain, ExprSyntaxError,
                      UnknownIdentifier)
 
@@ -410,6 +412,16 @@ def evaluate(node: Node, t: float) -> float:
 # minus never raise on floats
 _FAILURES = (ArithmeticError, ValueError, EvalDomain)
 _OPERATORS = ("+", "-", "*", "/")
+# the same names over arrays; `except ()` catches nothing, so a failure
+# leaves the array function as numpy's FloatingPointError
+_ARRAY_NAMES = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
+                "ln": np.log, "sqrt": np.sqrt, "_pow_eval": np.power,
+                "_FAILURES": ()}
+
+
+def _unflagged(t):
+    raise FloatingPointError("a non-finite constant: numpy flags no failure "
+                             "on an infinity it did not make")
 
 
 def compile_tree(node: Node) -> Callable[[float], float]:
@@ -425,6 +437,16 @@ def compile_tree(node: Node) -> Callable[[float], float]:
     node types, operator symbols and the names of _FUNCTIONS only; the
     constants and exponents reach it as one tuple, so folded infinities
     need no literal.
+
+    The same statements, bound to numpy's functions and np.power, are the
+    function's `array` attribute, over a float64 array `ts` (a float when
+    the tree is free of t).  Under np.errstate with divide, over and
+    invalid set to "raise", it raises FloatingPointError wherever numpy
+    flags a failure.  With finite constants every infinity or NaN is
+    flagged where it is made, so no later operation can hide a failure of
+    the walker (1/(1/(t - 0.5)) would be a finite 0 at t = 0.5); a tree
+    with a non-finite constant gets an `array` that always raises.
+    numpy's tan, exp, log and power may round differently from math's.
     """
     operands = {}  # id(node) -> the name holding its value
     constants = []
@@ -472,10 +494,23 @@ def compile_tree(node: Node) -> Callable[[float], float]:
               f"        except _FAILURES:\n"
               f"            return _evaluate(_node, t)\n"
               f"    return compiled\n")
-    namespace = {**_FUNCTIONS, "_pow_eval": _pow_eval,
-                 "_FAILURES": _FAILURES, "_evaluate": evaluate}
-    exec(compile(source, "<expr>", "exec"), namespace)
-    return namespace["_bind"](node, tuple(constants))
+    code = compile(source, "<expr>", "exec")
+
+    def bind(names, values):
+        namespace = dict(names)
+        exec(code, namespace)
+        return namespace["_bind"](node, tuple(values))
+
+    compiled = bind({**_FUNCTIONS, "_pow_eval": _pow_eval,
+                     "_FAILURES": _FAILURES, "_evaluate": evaluate},
+                    constants)
+    try:  # numpy scalars, so that 1/0 between constants flags too
+        values = [np.float64(float(c)) for c in constants]
+    except OverflowError:  # an exponent past the float range
+        values = [math.inf]
+    compiled.array = (bind(_ARRAY_NAMES, values)
+                      if all(map(math.isfinite, values)) else _unflagged)
+    return compiled
 
 
 # -- differentiation ----------------------------------------------------------

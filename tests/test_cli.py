@@ -331,6 +331,16 @@ def test_ellipse_json_matches_csv(capsys):
         capsys, ["ellipse", "--a", "2", "--b", "1", "--samples", "5"], 5)
 
 
+def test_degenerate_ellipse_profile_exits_3_without_rows(capsys):
+    # c = sqrt(4 - 1e-18) rounds to a, so the focus sits on the curve at
+    # theta = 0, as kinematics --frame focus reports with CenterOnCurve
+    code, out, err = run(capsys, ["ellipse", "--a", "2", "--b", "1e-9",
+                                  "--samples", "5"])
+    assert (code, out) == (3, "")
+    assert err == ("NonFiniteData at t=0: ellipse profile of a=2.0, "
+                   "b=1e-09 is not finite\n")
+
+
 # -- sample counts ---------------------------------------------------------------
 
 SURFACE_CONFIG = {
@@ -576,6 +586,38 @@ def test_degenerate_samples_exit_3_with_the_failing_t(capsys, tmp_path, args,
     code, out, err = run(capsys, ["kinematics"] + args)
     assert code == 3
     assert out == "" and err == line + "\n"
+
+
+# numpy would compute these as finite values at t = 0.5, past the 1/0 or
+# ln(0) it flags inside; the scalar walker raises there
+HIDDEN = [({"x": "t + 1", "y": "1/(1/(t-0.5))"}, [0, 1],
+           "0.5", "division by zero at t=0.5"),
+          ({"x": "t + 1", "y": "exp(ln(t-0.5))"}, [0.5, 1],
+           "0.5", "ln of non-positive value 0"),
+          ({"x": "t + 1", "y": "exp(ln(t-0.5))"}, [0, 1],
+           "0", "ln of non-positive value -0.5")]
+
+
+@pytest.mark.parametrize("exprs, domain, t, message", HIDDEN)
+@pytest.mark.parametrize("frame", ["origin", "point:-1,-1", "local"])
+def test_failures_numpy_hides_exit_3_in_kinematics(capsys, tmp_path, exprs,
+                                                   domain, t, message, frame):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"curve": {"kind": "expr", "expr": exprs,
+                                          "domain": domain},
+                                "samples": 3, "frame": frame}))
+    code, out, err = run(capsys, ["kinematics", "--config", str(path)])
+    assert (code, out, err) == (3, "", f"EvalDomain at t={t}: {message}\n")
+
+
+@pytest.mark.parametrize("exprs, domain, t, message", HIDDEN)
+def test_failures_numpy_hides_exit_3_in_reconstruct(capsys, tmp_path, exprs,
+                                                    domain, t, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"curve": {"kind": "expr", "expr": exprs,
+                                          "domain": domain}}))
+    code, out, err = run(capsys, ["reconstruct", "--config", str(path)])
+    assert (code, out, err) == (3, "", f"EvalDomain: {message} (step=None)\n")
 
 
 # -- the space path ------------------------------------------------------------

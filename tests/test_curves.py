@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from rotorkin.curves import (CATALOG, PlaneCurve, SpaceCurve, curve_from_spec,
                              make_catalog_curve, reparametrize,
                              transform_curve)
-from rotorkin.errors import (BadParameters, DerivativeMismatch,
+from rotorkin.errors import (BadParameters, DerivativeMismatch, EvalDomain,
                              KinematicsError, NonMonotonic, OrderUnsupported,
                              OutOfDomain, UnknownCurve)
 from rotorkin.numerics import fd_derivative
@@ -340,7 +341,9 @@ def test_sample_equals_scalar_calls(name):
 def test_sample_stacks_scalar_calls_without_closed_forms():
     spec = {"kind": "expr", "expr": {"x": "2*cos(t)", "y": "sin(t)"},
             "domain": [0.0, 6.0]}
-    curve, catalog = curve_from_spec(spec), make_catalog_curve("ellipse")
+    # without its array functions, as a curve built from callables
+    curve = replace(curve_from_spec(spec), arrays=None)
+    catalog = make_catalog_curve("ellipse")
     assert curve.forms is None
     ts = np.linspace(0.0, 6.0, 13)
     for got, want in zip(curve.sample(ts), catalog.sample(ts)):
@@ -377,6 +380,54 @@ def test_moved_and_reparametrized_curves_drop_the_closed_forms():
         assert np.allclose(r, [derived.point(t).as_tuple() for t in ts])
         assert np.allclose(r2, [derived.derivative(t, 2).as_tuple()
                                 for t in ts])
+
+
+def scalar_samples(curve, ts, order=2):
+    return [np.array([fn(t).as_tuple() for t in ts.tolist()])
+            for fn in (curve.point, lambda t: curve.derivative(t, 1),
+                       lambda t: curve.derivative(t, 2))[:order + 1]]
+
+
+@pytest.mark.parametrize("exprs", [
+    {"x": "2", "y": "3*t"},  # r' and r'' of x, and r'' of y, fold to 0
+    {"x": "2*cos(t)", "y": "sin(t)", "z": "0.5"},
+    {"x": "t", "y": "exp(1)"},  # a constant left unfolded
+])
+def test_expression_sample_broadcasts_constants(exprs):
+    curve = curve_from_spec({"kind": "expr", "expr": exprs,
+                             "domain": [0.0, 6.0]})
+    ts = np.linspace(0.0, 6.0, 9)
+    sampled = curve.sample(ts)
+    for got, want in zip(sampled, scalar_samples(curve, ts)):
+        assert got.shape == (len(ts), len(exprs))
+        assert np.array_equal(got, want)
+
+
+def test_moved_and_reparametrized_expression_curves_sample_their_points():
+    curve = curve_from_spec({"kind": "expr", "domain": [0.0, 6.0],
+                             "expr": {"x": "2*cos(t)", "y": "sin(t)"}})
+    moved = transform_curve(curve, ((0.0, -1.0), (1.0, 0.0)), Vec2(3.0, 0.0))
+    slow = reparametrize(curve, lambda h: 0.5 * h,
+                         [lambda h: 0.5, lambda h: 0.0, lambda h: 0.0],
+                         domain_h=(0.0, 12.0))
+    for derived in (moved, slow):
+        assert derived.arrays is None
+        ts = np.linspace(*derived.domain, 7)
+        for got, want in zip(derived.sample(ts),
+                             scalar_samples(derived, ts)):
+            assert np.array_equal(got, want)
+    assert not np.allclose(moved.sample(np.linspace(0.0, 6.0, 7), 0)[0],
+                           curve.sample(np.linspace(0.0, 6.0, 7), 0)[0])
+
+
+def test_failing_expression_sample_raises_the_walkers_error():
+    # numpy flags 1/0 at t = 0.5, where 1/(1/0) would hide it as 0
+    curve = curve_from_spec({"kind": "expr", "domain": [0.0, 1.0],
+                             "expr": {"x": "t", "y": "1/(1/(t - 0.5))"}})
+    assert curve.sample([0.0, 0.25], 0)[0].tolist() == [[0.0, -0.5],
+                                                        [0.25, -0.25]]
+    with pytest.raises(EvalDomain, match=r"^division by zero at t=0.5$"):
+        curve.sample([0.0, 0.5, 1.0], 0)
 
 
 def test_sample_checks_domain_and_finiteness():

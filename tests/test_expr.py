@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotorkin import expr
+from rotorkin.curves import PlaneCurve
 from rotorkin.errors import (BadParameters, EvalDomain, ExprSyntaxError,
                              UnknownIdentifier)
+from rotorkin.vec import Vec2
 
 RNG = np.random.default_rng(877)
 
@@ -301,6 +303,73 @@ def test_compiled_tree_is_the_walker(node, t):
     # the same bits, or the same error class with the same message
     assert _outcome(expr.compile_tree(node), t) == _outcome(expr.evaluate,
                                                             node, t)
+
+
+def _rounds_like_math(node):
+    """Whether numpy computes every node of the tree with math's bits:
+    its arithmetic, sin, cos and sqrt do on common x86-64 builds; its tan,
+    exp, log and power run their own SIMD routines, which may differ in
+    the last bits (and an ill-conditioned tree, such as tan(sin(t)^-4),
+    can turn that into any difference at all)."""
+    stack = [node]
+    while stack:
+        top = stack.pop()
+        if isinstance(top, expr.Pow) or (isinstance(top, expr.Func)
+                                         and top.name in ("tan", "exp", "ln")):
+            return False
+        stack.extend(expr._children(top))
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(node=TREES, ts=st.lists(ARGUMENTS, min_size=1, max_size=6))
+def test_array_function_is_the_scalar_function(node, ts):
+    fn = expr.compile_tree(node)
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise",
+                         under="ignore"):
+            values = np.broadcast_to(fn.array(np.array(ts)), len(ts)).tolist()
+    except FloatingPointError:
+        values = [math.nan]  # sample redoes these through the scalar calls
+    if all(map(math.isfinite, values)):
+        for t, value in zip(ts, values):
+            scalar = fn(t)  # raises if numpy hid a failure at t
+            assert repr(value) == repr(scalar) or not _rounds_like_math(node)
+    # sample: the walker's error wherever the scalar calls raise one
+    curve = PlaneCurve(position=lambda t: Vec2(fn(t), t),
+                       domain=(-1e301, 1e301),  # holds every ARGUMENT
+                       arrays=((fn.array, expr.compile_tree(expr.Var()).array),))
+    want = _outcome(lambda: [list(curve.point(t).as_tuple()) for t in ts])
+    got = _outcome(lambda: curve.sample(ts, 0)[0].tolist())
+    if isinstance(want, tuple) or _rounds_like_math(node):
+        assert got == want
+    else:
+        assert not isinstance(got, tuple)
+
+
+@pytest.mark.parametrize("text", ["2", "cos(1) - 3"])
+def test_array_function_of_a_constant_broadcasts(text):
+    fn, ts = expr.compile_tree(expr.parse(text)), np.linspace(0.0, 1.0, 5)
+    assert np.broadcast_to(fn.array(ts), ts.shape).tolist() == (
+        [fn(t) for t in ts.tolist()])
+
+
+def test_array_function_flags_a_division_of_constants():
+    # numpy scalars, not floats: 1/0 raises FloatingPointError, not
+    # ZeroDivisionError, which sample would not redo
+    fn = expr.compile_tree(expr.parse("1/0 + t"))
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+        fn.array(np.array([0.5]))
+
+
+@pytest.mark.parametrize("text", ["1e400*0 + t", "t + 1/(1e400/(t - 0.5))",
+                                  "t^(1e300/1e-300)"])
+def test_non_finite_constants_have_no_array_function(text):
+    # numpy flags no failure on an infinity it did not make: at t = 0.5,
+    # inf/0 is a silent inf and 1/inf a finite 0, where the walker raises
+    fn = expr.compile_tree(expr.parse(text))
+    with pytest.raises(FloatingPointError):
+        fn.array(np.array([0.25, 0.5]))
 
 
 def _difference_check(f, d, t):

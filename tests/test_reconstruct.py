@@ -510,6 +510,21 @@ def curve_calls(monkeypatch):
     return calls
 
 
+def counting_arrays(curve, calls):
+    """The expression curve `curve` with array functions that add the
+    parameters they evaluate to `calls` under the keys of the scalar calls
+    ("point" for r, the order for a derivative), counted on the first
+    coordinate only, so a sampled parameter counts as one scalar call."""
+    def counting(fn, key):
+        def counted(ts):
+            calls[key] += len(ts)
+            return fn(ts)
+        return counted
+    return replace(curve, arrays=tuple(
+        (counting(fns[0], order or "point"), *fns[1:])
+        for order, fns in enumerate(curve.arrays)))
+
+
 @pytest.mark.parametrize("expr, builder, run", [
     ({"x": "2 + cos(t)", "y": "1 + sin(t)"}, plane_data_from_curve,
      reconstruct_plane),
@@ -518,8 +533,8 @@ def curve_calls(monkeypatch):
 ])
 def test_expression_record_makes_only_the_calls_it_needs(curve_calls, expr,
                                                          builder, run):
-    curve = curve_from_spec({"kind": "expr", "expr": expr,
-                             "domain": [0.0, 1.0]})
+    curve = counting_arrays(curve_from_spec(
+        {"kind": "expr", "expr": expr, "domain": [0.0, 1.0]}), curve_calls)
     trajectory = run(builder(curve, order=1, step=1e-2))
     # order 1: one point and one first derivative per abscissa, no r''
     assert set(curve_calls) == {"point", 1}
@@ -538,8 +553,9 @@ def test_each_abscissa_is_evaluated_once(curve_calls):
     # points and m midpoints, plus the start values; a step used to end on
     # t_k + h, a last bit off the grid point t0 + (k + 1) h the next starts
     # from, so both were evaluated (671 calls)
-    curve = curve_from_spec({"kind": "expr", "domain": [0.0, 3.0],
-                             "expr": {"x": "2 + cos(t)", "y": "1 + sin(t)"}})
+    curve = counting_arrays(curve_from_spec(
+        {"kind": "expr", "domain": [0.0, 3.0],
+         "expr": {"x": "2 + cos(t)", "y": "1 + sin(t)"}}), curve_calls)
     reconstruct_plane(plane_data_from_curve(curve, order=1, step=1e-2))
     assert curve_calls["point"] == 2 * 300 + 3 + 1
 
