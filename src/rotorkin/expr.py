@@ -412,16 +412,16 @@ def evaluate(node: Node, t: float) -> float:
 # minus never raise on floats
 _FAILURES = (ArithmeticError, ValueError, EvalDomain)
 _OPERATORS = ("+", "-", "*", "/")
-# the same names over arrays; `except ()` catches nothing, so a failure
-# leaves the array function as numpy's FloatingPointError
-_ARRAY_NAMES = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
-                "ln": np.log, "sqrt": np.sqrt, "_pow_eval": np.power,
+# the functions whose numpy versions return math's bits, over arrays;
+# `except ()` catches nothing, so a failure leaves the array function as
+# numpy's FloatingPointError
+_ARRAY_NAMES = {"sin": np.sin, "cos": np.cos, "sqrt": np.sqrt,
                 "_FAILURES": ()}
 
 
-def _unflagged(t):
-    raise FloatingPointError("a non-finite constant: numpy flags no failure "
-                             "on an infinity it did not make")
+def _scalar_only(t):
+    raise FloatingPointError("a tree numpy cannot evaluate with the "
+                             "walker's bits and failures")
 
 
 def compile_tree(node: Node) -> Callable[[float], float]:
@@ -438,18 +438,21 @@ def compile_tree(node: Node) -> Callable[[float], float]:
     constants and exponents reach it as one tuple, so folded infinities
     need no literal.
 
-    The same statements, bound to numpy's functions and np.power, are the
+    The same statements, bound to numpy's sin, cos and sqrt, are the
     function's `array` attribute, over a float64 array `ts` (a float when
     the tree is free of t).  Under np.errstate with divide, over and
     invalid set to "raise", it raises FloatingPointError wherever numpy
     flags a failure.  With finite constants every infinity or NaN is
     flagged where it is made, so no later operation can hide a failure of
-    the walker (1/(1/(t - 0.5)) would be a finite 0 at t = 0.5); a tree
-    with a non-finite constant gets an `array` that always raises.
-    numpy's tan, exp, log and power may round differently from math's.
+    the walker (1/(1/(t - 0.5)) would be a finite 0 at t = 0.5).  A tree
+    with a non-finite constant, a power, tan, exp or ln gets an `array`
+    that always raises: numpy flags no failure on an infinity it did not
+    make, its tan, exp, log and power may round differently from math's,
+    and np.power drops _pow_eval's rule for a negative base.
     """
     operands = {}  # id(node) -> the name holding its value
     constants = []
+    on_arrays = True  # no power, and every function in _ARRAY_NAMES
     lines = []
     stack = [node]
     while stack:  # iterative, as in _measure, so depth costs no recursion
@@ -478,8 +481,10 @@ def compile_tree(node: Node) -> Callable[[float], float]:
             value = (f"_pow_eval({operands[id(top.base)]}, "
                      f"k{len(constants)})")
             constants.append(top.exponent)
+            on_arrays = False
         elif isinstance(top, Func) and top.name in _FUNCTIONS:
             value = f"{top.name}({operands[id(top.child)]})"
+            on_arrays = on_arrays and top.name in _ARRAY_NAMES
         else:
             raise TypeError(f"not an AST node: {top!r}")
         operands[id(top)] = f"v{len(lines)}"
@@ -504,12 +509,11 @@ def compile_tree(node: Node) -> Callable[[float], float]:
     compiled = bind({**_FUNCTIONS, "_pow_eval": _pow_eval,
                      "_FAILURES": _FAILURES, "_evaluate": evaluate},
                     constants)
-    try:  # numpy scalars, so that 1/0 between constants flags too
-        values = [np.float64(float(c)) for c in constants]
-    except OverflowError:  # an exponent past the float range
-        values = [math.inf]
-    compiled.array = (bind(_ARRAY_NAMES, values)
-                      if all(map(math.isfinite, values)) else _unflagged)
+    if on_arrays and all(map(math.isfinite, constants)):
+        # numpy scalars, so that 1/0 between constants flags too
+        compiled.array = bind(_ARRAY_NAMES, map(np.float64, constants))
+    else:
+        compiled.array = _scalar_only
     return compiled
 
 

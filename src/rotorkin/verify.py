@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,7 +36,6 @@ class CriterionResult:
     bound: float
     tags: tuple
     detail: str = ""
-    elapsed: float = 0.0  # seconds, measured by run_all
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -575,7 +574,5 @@ def run_all(filter_tag: Optional[str] = None,
     for cid, tags, criterion in CRITERIA:
         if filter_tag is not None and filter_tag not in tags and filter_tag != cid:
             continue
-        start = time.perf_counter()
-        result = criterion(fault)
-        results.append(replace(result, elapsed=time.perf_counter() - start))
+        results.append(criterion(fault))
     return results

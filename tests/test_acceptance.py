@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from rotorkin import cli, verify
+from rotorkin import verify
 
 _RESULTS = {}
 
@@ -41,14 +41,3 @@ def test_verify_cli_exits_zero_on_subset():
     lines = proc.stdout.strip().splitlines()
     assert len(lines) == 3
     assert all(line.startswith("PASS") for line in lines)
-
-
-def test_run_all_times_each_criterion(capsys):
-    results = verify.run_all(filter_tag="ellipse")
-    assert [r.cid for r in results] == ["focal-table", "average-speeds",
-                                        "accel-zeros"]
-    assert all(r.elapsed > 0.0 for r in results)
-    # the timing stays out of the printed lines
-    assert cli.main(["verify", "--filter", "ellipse"]) == 0
-    assert capsys.readouterr().out == "".join(r.line() + "\n"
-                                              for r in results)

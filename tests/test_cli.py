@@ -588,14 +588,17 @@ def test_degenerate_samples_exit_3_with_the_failing_t(capsys, tmp_path, args,
     assert out == "" and err == line + "\n"
 
 
-# numpy would compute these as finite values at t = 0.5, past the 1/0 or
-# ln(0) it flags inside; the scalar walker raises there
+# numpy would compute these as finite values where the scalar walker
+# raises: past the 1/0 or ln(0) it flags inside, or, as np.power(-1.0,
+# 3.3e16) = 1, without the walker's rule for a negative base
 HIDDEN = [({"x": "t + 1", "y": "1/(1/(t-0.5))"}, [0, 1],
            "0.5", "division by zero at t=0.5"),
           ({"x": "t + 1", "y": "exp(ln(t-0.5))"}, [0.5, 1],
            "0.5", "ln of non-positive value 0"),
           ({"x": "t + 1", "y": "exp(ln(t-0.5))"}, [0, 1],
-           "0", "ln of non-positive value -0.5")]
+           "0", "ln of non-positive value -0.5"),
+          ({"x": "t", "y": "t^(1e17/3)"}, [-1, -0.5],
+           "-1", "negative base with fractional exponent")]
 
 
 @pytest.mark.parametrize("exprs, domain, t, message", HIDDEN)
