@@ -19,7 +19,8 @@ from . import ellipse as ell
 from . import reconstruct, surface, verify
 from .curves import (CATALOG, _spec_domain, curve_from_spec,
                      make_catalog_curve)
-from .errors import BadParameters, KinematicsError, UnknownCurve
+from .errors import (BadParameters, ExprSyntaxError, KinematicsError,
+                     UnknownCurve, UnknownIdentifier)
 from .expr import compile_chain
 from .numerics import fd_step_from_env
 from .plane import _finite_row, distance_kinematics_array, local_limits_array
@@ -265,7 +266,8 @@ def cmd_reconstruct(args) -> int:
                 problem = reconstruct.space_data_from_curve(curve, step=step)
                 trajectory = reconstruct.reconstruct_space(problem)
             max_error, tolerance = trajectory.max_error_vs(curve), 1e-5
-    except (ConfigError, BadParameters, UnknownCurve):
+    except (ConfigError, BadParameters, UnknownCurve, ExprSyntaxError,
+            UnknownIdentifier):
         raise  # configuration problems, not numerical ones
     except KinematicsError as exc:
         print(f"{type(exc).__name__}: {exc} (step={step})", file=sys.stderr)

@@ -43,7 +43,7 @@ class _Curve:
 
     def __post_init__(self):
         t0, t1 = self.domain
-        if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
+        if not (t0 < t1 and math.isfinite(t1 - t0)):  # also NaN, inf ends
             raise BadParameters(f"bad domain ({t0}, {t1})")
         if self.validate:
             self.validate_derivatives()
@@ -412,11 +412,12 @@ def _finite_real(value, what: str) -> float:
 
 
 def _spec_domain(value) -> tuple[float, float]:
-    """A record's domain [t0, t1]: two finite numbers with t0 < t1."""
+    """A record's domain [t0, t1]: two finite numbers with t0 < t1 and a
+    finite width t1 - t0."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise BadParameters(f"domain must be [t0, t1], got {value!r}")
     t0, t1 = (_finite_real(t, "domain") for t in value)
-    if not t0 < t1:
+    if not (t0 < t1 and math.isfinite(t1 - t0)):
         raise BadParameters(f"bad domain ({t0}, {t1})")
     return t0, t1
 

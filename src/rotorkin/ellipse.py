@@ -76,7 +76,8 @@ class FocalTableReport:
 
 def _origin_forms(params: EllipseParams, theta, m=math):
     """D, dD, d2D, the rotational velocity (x, y) and the rotational speed
-    about the center, at a float theta (m = math) or an array (m = numpy)."""
+    about the center (also the signed angular speed: the ellipse turns
+    counterclockwise), at a float theta (m = math) or an array (m = numpy)."""
     a, b, c = params.a, params.b, params.c
     ct, st = m.cos(theta), m.sin(theta)
     q = a * a * ct * ct + b * b * st * st
@@ -90,8 +91,9 @@ def _origin_forms(params: EllipseParams, theta, m=math):
 def _focus_forms(params: EllipseParams, theta, m=math):
     """The focal distance xi1, its derivatives d1-d3 (each in the quotient
     form whose signs the table tracks, not pre-simplified), the rotational
-    velocity (x, y) and the rotational speed about the focus (c, 0), at a
-    float theta (m = math) or an array (m = numpy)."""
+    velocity (x, y) and the rotational speed about the focus (c, 0), which
+    is also the signed angular speed, at a float theta (m = math) or an
+    array (m = numpy)."""
     a, b, c = params.a, params.b, params.c
     ct, st = m.cos(theta), m.sin(theta)
     q = (a * ct - c) ** 2 + b * b * st * st
@@ -248,16 +250,16 @@ def origin_zero_closed_form(params: EllipseParams) -> list[float]:
 def origin_reconstruction_problem(params: EllipseParams,
                                   step: float | None = None
                                   ) -> PlaneReconstructionProblem:
-    """Second-order distance data about the center plus the rotational
-    velocity field of the center-to-point direction; integrating it
-    regenerates the ellipse."""
+    """Second-order distance data about the center plus the signed angular
+    speed of the center-to-point direction; integrating it regenerates the
+    ellipse."""
     a = params.a
 
     def data(theta):
-        _, _, d2D, rate, _ = _origin_forms(params, theta, np)
-        return d2D, np.stack(rate, axis=1)[:, None, :]
+        _, _, d2D, _, omega = _origin_forms(params, theta, np)
+        return d2D, omega[:, None]
 
-    rhs_D, (rhs_e,) = _pointwise(data, 1)
+    rhs_D, (rhs_e,) = _pointwise(data)
     return PlaneReconstructionProblem(
         rhs_D=rhs_D, rhs_e=rhs_e, D0=a, e0=np.array([1.0, 0.0]),
         domain=(0.0, _TWO_PI),
@@ -272,10 +274,10 @@ def focus_reconstruction_problem(params: EllipseParams,
     a, c = params.a, params.c
 
     def data(theta):
-        _, _, d2, _, rate, _ = _focus_forms(params, theta, np)
-        return d2, np.stack(rate, axis=1)[:, None, :]
+        _, _, d2, _, _, omega = _focus_forms(params, theta, np)
+        return d2, omega[:, None]
 
-    rhs_D, (rhs_e,) = _pointwise(data, 1)
+    rhs_D, (rhs_e,) = _pointwise(data)
     return PlaneReconstructionProblem(
         rhs_D=rhs_D, rhs_e=rhs_e, D0=a - c, e0=np.array([1.0, 0.0]),
         domain=(0.0, _TWO_PI),

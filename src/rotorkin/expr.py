@@ -211,7 +211,10 @@ class _Parser:
                 kind2, value2, offset2 = self.next()
                 if kind2 != "num":
                     raise ExprSyntaxError("expected number in exponent", offset2)
-                frac = frac / Fraction(str(value2))
+                denominator = _exponent_literal(value2, offset2)
+                if denominator == 0:
+                    raise ExprSyntaxError("exponent divides by zero", offset2)
+                frac = frac / denominator
             self.expect_op(")")
             return frac
         sign = 1
@@ -222,7 +225,7 @@ class _Parser:
         if kind != "num":
             raise ExprSyntaxError("exponent must be a rational literal", offset)
         self.next()
-        return sign * Fraction(str(value))
+        return sign * _exponent_literal(value, offset)
 
     def parse_atom(self) -> Node:
         kind, value, offset = self.next()
@@ -248,6 +251,14 @@ class _Parser:
                 return Const(_CONSTANTS[value])
             raise UnknownIdentifier(f"unknown identifier {value!r}")
         raise ExprSyntaxError("expected a value", offset)
+
+
+def _exponent_literal(value: float, offset: int) -> Fraction:
+    """The exact value of an exponent's number literal; one that overflows
+    to inf (1e400) is a syntax error."""
+    if not math.isfinite(value):
+        raise ExprSyntaxError("exponent literal is not finite", offset)
+    return Fraction(str(value))
 
 
 def parse(text: str) -> Node:
@@ -598,43 +609,3 @@ def compile_chain(text: str) -> list[Callable[[float], float]]:
     """The compiled functions of the expression `text` and of its first
     three derivatives: parse, derivative_chain, then compile_tree."""
     return [compile_tree(node) for node in derivative_chain(parse(text))]
-
-
-# -- pretty printer ------------------------------------------------------------
-
-def to_text(node: Node) -> str:
-    """Render an AST back to parseable text (reparses structurally equal)."""
-    return _render(node, 0)
-
-
-# precedence levels: 0 add, 1 mul, 2 unary, 3 pow/atom
-def _render(node: Node, parent_level: int) -> str:
-    if isinstance(node, Const):
-        text = repr(node.value)
-        return f"({text})" if node.value < 0 and parent_level > 0 else text
-    if isinstance(node, Var):
-        return "t"
-    if isinstance(node, Neg):
-        inner = _render(node.child, 2)
-        text = f"-{inner}"
-        return f"({text})" if parent_level >= 1 else text
-    if isinstance(node, BinOp):
-        level = 0 if node.op in "+-" else 1
-        left = _render(node.left, level)
-        # bump the right side so subtraction/division stay left-associative
-        right = _render(node.right, level + 1)
-        text = f"{left} {node.op} {right}"
-        return f"({text})" if parent_level > level else text
-    if isinstance(node, Pow):
-        base = _render(node.base, 4)
-        if node.exponent.denominator == 1:
-            exp = str(node.exponent.numerator)
-            if node.exponent < 0:
-                exp = f"({exp})"
-        else:
-            exp = f"({node.exponent.numerator}/{node.exponent.denominator})"
-        text = f"{base}^{exp}"
-        return f"({text})" if parent_level >= 4 else text
-    if isinstance(node, Func):
-        return f"{node.name}({_render(node.child, 0)})"
-    raise TypeError(f"not an AST node: {node!r}")

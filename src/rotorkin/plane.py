@@ -57,15 +57,16 @@ def _radial_rates(d, radial, speed_sq, accel_dot):
 
 
 def _frame_terms(rel, rp, rpp, d):
-    """dD, d2D, the rotational velocity (x, y) and the rotational speed of
-    the frame tracking rel = r - center, from the components (x, y) of rel,
-    r' and r'' and from d = |rel|; floats or numpy rows alike."""
+    """dD, d2D, the rotational velocity (x, y) and the signed angular speed
+    (rel x r') / |rel|^2 (the rotational speed is its absolute value) of the
+    frame tracking rel = r - center, from the components (x, y) of rel, r'
+    and r'' and from d = |rel|; floats or numpy rows alike."""
     (x, y), (xp, yp), (xpp, ypp) = rel, rp, rpp
     dD, d2D = _radial_rates(d, x * xp + y * yp, xp * xp + yp * yp,
                             x * xpp + y * ypp)
     w = x * yp - y * xp  # x y' - x' y with the center subtracted
     s = w / d ** 3
-    return dD, d2D, (-y * s, x * s), abs(w) / (d * d)
+    return dD, d2D, (-y * s, x * s), w / (d * d)
 
 
 def _local_terms(rp, rpp, phi):
@@ -86,11 +87,11 @@ def _plane_kinematics(curve, center: Vec2, t: float,
     d = rel.norm()
     if d <= EPS_NORM:
         raise coincident(f"the curve meets the frame center at t={t:g}")
-    dD, d2D, velocity, speed = _frame_terms(
+    dD, d2D, velocity, omega = _frame_terms(
         rel.as_tuple(), curve.derivative(t, 1).as_tuple(),
         curve.derivative(t, 2).as_tuple(), d)
     return PlaneKinematics(D=d, dD=dD, d2D=d2D,
-                           rot_velocity=Vec2(*velocity), rot_speed=speed)
+                           rot_velocity=Vec2(*velocity), rot_speed=abs(omega))
 
 
 def distance_kinematics(curve, center: Vec2, t: float) -> PlaneKinematics:
@@ -196,7 +197,8 @@ def distance_kinematics_array(curve, center: Vec2, ts) -> PlaneKinematics:
     def kernel(r, rp, rpp):
         rel = r - c
         d = np.hypot(rel[:, 0], rel[:, 1])
-        dD, d2D, velocity, speed = _frame_terms(rel.T, rp.T, rpp.T, d)
+        dD, d2D, velocity, omega = _frame_terms(rel.T, rp.T, rpp.T, d)
+        speed = np.abs(omega)
         out = PlaneKinematics(D=d, dD=dD, d2D=d2D,
                               rot_velocity=np.column_stack(velocity),
                               rot_speed=speed)

@@ -1,17 +1,15 @@
 """Trajectory reconstruction from decomposed motion data.
 
 A moving point is pinned down by (a) an ODE for its distance to a fixed
-center (first- or second-order form) and (b) ODEs for unit direction
-vectors: the full direction in the plane, or the three coordinate-plane
-projected directions in space.  Fixed-step classical Runge-Kutta recovers
-the trajectory; directions are renormalized after every step and the
-pre-renormalization drift is recorded.
-
-A problem that supplies `data(ts)` declares that its right-hand sides
-depend on time only.  One RK4 step is then Simpson's rule on [t, t + h],
-so the data is evaluated once per abscissa, a block of steps at a time,
-and never inside the step.  Problems without it take the general
-(t, e) path.
+center (first- or second-order form) and (b) its rotation: the unit
+direction to it in the plane, or its three coordinate-plane projections in
+space, each turning at a signed angular speed omega.  A problem whose
+`data(ts)` gives these as functions of time only is rebuilt by running
+Simpson sums (what RK4 reduces to for such data) of the distance datum and
+of the angles, so each direction (cos, sin) has unit norm exactly and
+`max_drift` is 0.  Other problems take classical RK4 on their (t, e)
+fields, renormalizing the directions after every step and recording the
+largest pre-renormalization drift.
 """
 
 from __future__ import annotations
@@ -37,8 +35,11 @@ _TANGENCY_TOL = 1e-8
 _COLLAPSE_TOL = 1e-3
 _TRIANGULATION_TOL = 1e-6
 _MAX_STEPS = 10 ** 6
-# steps per block of the time-only path; bounds its per-block Python lists
-_BLOCK = 128
+# steps per block of the time-only path (and points per block of
+# max_error_vs); bounds the memory of its per-block arrays
+_BLOCK = 1024
+# the plane problem's one direction turns in the plane of its slots (0, 1)
+_PLANE = ((0, 1),)
 
 
 @dataclass(frozen=True)
@@ -121,31 +122,29 @@ def _step_count(problem) -> tuple[int, float]:
     return n_steps, (t1 - t0) / n_steps
 
 
-def _check_tangent(values, directions) -> None:
-    for v, e in zip(values, directions):
-        v, e = _as_array(v), _as_array(e)
-        if abs(float(v @ e)) > _TANGENCY_TOL * max(1.0, float(np.linalg.norm(v))):
-            raise NonTangentField("direction field not tangent at the start")
-
-
 def _non_positive(step: int, t: float) -> StepTooLarge:
     return StepTooLarge(
         f"distance became non-positive at step {step} (t={t:g})")
 
 
-def _pointwise(data, n_fields):
-    """rhs_D and the direction fields of time-only `data`, as one-element
-    calls of it (the fields ignore their state argument)."""
+def _pointwise(data, planes=_PLANE):
+    """rhs_D and the direction fields e' = omega(t) J e, one per plane
+    (i, j) of `planes`, of time-only `data`, as one-element calls of it."""
     def at(t):
         return data(np.array([float(t)]))
 
     def rhs_D(t):
         return float(at(t)[0][0])
 
-    def direction(i):
-        return lambda t, e: at(t)[1][0, i]
+    def direction(n, i, j):
+        def rhs_e(t, e):
+            e = _as_array(e)
+            turned = np.zeros_like(e)
+            turned[i], turned[j] = -e[j], e[i]
+            return float(at(t)[1][0, n]) * turned
+        return rhs_e
 
-    return rhs_D, [direction(i) for i in range(n_fields)]
+    return rhs_D, [direction(n, i, j) for n, (i, j) in enumerate(planes)]
 
 
 def _general_path(problem, fields, e0s, assemble) -> Trajectory:
@@ -154,7 +153,10 @@ def _general_path(problem, fields, e0s, assemble) -> Trajectory:
     t0 = problem.domain[0]
     n_steps, h = _step_count(problem)
     es = [_as_array(e) for e in e0s]
-    _check_tangent([f(t0, e) for f, e in zip(fields, es)], es)
+    for f, e in zip(fields, es):
+        v = _as_array(f(t0, e))
+        if abs(float(v @ e)) > _TANGENCY_TOL * max(1.0, float(np.linalg.norm(v))):
+            raise NonTangentField("direction field not tangent at the start")
     second = problem.order == 2
 
     def rhs_dist(t, y):
@@ -186,84 +188,81 @@ def _general_path(problem, fields, e0s, assemble) -> Trajectory:
     return Trajectory(ts=ts, points=points, max_drift=max_drift)
 
 
-def _time_only_path(problem, e0s, assemble) -> Trajectory:
-    """RK4 on time-only data, a block of steps at a time.
+def _running_sums(first, steps) -> np.ndarray:
+    """`first`, then `first` plus each prefix sum of `steps` (axis 0), with
+    the rounding error of each add (Knuth's TwoSum) summed alongside: a
+    plain cumsum drifts by 8e-13 over the circle preset's 1e4 steps.  Once
+    a sum is not finite it is left as cumsum has it."""
+    y = np.concatenate(([first], steps))
+    total = np.cumsum(y, axis=0)
+    before, step, after = total[:-1], y[1:], total[1:]
+    part = after - before
+    err = (before - (after - part)) + (step - part)
+    err = np.where(np.isfinite(err), err, 0.0)
+    return np.concatenate(([first], after + np.cumsum(err, axis=0)))
 
-    Per block of m steps: the data in one call on the m + 1 grid points
-    t_k = t0 + k h that bound its steps and on their m midpoints
-    t_k + h/2, so a step ends on the grid point the next one starts from;
-    then the RK4 increments in numpy, then one Python-float loop that
-    adds them, renormalizes and checks D > 0.  `assemble(Ds, Es, ts)`
-    turns the block's distances and directions into points and raises for
-    a bad row; the error raised is that of the first failing step.
+
+def _time_only_path(problem, e0s, planes, assemble) -> Trajectory:
+    """Time-only data as running Simpson sums, a block of steps at a time.
+
+    Per block of m steps: `data` in one call on the m + 1 grid points
+    t_k = t0 + k h that bound its steps and on their m midpoints t_k + h/2;
+    then the sums of the angle of each direction in its plane (i, j) of
+    `planes`, from atan2 of its start value, and of the distance (and its
+    rate, at order 2).  `assemble(Ds, Es, ts)` turns the block's distances
+    and directions into points and raises for a bad row; the error raised
+    is that of the first failing step, non-finite data ahead of D <= 0.
     """
     t0 = problem.domain[0]
     n_steps, h = _step_count(problem)
-    h6, hh = h / 6.0, 0.5 * h
-    second = problem.order == 2
-    D, V = float(problem.D0), float(problem.dD0)
-    es = [_as_array(e).tolist() for e in e0s]
+    h6 = h / 6.0
+    es = [_as_array(e) for e in e0s]
     dim = len(es[0])
+
+    def directions(thetas):
+        Es = np.zeros((len(thetas), len(planes), dim))
+        for n, (i, j) in enumerate(planes):
+            Es[:, n, i], Es[:, n, j] = np.cos(thetas[:, n]), np.sin(thetas[:, n])
+        return Es
+
+    D, V = float(problem.D0), float(problem.dD0)
+    theta = np.array([math.atan2(e[j], e[i]) for e, (i, j) in zip(es, planes)])
     ts = np.empty(n_steps + 1)
     ts[0] = t0
     points = np.empty((n_steps + 1, dim))
-    points[0] = assemble(np.array([D]), np.array([es]), ts[:1])[0]
-    max_drift = 0.0
+    points[0] = assemble(np.array([D]), directions(theta[None]), ts[:1])[0]
     for start in range(0, n_steps, _BLOCK):
-        k = np.arange(start, min(start + _BLOCK, n_steps) + 1)
-        m = len(k) - 1
-        grid = t0 + k * h
-        t = grid[:m]
-        with np.errstate(all="ignore"):
-            g, f = problem.data(np.concatenate((grid, t + hh)))
-        g, f = np.asarray(g, dtype=float), np.asarray(f, dtype=float)
-        if start == 0:
-            _check_tangent(f[0], es)
+        grid = t0 + np.arange(start, min(start + _BLOCK, n_steps) + 1) * h
+        m = len(grid) - 1
         now, end, mid = slice(0, m), slice(1, m + 1), slice(m + 1, 2 * m + 1)
-        finite = np.isfinite(g) & np.isfinite(f).all(axis=(1, 2))
-        finite = finite[now] & finite[mid] & finite[end]
-        n_ok = m if finite.all() else int(np.argmin(finite))
-        g0, g1 = g[now].tolist(), g[mid].tolist()
         with np.errstate(all="ignore"):
-            dist_inc = (h6 * (g[now] + 2.0 * g[mid] + 2.0 * g[mid]
-                              + g[end])).tolist()
-            dir_inc = (h6 * (f[now] + 2.0 * f[mid] + 2.0 * f[mid]
-                             + f[end])).tolist()
-        error = None
-        Ds, Es = [], []
-        for j in range(n_ok):
-            if second:
-                D += h6 * (V + 2.0 * (V + hh * g0[j]) + 2.0 * (V + hh * g1[j])
-                           + (V + h * g1[j]))
-                V += dist_inc[j]
-            else:
-                D += dist_inc[j]
-            new = []
-            for e, inc in zip(es, dir_inc[j]):
-                x = [a + b for a, b in zip(e, inc)]
-                norm = math.hypot(*x)
-                drift = abs(norm - 1.0)
-                if drift > max_drift:
-                    max_drift = drift
-                new.append([c / norm for c in x])
-            es = new
-            if not D > 0.0:
-                error = _non_positive(start + j + 1, float(t[j]) + h)
-                break
-            Ds.append(D)
-            Es.append(es)
-        done = len(Ds)
+            g, omega = problem.data(np.concatenate((grid, grid[:m] + 0.5 * h)))
+            g, omega = np.asarray(g, dtype=float), np.asarray(omega, dtype=float)
+            thetas = _running_sums(
+                theta, h6 * (omega[now] + 4.0 * omega[mid] + omega[end]))
+            rate = h6 * (g[now] + 4.0 * g[mid] + g[end])
+            if problem.order == 2:
+                Vs = _running_sums(V, rate)
+                rate = h * Vs[:m] + h * h6 * (g[now] + 2.0 * g[mid])
+                V = float(Vs[-1])
+            Ds = _running_sums(D, rate)
+        finite = np.isfinite(g) & np.isfinite(omega).all(axis=1)
+        finite = finite[now] & finite[mid] & finite[end]
+        bad = ~finite | ~(Ds[1:] > 0.0)
+        done = int(np.argmax(bad)) if bad.any() else m
         if done:
             rows = slice(start + 1, start + 1 + done)
             ts[rows] = grid[1:done + 1]
-            points[rows] = assemble(np.array(Ds), np.array(Es), ts[rows])
-        if error is None and n_ok < m:
-            error = NonFiniteData(
-                f"reconstruction data is not finite at step {start + n_ok + 1} "
-                f"(t={float(t[n_ok]):g})")
-        if error is not None:
-            raise error
-    return Trajectory(ts=ts, points=points, max_drift=max_drift)
+            points[rows] = assemble(Ds[1:done + 1],
+                                    directions(thetas[1:done + 1]), ts[rows])
+        if done < m:
+            if not finite[done]:
+                raise NonFiniteData(
+                    "reconstruction data is not finite at step "
+                    f"{start + done + 1} (t={float(grid[done]):g})")
+            raise _non_positive(start + done + 1, float(grid[done]) + h)
+        D, theta = float(Ds[-1]), thetas[-1]
+    return Trajectory(ts=ts, points=points, max_drift=0.0)
 
 
 @dataclass(frozen=True)
@@ -273,8 +272,8 @@ class PlaneReconstructionProblem:
     `order` selects the distance form: 1 takes rhs_D = dD/dt, 2 takes
     rhs_D = d^2D/dt^2 with the initial rate dD0.  `data`, when given,
     declares both right-hand sides time-only: data(ts) for a 1-D array
-    returns (rhs_D values (n,), direction field values (n, 1, 2)), and
-    reconstruction evaluates it once per abscissa instead of calling the
+    returns (rhs_D values (n,), signed angular speeds omega (n, 1)), with
+    rhs_e = omega J e, and reconstruction sums it instead of calling the
     rhs fields.
     """
     rhs_D: Callable[[float], float]
@@ -301,7 +300,7 @@ def reconstruct_plane(problem: PlaneReconstructionProblem) -> Trajectory:
         return center + Ds[:, None] * Es[:, 0, :]
 
     if problem.data is not None:
-        return _time_only_path(problem, [problem.e0], assemble)
+        return _time_only_path(problem, [problem.e0], _PLANE, assemble)
     return _general_path(problem, [problem.rhs_e], [problem.e0], assemble)
 
 
@@ -326,8 +325,8 @@ class SpaceReconstructionProblem:
     The projected directions live in the xOy, xOz, and yOz planes (stored
     as 3-vectors with the fixed zero slot); together with D they must be
     realizable by one point, which is checked at construction.  `data`,
-    when given, returns (rhs_D values (n,), field values (n, 3, 3) in the
-    order eA, eB, eC), as for the plane problem.
+    when given, returns (rhs_D values (n,), signed angular speeds (n, 3) in
+    the order eA, eB, eC), as for the plane problem.
     """
     rhs_D: Callable[[float], float]
     rhs_eA: Callable
@@ -416,7 +415,7 @@ def reconstruct_space(problem: SpaceReconstructionProblem) -> Trajectory:
         return Ds[:, None] * u
 
     if problem.data is not None:
-        return _time_only_path(problem, e0s, assemble)
+        return _time_only_path(problem, e0s, _PLANES, assemble)
     return _general_path(problem, [problem.rhs_eA, problem.rhs_eB,
                                    problem.rhs_eC], e0s, assemble)
 
@@ -427,8 +426,8 @@ def plane_data_from_curve(curve, center: Vec2 = Vec2(0.0, 0.0),
                           order: int = 1,
                           step: Optional[float] = None) -> PlaneReconstructionProblem:
     """Build the plane reconstruction data a curve induces about `center`:
-    the distance rate (or its derivative) and the rotational velocity field
-    of the center-to-point direction."""
+    the distance rate (or its derivative) and the signed angular speed
+    (rel x r') / |rel|^2 of the center-to-point direction."""
     t0, t1 = curve.domain
     c = np.array(center.as_tuple())
 
@@ -437,10 +436,10 @@ def plane_data_from_curve(curve, center: Vec2 = Vec2(0.0, 0.0),
         rpp = rpp[0] if rpp else np.zeros_like(rp)  # order 1 needs no r''
         rel = r - c
         d = np.hypot(rel[:, 0], rel[:, 1])
-        dD, d2D, velocity, _ = _frame_terms(rel.T, rp.T, rpp.T, d)
-        return (dD, d2D)[order - 1], np.stack(velocity, axis=1)[:, None, :]
+        dD, d2D, _, omega = _frame_terms(rel.T, rp.T, rpp.T, d)
+        return (dD, d2D)[order - 1], omega[:, None]
 
-    rhs_D, (rhs_e,) = _pointwise(data, 1)
+    rhs_D, (rhs_e,) = _pointwise(data)
     r0, rp0 = (a[0] for a in curve.sample([t0], 1))
     r0 = r0 - c
     d0 = float(np.hypot(*r0))
@@ -457,20 +456,18 @@ def plane_data_from_curve(curve, center: Vec2 = Vec2(0.0, 0.0),
 def space_data_from_curve(curve, order: int = 1,
                           step: Optional[float] = None) -> SpaceReconstructionProblem:
     """Build the space reconstruction data a curve induces about the origin:
-    distance ODE plus the three projected-direction fields."""
+    distance ODE plus the signed angular speeds cross / denom of the three
+    projected directions."""
     t0, t1 = curve.domain
 
     def data(ts):
         r, rp, *rpp = curve.sample(ts, order)
         rpp = rpp[0] if rpp else np.zeros_like(rp)  # order 1 needs no r''
-        fields = np.zeros((len(ts), 3, 3))
-        for n, (i, j) in enumerate(_PLANES):
-            cross, denom = _pair_terms(r[:, i], r[:, j], rp[:, i], rp[:, j])
-            s = cross / denom ** 1.5
-            fields[:, n, i] = -r[:, j] * s
-            fields[:, n, j] = r[:, i] * s
+        omega = np.column_stack([
+            np.divide(*_pair_terms(r[:, i], r[:, j], rp[:, i], rp[:, j]))
+            for i, j in _PLANES])
         _, dD, d2D = _distance_rates(r, rp, rpp)
-        return (dD, d2D)[order - 1], fields
+        return (dD, d2D)[order - 1], omega
 
     r0, rp0 = (a[0] for a in curve.sample([t0], 1))
     d0 = float(np.linalg.norm(r0))
@@ -481,11 +478,10 @@ def space_data_from_curve(curve, order: int = 1,
 
     def unit_proj(i, j):
         p = np.zeros(3)
-        p[i] = r0[i]
-        p[j] = r0[j]
+        p[[i, j]] = r0[[i, j]]
         return p / np.linalg.norm(p)
 
-    rhs_D, (rhs_eA, rhs_eB, rhs_eC) = _pointwise(data, 3)
+    rhs_D, (rhs_eA, rhs_eB, rhs_eC) = _pointwise(data, _PLANES)
     return SpaceReconstructionProblem(
         rhs_D=rhs_D, rhs_eA=rhs_eA, rhs_eB=rhs_eB, rhs_eC=rhs_eC,
         D0=d0,

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -469,6 +473,41 @@ def test_deeply_nested_expression_is_config_error(capsys, tmp_path):
                   "domain": [0.0, 1.0]}})
     assert code == 2
     assert out == "" and "nested deeper" in err
+
+
+@pytest.mark.parametrize("text", ["t^1e400", "t^(1/1e-400)"])
+@pytest.mark.parametrize("command", ["kinematics", "reconstruct", "surface"])
+def test_exponent_literals_out_of_range_are_config_errors(capsys, tmp_path,
+                                                          command, text):
+    # these exited 1 with a ValueError or ZeroDivisionError traceback
+    record = {"kind": "expr", "expr": {"x": text, "y": "t"},
+              "domain": [1.0, 2.0]}
+    config = ({**SURFACE_CONFIG, "chart_curve": {
+        **SURFACE_CONFIG["chart_curve"], "u": text}}
+        if command == "surface" else {"curve": record})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, [command, "--config", str(path)])
+    assert code == 2
+    assert out == "" and err.startswith("config error")
+    assert "exponent" in err
+
+
+def test_domain_of_infinite_width_is_a_config_error(tmp_path):
+    # [-1e308, 1e308] printed numpy's RuntimeWarning from the sample grid,
+    # then "OutOfDomain at t=nan", and exited 3; in a fresh process, so
+    # that a warning would reach stderr as it does for users
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(
+        {"curve": {"kind": "ellipse", "domain": [-1e308, 1e308]}}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "rotorkin.cli", "kinematics", "--config",
+         str(path)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "config error: bad domain (-1e+308, 1e+308)\n"
 
 
 @pytest.mark.parametrize("command", sorted(SAMPLED_COMMANDS))

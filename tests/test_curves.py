@@ -74,6 +74,8 @@ def test_catalog_errors():
         make_catalog_curve("circle", {"radius": -1.0})
     with pytest.raises(BadParameters):
         make_catalog_curve("helix", {"spin": 3.0})
+    with pytest.raises(BadParameters):  # the width t1 - t0 overflows
+        make_catalog_curve("ellipse", domain=(-1e308, 1e308))
 
 
 def test_domain_and_order_checks():
@@ -310,6 +312,9 @@ def test_curve_from_spec_errors():
         curve_from_spec({"kind": "expr", "expr": {"x": "t"}, "domain": [0, 1]})
     with pytest.raises(BadParameters):
         curve_from_spec({"kind": "expr", "expr": {"x": "t", "y": "t"}})
+    with pytest.raises(BadParameters):
+        curve_from_spec({"kind": "expr", "expr": {"x": "t", "y": "t"},
+                         "domain": [-1e308, 1e308]})
 
 
 def test_env_step_must_be_finite_and_positive(monkeypatch):

@@ -227,21 +227,22 @@ def test_profile_columns_equal_the_scalar_profiles(a, b):
 @pytest.mark.parametrize("builder, profile", [
     (ell.origin_reconstruction_problem,
      lambda p, th: (ell.origin_frame_profile(p, th).d2D,
-                    ell.origin_frame_profile(p, th).rot_velocity)),
+                    ell.origin_frame_profile(p, th).rot_speed)),
     (ell.focus_reconstruction_problem,
      lambda p, th: (ell.focus_frame_profile(p, th).d2,
-                    ell.focus_frame_profile(p, th).kinematics.rot_velocity)),
+                    ell.focus_frame_profile(p, th).kinematics.rot_speed)),
 ])
 def test_reconstruction_data_is_the_scalar_closed_form(builder, profile):
+    # the ellipse turns counterclockwise about both centers, so its signed
+    # angular speed is the (unsigned) rotational speed of the profile
     params = ell.EllipseParams(2.3, 1.4)
     thetas = np.linspace(0.0, TWO_PI, 97)
-    d2, rate = builder(params).data(thetas)
-    assert rate.shape == (97, 1, 2)
+    d2, omega = builder(params).data(thetas)
+    assert omega.shape == (97, 1)
     for k, theta in enumerate(thetas.tolist()):
-        d2_scalar, velocity = profile(params, theta)
+        d2_scalar, speed = profile(params, theta)
         assert d2[k] == pytest.approx(d2_scalar, rel=1e-12, abs=1e-12)
-        assert rate[k, 0] == pytest.approx(velocity.as_tuple(), rel=1e-12,
-                                           abs=1e-12)
+        assert omega[k, 0] == pytest.approx(speed, rel=1e-12, abs=1e-12)
 
 
 def test_oversized_axes_are_bad_parameters():

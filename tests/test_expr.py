@@ -81,6 +81,20 @@ def test_syntax_error_carries_offset():
         expr.parse("sin t")  # function application requires parentheses
 
 
+@pytest.mark.parametrize("text, message", [
+    ("t^1e400", "not finite"),
+    ("t^-1e400", "not finite"),
+    ("t^(1e400/2)", "not finite"),
+    ("t^(2/1e400)", "not finite"),
+    ("t^(1/1e-400)", "divides by zero"),
+    ("t^(1/0)", "divides by zero"),
+])
+def test_exponent_literals_out_of_range_are_syntax_errors(text, message):
+    # these raised ValueError (Fraction('inf')) and ZeroDivisionError
+    with pytest.raises(ExprSyntaxError, match=message):
+        expr.parse(text)
+
+
 def test_precedence():
     assert expr.evaluate(expr.parse("2 + 3 * 4"), 0.0) == 14.0
     assert expr.evaluate(expr.parse("-2^2"), 0.0) == -4.0  # pow binds tighter
@@ -117,14 +131,54 @@ def _random_ast(depth):
     return expr.BinOp(op, _random_ast(depth - 1), _random_ast(depth - 1))
 
 
+# -- printer: an AST back to text, for the round-trip corpus -------------------
+
+def to_text(node: expr.Node) -> str:
+    """Render an AST back to parseable text (reparses structurally equal)."""
+    return _render(node, 0)
+
+
+# precedence levels: 0 add, 1 mul, 2 unary, 3 pow/atom
+def _render(node: expr.Node, parent_level: int) -> str:
+    if isinstance(node, expr.Const):
+        text = repr(node.value)
+        return f"({text})" if node.value < 0 and parent_level > 0 else text
+    if isinstance(node, expr.Var):
+        return "t"
+    if isinstance(node, expr.Neg):
+        inner = _render(node.child, 2)
+        text = f"-{inner}"
+        return f"({text})" if parent_level >= 1 else text
+    if isinstance(node, expr.BinOp):
+        level = 0 if node.op in "+-" else 1
+        left = _render(node.left, level)
+        # bump the right side so subtraction/division stay left-associative
+        right = _render(node.right, level + 1)
+        text = f"{left} {node.op} {right}"
+        return f"({text})" if parent_level > level else text
+    if isinstance(node, expr.Pow):
+        base = _render(node.base, 4)
+        if node.exponent.denominator == 1:
+            exp = str(node.exponent.numerator)
+            if node.exponent < 0:
+                exp = f"({exp})"
+        else:
+            exp = f"({node.exponent.numerator}/{node.exponent.denominator})"
+        text = f"{base}^{exp}"
+        return f"({text})" if parent_level >= 4 else text
+    if isinstance(node, expr.Func):
+        return f"{node.name}({_render(node.child, 0)})"
+    raise TypeError(f"not an AST node: {node!r}")
+
+
 def test_roundtrip_corpus():
     corpus = list(_CORPUS_BASE)
     while len(corpus) < 100:
-        corpus.append(expr.to_text(_random_ast(3)))
+        corpus.append(to_text(_random_ast(3)))
     assert len(corpus) >= 100
     for text in corpus:
         ast = expr.parse(text)
-        again = expr.parse(expr.to_text(ast))
+        again = expr.parse(to_text(ast))
         assert again == ast, text
 
 
