@@ -66,7 +66,9 @@ def _frame_terms(rel, rp, rpp, d):
                             x * xpp + y * ypp)
     w = x * yp - y * xp  # x y' - x' y with the center subtracted
     s = w / d ** 3
-    return dD, d2D, (-y * s, x * s), w / (d * d)
+    velocity = (-y * s, x * s)
+    del s  # on numpy rows: one column fewer held while the next is made
+    return dD, d2D, velocity, w / (d * d)
 
 
 def _local_terms(rp, rpp, phi):
