@@ -263,6 +263,13 @@ def test_presets_meet_their_tolerances():
         assert error < tolerance, name
 
 
+def test_angle_sums_do_not_drift():
+    # the circle preset's 1e4 near-equal angle steps: a plain cumsum of
+    # them drifts by 8e-13, the compensated sums stay at roundoff
+    _, error, _ = run_preset("circle")
+    assert error <= 1e-14
+
+
 def test_trajectory_csv_round_trip(tmp_path):
     trajectory, _, _ = run_preset("circle", step=1e-2)
     path = tmp_path / "trajectory.csv"
