@@ -83,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--samples", type=int, default=None)
 
     v = sub.add_parser("verify", help="run the acceptance criteria")
-    v.add_argument("--filter", default=None, help="run only criteria with this tag")
+    v.add_argument("--filter", default=None,
+                   help="run only criteria with this tag or id")
     v.add_argument("--inject-fault", default=None,
                    help=argparse.SUPPRESS)  # test hook
     return parser
@@ -341,6 +342,10 @@ def cmd_ellipse(args) -> int:
 def cmd_verify(args) -> int:
     results = verify.run_all(filter_tag=args.filter,
                              fault=getattr(args, "inject_fault", None))
+    if not results:  # only a filter that matches nothing selects none
+        tags = dict.fromkeys(tag for _, ts, _ in verify.CRITERIA for tag in ts)
+        raise ConfigError(f"--filter {args.filter!r} matches no criterion; "
+                          f"give a tag ({', '.join(tags)}) or a criterion id")
     for result in results:
         print(result.line())
     return EXIT_OK if all(r.passed for r in results) else EXIT_TOLERANCE

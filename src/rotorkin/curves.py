@@ -18,9 +18,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import expr as expr_mod
-from .errors import (BadParameters, DerivativeMismatch, KinematicsError,
-                     NonMonotonic, OrderUnsupported, OutOfDomain,
-                     UnknownCurve)
+from .errors import (BadParameters, KinematicsError, NonMonotonic,
+                     OrderUnsupported, OutOfDomain, UnknownCurve)
 from .numerics import default_step, fd_derivative
 from .vec import Vec2, Vec3
 
@@ -33,7 +32,6 @@ class _Curve:
     d2: Optional[Callable[[float], object]] = None
     d3: Optional[Callable[[float], object]] = None
     name: str = ""
-    validate: bool = False  # check supplied derivatives at construction
     # closed forms of r and its first three derivatives: forms[k](t, m)
     # gives the components, floats for m = math and arrays for m = numpy
     forms: Optional[tuple] = None
@@ -45,8 +43,6 @@ class _Curve:
         t0, t1 = self.domain
         if not (t0 < t1 and math.isfinite(t1 - t0)):  # also NaN, inf ends
             raise BadParameters(f"bad domain ({t0}, {t1})")
-        if self.validate:
-            self.validate_derivatives()
 
     @property
     def analytic(self) -> bool:
@@ -139,24 +135,6 @@ class _Curve:
             for k, component in enumerate(values):
                 array[:, k] = component  # a constant fills the column
         return arrays
-
-    def validate_derivatives(self, n_grid: int = 100, rel_tol: float = 1e-5):
-        """Check supplied analytic derivatives against central differences."""
-        t0, t1 = self.domain
-        shrink = 1e-3 * (t1 - t0)
-        for k, fn in ((1, self.d1), (2, self.d2), (3, self.d3)):
-            if fn is None:
-                continue
-            tol = rel_tol if k < 3 else 1e-3
-            for i in range(n_grid):
-                t = t0 + shrink + (t1 - t0 - 2 * shrink) * i / (n_grid - 1)
-                a = fn(t)
-                b = fd_derivative(self.position, t, k, domain=self.domain)
-                scale = max(a.norm(), b.norm(), 1.0)
-                if (a - b).norm() > tol * scale:
-                    raise DerivativeMismatch(
-                        f"{self.name or 'curve'}: order-{k} derivative at "
-                        f"t={t:g} differs from finite difference")
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,8 @@ _SIGN_PATTERN = {
            ((3.0, 4.0), +1)),
     "d3": (((0.0, 2.0), -1), ((2.0, 4.0), +1)),
 }
+# where each derivative sits among the values of _focus_forms
+_FORM_INDEX = {"d1": 1, "d2": 2, "d3": 3}
 
 
 def verify_focal_table(params: EllipseParams, grid_size: int = 10000,
@@ -187,18 +189,17 @@ def verify_focal_table(params: EllipseParams, grid_size: int = 10000,
             if err > endpoint_tol:
                 violations.append((f"{name}@{theta:.6g}", theta, err))
 
-    fns = {"d1": profile.d1, "d2": profile.d2, "d3": profile.d3}
     quarter = 0.5 * math.pi
     for name, intervals in _SIGN_PATTERN.items():
-        fn = fns[name]
         for (lo_q, hi_q), sign in intervals:
             lo, hi = lo_q * quarter, hi_q * quarter
             n = max(2, int(grid_size * (hi - lo) / _TWO_PI))
-            for k in range(n):
-                theta = lo + (hi - lo) * (k + 0.5) / n  # stay inside the open interval
-                value = fn(theta)
-                if value * sign <= 0.0:
-                    violations.append((name, theta, value))
+            # midpoints: stay inside the open interval
+            theta = lo + (hi - lo) * (np.arange(n) + 0.5) / n
+            value = _focus_forms(params, theta, np)[_FORM_INDEX[name]]
+            bad = value * sign <= 0.0
+            violations.extend((name, th, v) for th, v in
+                              zip(theta[bad].tolist(), value[bad].tolist()))
     violations.sort(key=lambda item: item[1])
     return FocalTableReport(violations=violations,
                          endpoint_max_err=endpoint_err,

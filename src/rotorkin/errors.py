@@ -39,10 +39,6 @@ class BadParameters(KinematicsError):
     """Curve/surface parameters violate their constraints."""
 
 
-class DerivativeMismatch(KinematicsError):
-    """Supplied analytic derivatives disagree with finite differences."""
-
-
 # -- expression parsing -----------------------------------------------------
 
 class ExprSyntaxError(KinematicsError):

@@ -24,7 +24,8 @@ from .numerics import fd1_wide
 from .plane import _finite_rows, _over_samples, _radial_rates
 from .vec import EPS_NORM, Vec3, triple_product
 
-# coordinate planes of the projected speeds A, B, C (xOy, xOz, yOz)
+# coordinate planes of the projected speeds A, B, C (xOy, xOz, yOz), and
+# the basis planes 1-2, 1-3, 2-3 of the chord speeds
 _PLANES = ((0, 1), (0, 2), (1, 2))
 
 
@@ -174,7 +175,7 @@ def _chord_plane_speeds(basis: tuple[Vec3, Vec3, Vec3], chord: Vec3,
     g, gp = np.linalg.solve(
         m.T, np.array([chord.as_tuple(), velocity.as_tuple()]).T).T
     speeds = []
-    for label, (i, j) in zip(labels, ((0, 1), (0, 2), (1, 2))):
+    for label, (i, j) in zip(labels, _PLANES):
         u = g[i] * m[i] + g[j] * m[j]
         w = gp[i] * m[i] + gp[j] * m[j]
         norm_u = float(np.linalg.norm(u))

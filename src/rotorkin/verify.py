@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
+from operator import attrgetter
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,7 +64,6 @@ def _sample(rng, domain, n, shrink=1e-3):
     return t0 + pad + (t1 - t0 - 2 * pad) * rng.random(n)
 
 
-_SPACE_CURVES = ("cubic", "helix")
 _POINT_CENTER = Vec2(-1.0, 1.0)
 
 
@@ -87,156 +88,128 @@ def _surface_cases():
     # every coordinate-plane projection stays well away from zero
     sph = surface.make_surface("sphere", {"cz": 5.0})
     tor = surface.make_surface("torus", {"cz": 3.0})
-    sph_curve = surface.chart_curve(
-        lambda t: t, lambda t: 0.3 * math.sin(t) + 0.2,
-        domain=(0.2, 5.8),
-        u_derivs=(lambda t: 1.0, lambda t: 0.0, lambda t: 0.0),
-        v_derivs=(lambda t: 0.3 * math.cos(t), lambda t: -0.3 * math.sin(t),
-                  lambda t: -0.3 * math.cos(t)),
-        name="sphere-band")
-    tor_curve = surface.chart_curve(
-        lambda t: t, lambda t: math.sin(t) + 2.0,
-        domain=(0.2, 5.8),
-        u_derivs=(lambda t: 1.0, lambda t: 0.0, lambda t: 0.0),
-        v_derivs=(lambda t: math.cos(t), lambda t: -math.sin(t),
-                  lambda t: -math.cos(t)),
-        name="torus-wind")
-    return ((sph, sph_curve), (tor, tor_curve))
+
+    def chart(v_fns, name):  # u = t
+        return surface.chart_curve(
+            lambda t: t, v_fns[0], domain=(0.2, 5.8),
+            u_derivs=(lambda t: 1.0, lambda t: 0.0, lambda t: 0.0),
+            v_derivs=v_fns[1:], name=name)
+    return ((sph, chart((lambda t: 0.3 * math.sin(t) + 0.2,
+                         lambda t: 0.3 * math.cos(t),
+                         lambda t: -0.3 * math.sin(t),
+                         lambda t: -0.3 * math.cos(t)), "sphere-band")),
+            (tor, chart((lambda t: math.sin(t) + 2.0, lambda t: math.cos(t),
+                         lambda t: -math.sin(t), lambda t: -math.cos(t)),
+                        "torus-wind")))
+
+
+def _rate_cases():
+    """Each distance-rate and rotation case once, in the order the criteria
+    draw their samples: (domain, rel(s), the scalar kinematics of rel at t,
+    its projected speeds with their planes, array kernels).
+
+    The array kernels are (kernel(ts), scalar(t)) pairs that fd-rates holds
+    against the scalar API; a None scalar is the case's own kinematics.
+    """
+    speeds = tuple(zip(("speed_a", "speed_b", "speed_c"), space._PLANES))
+    for curve in _plane_cases():
+        for center in (Vec2(0.0, 0.0), _POINT_CENTER):
+            arrays = ((partial(plane.distance_kinematics_array, curve, center),
+                       None),)
+            if center is _POINT_CENTER:  # the local limits once per curve
+                arrays += ((partial(plane.local_limits_array, curve),
+                            partial(plane.local_limits, curve)),)
+            yield (curve.domain,
+                   lambda s, _c=curve, _p=center: _c.point(s) - _p,
+                   partial(plane.distance_kinematics, curve, center),
+                   (("rot_speed", (0, 1)),), arrays)
+    for curve in (make_catalog_curve("cubic"), _shifted_helix()):
+        yield (curve.domain, curve.point,
+               partial(space.space_distance_kinematics, curve), speeds,
+               ((partial(space.space_distance_kinematics_array, curve),
+                 None),))
+    curve_a = _shifted_helix()
+    curve_b = make_catalog_curve(
+        "helix", {"cx": -2.0, "cy": -2.0, "cz": -1.0, "pitch": 0.5},
+        domain=(0.0, math.pi))
+    yield (curve_a.domain, lambda s: curve_b.point(s) - curve_a.point(s),
+           partial(space.pair_kinematics, curve_a, curve_b), speeds, ())
+    for surf, chart in _surface_cases():
+        yield (chart.domain, surface.composed_space_curve(surf, chart).point,
+               partial(surface.surface_distance_kinematics, surf, chart),
+               speeds, ())
+
+
+def _array_rel(array, rows) -> float:
+    """Worst relative gap between the columns of an array kernel's result
+    and the same fields of the scalar results `rows`, vectors by component,
+    each column floored as _case_rel floors a case."""
+    worst = 0.0
+    for f in fields(array):
+        values = [getattr(row, f.name) for row in rows]
+        want = np.array([v.as_tuple() for v in values]
+                        if isinstance(values[0], Vec2) else values)
+        got = getattr(array, f.name)
+        scale = np.maximum(np.abs(got), np.abs(want))
+        floor = np.maximum(1e-3 * scale.max(axis=0), 1e-9)
+        worst = max(worst, float(
+            (np.abs(got - want) / np.maximum(scale, floor)).max()))
+    return worst
 
 
 # -- criterion 1: distance-rate consistency --------------------------------------
 
 def crit_fd_rates(fault=None) -> CriterionResult:
+    """FD of |rel| against the scalar distance rate; at the same samples,
+    every column of the array kernels against the scalar API."""
     rng = np.random.default_rng(_SEED)
     start = time.perf_counter()
-    worst = 0.0
-
-    for curve in _plane_cases():
-        for center in (Vec2(0.0, 0.0), _POINT_CENTER):
-            def dist(t, _c=curve, _p=center):
-                return (_c.point(t) - _p).norm()
-            pairs = []
-            for t in _sample(rng, curve.domain, 1000):
-                analytic = plane.distance_kinematics(curve, center, t).dD
-                pairs.append((analytic,
-                              fd_derivative(dist, t, 1, domain=curve.domain)))
-            worst = max(worst, _case_rel(pairs))
-
-    for name in _SPACE_CURVES:
-        curve = (make_catalog_curve(name) if name != "helix"
-                 else _shifted_helix())
-        def dist3(t, _c=curve):
-            return _c.point(t).norm()
-        pairs = []
-        for t in _sample(rng, curve.domain, 1000):
-            analytic = space.space_distance_kinematics(curve, t).dD
-            pairs.append((analytic,
-                          fd_derivative(dist3, t, 1, domain=curve.domain)))
-        worst = max(worst, _case_rel(pairs))
-
-    curve_a = _shifted_helix()
-    curve_b = make_catalog_curve(
-        "helix", {"cx": -2.0, "cy": -2.0, "cz": -1.0, "pitch": 0.5},
-        domain=(0.0, math.pi))
-    def pair_dist(t):
-        return (curve_b.point(t) - curve_a.point(t)).norm()
-    pairs = []
-    for t in _sample(rng, curve_a.domain, 1000):
-        analytic = space.pair_kinematics(curve_a, curve_b, t).dD
-        pairs.append((analytic,
-                      fd_derivative(pair_dist, t, 1, domain=curve_a.domain)))
-    worst = max(worst, _case_rel(pairs))
-
-    for surf, chart in _surface_cases():
-        composed = surface.composed_space_curve(surf, chart)
-        def sdist(t, _c=composed):
-            return _c.point(t).norm()
-        pairs = []
-        for t in _sample(rng, chart.domain, 1000):
-            analytic = surface.surface_distance_kinematics(surf, chart, t).dD
-            pairs.append((analytic,
-                          fd_derivative(sdist, t, 1, domain=chart.domain)))
-        worst = max(worst, _case_rel(pairs))
+    worst = mismatch = 0.0
+    for domain, rel, kinematics, _, arrays in _rate_cases():
+        def dist(s):
+            return rel(s).norm()
+        ts = _sample(rng, domain, 1000)
+        kins = [kinematics(t) for t in ts]
+        worst = max(worst, _case_rel(
+            [(kin.dD, fd_derivative(dist, t, 1, domain=domain))
+             for t, kin in zip(ts, kins)]))
+        for kernel, scalar in arrays:
+            rows = kins if scalar is None else [scalar(t) for t in ts]
+            mismatch = max(mismatch, _array_rel(kernel(ts), rows))
 
     elapsed = time.perf_counter() - start
     return CriterionResult(
-        cid="fd-rates", passed=worst < 1e-6 and elapsed < 5.0,
+        cid="fd-rates",
+        passed=worst < 1e-6 and mismatch <= 1e-12 and elapsed < 5.0,
         measured=worst, bound=1e-6, tags=("plane", "space", "surface"),
-        detail=f"elapsed {elapsed:.2f}s")
+        detail=f"elapsed {elapsed:.2f}s, array kernels {mismatch:.2g} "
+               "(bound 1e-12)")
 
 
 # -- criterion 2: rotational-speed consistency ------------------------------------
 
-def _unit2(v: Vec2) -> Vec2:
-    return v / v.norm()
-
-
-def _fd_dir_speed2(curve, center: Vec2, t: float) -> float:
-    def e(s):
-        return _unit2(curve.point(s) - center)
-    return fd_derivative(e, t, 1, domain=curve.domain).norm()
-
-
-def _fd_proj_speed3(curve, keep, t: float, other=None) -> float:
+def _fd_turn_speed(rel, keep, t: float, domain) -> float:
+    """FD speed at t of the unit direction of rel projected onto the
+    coordinate plane `keep` (a pair of component indices)."""
     i, j = keep
 
     def e(s):
-        r = curve.point(s)
-        if other is not None:
-            r = r - other.point(s)
-        arr = (r.x, r.y, r.z)
-        u, v = arr[i], arr[j]
-        norm = math.hypot(u, v)
-        return Vec2(u / norm, v / norm)
-    return fd_derivative(e, t, 1, domain=curve.domain).norm()
+        r = rel(s).as_tuple()
+        norm = math.hypot(r[i], r[j])
+        return Vec2(r[i] / norm, r[j] / norm)
+    return fd_derivative(e, t, 1, domain=domain).norm()
 
 
 def crit_rot_speeds(fault=None) -> CriterionResult:
     rng = np.random.default_rng(_SEED + 1)
     worst = 0.0
-    n = 300
-
-    for curve in _plane_cases():
-        for center in (Vec2(0.0, 0.0), _POINT_CENTER):
-            case = []
-            for t in _sample(rng, curve.domain, n):
-                analytic = plane.distance_kinematics(curve, center, t).rot_speed
-                case.append((analytic, _fd_dir_speed2(curve, center, t)))
-            worst = max(worst, _case_rel(case))
-
-    planes = ((0, 1), (0, 2), (1, 2))
-    for name in _SPACE_CURVES:
-        curve = (make_catalog_curve(name) if name != "helix"
-                 else _shifted_helix())
-        cases = ([], [], [])
-        for t in _sample(rng, curve.domain, n):
-            kin = space.space_distance_kinematics(curve, t)
-            for case, speed, keep in zip(cases, (kin.speed_a, kin.speed_b,
-                                                 kin.speed_c), planes):
-                case.append((speed, _fd_proj_speed3(curve, keep, t)))
-        worst = max(worst, *(_case_rel(case) for case in cases))
-
-    curve_a = _shifted_helix()
-    curve_b = make_catalog_curve(
-        "helix", {"cx": -2.0, "cy": -2.0, "cz": -1.0, "pitch": 0.5},
-        domain=(0.0, math.pi))
-    cases = ([], [], [])
-    for t in _sample(rng, curve_a.domain, n):
-        kin = space.pair_kinematics(curve_a, curve_b, t)
-        for case, speed, keep in zip(cases, (kin.speed_a, kin.speed_b,
-                                             kin.speed_c), planes):
-            case.append((speed,
-                         _fd_proj_speed3(curve_b, keep, t, other=curve_a)))
-    worst = max(worst, *(_case_rel(case) for case in cases))
-
-    for surf, chart in _surface_cases():
-        composed = surface.composed_space_curve(surf, chart)
-        cases = ([], [], [])
-        for t in _sample(rng, chart.domain, n):
-            kin = surface.surface_distance_kinematics(surf, chart, t)
-            for case, speed, keep in zip(cases, (kin.speed_a, kin.speed_b,
-                                                 kin.speed_c), planes):
-                case.append((speed, _fd_proj_speed3(composed, keep, t)))
+    for domain, rel, kinematics, speeds, _ in _rate_cases():
+        cases = tuple([] for _ in speeds)
+        for t in _sample(rng, domain, 300):
+            kin = kinematics(t)
+            for case, (name, keep) in zip(cases, speeds):
+                case.append((getattr(kin, name),
+                             _fd_turn_speed(rel, keep, t, domain)))
         worst = max(worst, *(_case_rel(case) for case in cases))
 
     return CriterionResult(
@@ -246,15 +219,24 @@ def crit_rot_speeds(fault=None) -> CriterionResult:
 
 # -- criterion 3: local-limit ladder convergence ----------------------------------
 
-def _ladder_extrapolate(fn: Callable[[float], float],
-                        ladder=_LADDER) -> float:
-    return extrapolate_to_zero(ladder, [fn(dt) for dt in ladder])
+def _ladder_extrapolate(fn: Callable[[float], tuple],
+                        ladder=_LADDER) -> list[float]:
+    """Each column of the rows fn(dt), one per rung, extrapolated to 0."""
+    rows = [fn(dt) for dt in ladder]
+    return [extrapolate_to_zero(ladder, column) for column in zip(*rows)]
+
+
+def _gap(hat: float, closed: float, bump: float = 0.0) -> float:
+    """|hat - (closed + bump)| relative to |closed|, floored at 1; the
+    `psi` fault passes a bump."""
+    return abs(hat - (closed + bump)) / max(1.0, abs(closed))
 
 
 def crit_local_limits(fault=None) -> CriterionResult:
     bump = 1e-2 if fault == "psi" else 0.0
     worst = 0.0
     s13_worst = 0.0
+    chord_rates = attrgetter("dD", "rot_speed", "d2D")
 
     for name, ts in (("ellipse", (0.4, 1.1, 2.3, 4.0)),
                      ("parabola", (-1.0, 0.3, 1.2)),
@@ -262,18 +244,11 @@ def crit_local_limits(fault=None) -> CriterionResult:
         curve = make_catalog_curve(name)
         for t in ts:
             lim = plane.local_limits(curve, t)
-            phi_hat = _ladder_extrapolate(
-                lambda dt: plane.chord_kinematics(curve, t, dt).dD)
-            psi_hat = _ladder_extrapolate(
-                lambda dt: plane.chord_kinematics(curve, t, dt).rot_speed)
-            dphi_hat = _ladder_extrapolate(
-                lambda dt: plane.chord_kinematics(curve, t, dt).d2D)
-            worst = max(worst,
-                        abs(phi_hat - lim.phi) / max(1.0, abs(lim.phi)),
-                        abs(psi_hat - (lim.psi_speed + bump))
-                        / max(1.0, abs(lim.psi_speed)),
-                        abs(dphi_hat - lim.phi_prime)
-                        / max(1.0, abs(lim.phi_prime)))
+            phi_hat, psi_hat, dphi_hat = _ladder_extrapolate(
+                lambda dt: chord_rates(plane.chord_kinematics(curve, t, dt)))
+            worst = max(worst, _gap(phi_hat, lim.phi),
+                        _gap(psi_hat, lim.psi_speed, bump),
+                        _gap(dphi_hat, lim.phi_prime))
 
     for name, ts in (("helix", (0.7, 2.0, 4.4)), ("cubic", (0.4, 0.9))):
         curve = make_catalog_curve(name)
@@ -282,36 +257,25 @@ def crit_local_limits(fault=None) -> CriterionResult:
 
             def chord_rate(dt):
                 f = curve.point(t + dt) - curve.point(t)
-                return f.dot(curve.derivative(t + dt, 1)) / f.norm()
+                return (f.dot(curve.derivative(t + dt, 1)) / f.norm(),)
 
-            phi_hat = _ladder_extrapolate(chord_rate)
-            s12_hat = _ladder_extrapolate(
-                lambda dt: space.derivative_plane_speeds(curve, t, dt)[0],
+            (phi_hat,) = _ladder_extrapolate(chord_rate)
+            s12_hat, s13_hat, s23_hat = _ladder_extrapolate(
+                lambda dt: space.derivative_plane_speeds(curve, t, dt),
                 _LADDER_WIDE)
-            s13_hat = _ladder_extrapolate(
-                lambda dt: space.derivative_plane_speeds(curve, t, dt)[1],
-                _LADDER_WIDE)
-            s23_hat = _ladder_extrapolate(
-                lambda dt: space.derivative_plane_speeds(curve, t, dt)[2],
-                _LADDER_WIDE)
-            worst = max(
-                worst,
-                abs(phi_hat - lim.phi) / max(1.0, lim.phi),
-                abs(s12_hat - (lim.psi12.norm() + bump))
-                / max(1.0, lim.psi12.norm()),
-                abs(s23_hat - lim.psi23.norm()) / max(1.0, lim.psi23.norm()))
+            worst = max(worst, _gap(phi_hat, lim.phi),
+                        _gap(s12_hat, lim.psi12.norm(), bump),
+                        _gap(s23_hat, lim.psi23.norm()))
             s13_worst = max(s13_worst, abs(s13_hat))
 
     for surf, chart in _surface_cases():
         for t in (1.0, 2.6, 4.1):
-            psi_a, psi_b, psi_c = surface.surface_plane_rot_limits(
-                surf, chart, t)
-            for idx, closed in ((0, psi_a), (1, psi_b), (2, psi_c)):
-                hat = _ladder_extrapolate(
-                    lambda dt: surface.surface_chord_speeds(
-                        surf, chart, t, dt)[idx],
-                    _LADDER_WIDE)
-                worst = max(worst, abs(hat - closed) / max(1.0, abs(closed)))
+            hats = _ladder_extrapolate(
+                lambda dt: surface.surface_chord_speeds(surf, chart, t, dt),
+                _LADDER_WIDE)
+            for hat, closed in zip(hats, surface.surface_plane_rot_limits(
+                    surf, chart, t)):
+                worst = max(worst, _gap(hat, closed))
 
     passed = worst < 1e-4 and s13_worst < 1e-3
     return CriterionResult(
@@ -363,17 +327,14 @@ def crit_focal_table(fault=None) -> CriterionResult:
 
 def crit_average_speeds(fault=None) -> CriterionResult:
     worst = 0.0
-    half = 0.5 * math.pi
     for a in (2.0, 1.1, 10.0):
         params = ell.EllipseParams(a, 1.0)
-        for k in range(4):
-            avg = ell.average_rotational_speed(
-                params, "origin", (k * half, (k + 1) * half))
-            worst = max(worst, abs(avg - 1.0))
-        for k in range(2):
-            avg = ell.average_rotational_speed(
-                params, "focus", (k * math.pi, (k + 1) * math.pi))
-            worst = max(worst, abs(avg - 1.0))
+        for frame, n in (("origin", 4), ("focus", 2)):
+            width = 2.0 * math.pi / n  # quarter or half turns
+            for k in range(n):
+                avg = ell.average_rotational_speed(
+                    params, frame, (k * width, (k + 1) * width))
+                worst = max(worst, abs(avg - 1.0))
     return CriterionResult(
         cid="average-speeds", passed=worst < 1e-8, measured=worst,
         bound=1e-8, tags=("ellipse",))
@@ -407,39 +368,20 @@ def _order_from_ladder(steps, errors) -> float:
 def crit_reconstruction(fault=None) -> CriterionResult:
     worst = 0.0
     orders = []
-
-    ellipse_curve = make_catalog_curve("ellipse", {"a": 2.0, "b": 1.0})
-    span2 = ellipse_curve.domain[1] - ellipse_curve.domain[0]
-    for order in (1, 2):
-        problem = reconstruct.plane_data_from_curve(
-            ellipse_curve, order=order, step=1e-4 * span2)
-        err = reconstruct.reconstruct_plane(problem).max_error_vs(ellipse_curve)
-        worst = max(worst, err)
-
-    helix_curve = _shifted_helix()
-    span3 = helix_curve.domain[1] - helix_curve.domain[0]
-    for order in (1, 2):
-        problem = reconstruct.space_data_from_curve(
-            helix_curve, order=order, step=1e-4 * span3)
-        err = reconstruct.reconstruct_space(problem).max_error_vs(helix_curve)
-        worst = max(worst, err)
-
     ladder = (1e-2, 5e-3, 2.5e-3)
-    errs2 = []
-    for frac in ladder:
-        problem = reconstruct.plane_data_from_curve(
-            ellipse_curve, order=1, step=frac * span2)
-        errs2.append(
-            reconstruct.reconstruct_plane(problem).max_error_vs(ellipse_curve))
-    orders.append(_order_from_ladder(ladder, errs2))
+    for curve, data, run in (
+            (make_catalog_curve("ellipse", {"a": 2.0, "b": 1.0}),
+             reconstruct.plane_data_from_curve, reconstruct.reconstruct_plane),
+            (_shifted_helix(), reconstruct.space_data_from_curve,
+             reconstruct.reconstruct_space)):
+        span = curve.domain[1] - curve.domain[0]
 
-    errs3 = []
-    for frac in ladder:
-        problem = reconstruct.space_data_from_curve(
-            helix_curve, order=1, step=frac * span3)
-        errs3.append(
-            reconstruct.reconstruct_space(problem).max_error_vs(helix_curve))
-    orders.append(_order_from_ladder(ladder, errs3))
+        def error(order, frac):
+            problem = data(curve, order=order, step=frac * span)
+            return run(problem).max_error_vs(curve)
+        worst = max(worst, error(1, 1e-4), error(2, 1e-4))
+        orders.append(_order_from_ladder(
+            ladder, [error(1, frac) for frac in ladder]))
 
     min_order = min(orders)
     passed = worst < 1e-5 and min_order >= 3.5
@@ -476,24 +418,23 @@ def crit_congruence(fault=None) -> CriterionResult:
 
     ellipse_curve = make_catalog_curve("ellipse", {"a": 2.0, "b": 1.0})
     grid2 = plane.uniform_grid(ellipse_curve.domain, 40)
-    for _ in range(20):
-        moved = transform_curve(ellipse_curve, _random_rotation2(rng),
-                                Vec2(*rng.uniform(-3, 3, size=2)))
-        report = plane.plane_congruent(ellipse_curve, moved, grid2)
-        ok = ok and report.congruent
-        worst = max(worst, report.max_deviation)
+    helix_curve = make_catalog_curve("helix")
+    grid3 = plane.uniform_grid(helix_curve.domain, 30, shrink=0.02)
+    for curve, grid, rotation, vec, congruent in (
+            (ellipse_curve, grid2, _random_rotation2, Vec2,
+             plane.plane_congruent),
+            (helix_curve, grid3, _random_rotation3, Vec3,
+             space.space_congruent)):
+        for _ in range(20):  # rigid motions keep every invariant
+            moved = transform_curve(curve, rotation(rng),
+                                    vec(*rng.uniform(-3, 3, size=curve.dim)))
+            report = congruent(curve, moved, grid)
+            ok = ok and report.congruent
+            worst = max(worst, report.max_deviation)
+
     perturbed = make_catalog_curve("ellipse", {"a": 2.0, "b": 1.1})
     ok = ok and not plane.plane_congruent(
         ellipse_curve, perturbed, grid2).congruent
-
-    helix_curve = make_catalog_curve("helix")
-    grid3 = plane.uniform_grid(helix_curve.domain, 30, shrink=0.02)
-    for _ in range(20):
-        moved = transform_curve(helix_curve, _random_rotation3(rng),
-                                Vec3(*rng.uniform(-3, 3, size=3)))
-        report = space.space_congruent(helix_curve, moved, grid3)
-        ok = ok and report.congruent
-        worst = max(worst, report.max_deviation)
     pitch_perturbed = make_catalog_curve("helix", {"pitch": 1.05})
     ok = ok and not space.space_congruent(
         helix_curve, pitch_perturbed, grid3).congruent

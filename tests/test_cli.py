@@ -721,6 +721,23 @@ def test_verify_filter_runs_subset(capsys):
     assert cids == {"focal-table", "average-speeds", "accel-zeros"}
 
 
+@pytest.mark.parametrize("name", ["elipse", "", "PLANE"])
+def test_verify_filter_matching_nothing_is_a_config_error(capsys, name):
+    code, out, err = run(capsys, ["verify", "--filter", name])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:")
+    for tag in ("plane", "space", "surface", "ellipse", "reconstruction",
+                "cli"):
+        assert tag in err
+
+
+def test_verify_filter_takes_a_criterion_id(capsys):
+    code, out, _ = run(capsys, ["verify", "--filter", "line-degeneracy"])
+    assert code == 0
+    assert out.split()[:2] == ["PASS", "line-degeneracy"]
+
+
 def test_verify_fault_injection_fails_psi_criterion(capsys):
     code, out, _ = run(capsys, ["verify", "--filter", "local-limits",
                                 "--inject-fault", "psi"])

@@ -10,9 +10,9 @@ from rotorkin import expr
 from rotorkin.curves import (CATALOG, PlaneCurve, SpaceCurve, curve_from_spec,
                              make_catalog_curve, reparametrize,
                              transform_curve)
-from rotorkin.errors import (BadParameters, DerivativeMismatch, EvalDomain,
-                             KinematicsError, NonMonotonic, OrderUnsupported,
-                             OutOfDomain, UnknownCurve)
+from rotorkin.errors import (BadParameters, EvalDomain, KinematicsError,
+                             NonMonotonic, OrderUnsupported, OutOfDomain,
+                             UnknownCurve)
 from rotorkin.numerics import fd_derivative
 from rotorkin.vec import Vec2, Vec3
 
@@ -114,23 +114,6 @@ def test_env_step_override(monkeypatch):
     assert default_step(1) == 1e-7
     monkeypatch.delenv("ROTOR_FD_STEP")
     assert default_step(1) == 1e-5
-
-
-def test_validate_derivatives_catches_wrong_callable():
-    good = make_catalog_curve("circle")
-    good.validate_derivatives()
-    bad = PlaneCurve(position=good.position, domain=good.domain,
-                     d1=lambda t: Vec2(1.0, 1.0),  # wrong on purpose
-                     d2=good.d2, d3=good.d3)
-    with pytest.raises(DerivativeMismatch):
-        bad.validate_derivatives()
-    # the construction-time flag runs the same check
-    with pytest.raises(DerivativeMismatch):
-        PlaneCurve(position=good.position, domain=good.domain,
-                   d1=lambda t: Vec2(1.0, 1.0), d2=good.d2, d3=good.d3,
-                   validate=True)
-    PlaneCurve(position=good.position, domain=good.domain,
-               d1=good.d1, d2=good.d2, d3=good.d3, validate=True)
 
 
 # -- reparametrization ---------------------------------------------------------

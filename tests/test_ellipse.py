@@ -113,6 +113,26 @@ def test_focal_table_no_violations(a):
     assert report.endpoint_max_err <= 1e-12
 
 
+@pytest.mark.parametrize("name, k", [(name, k) for name, intervals
+                                     in ell._SIGN_PATTERN.items()
+                                     for k in range(len(intervals))])
+def test_focal_table_reports_a_flipped_sign(monkeypatch, name, k):
+    pattern = dict(ell._SIGN_PATTERN)
+    intervals = list(pattern[name])
+    (lo_q, hi_q), sign = intervals[k]
+    intervals[k] = ((lo_q, hi_q), -sign)
+    pattern[name] = tuple(intervals)
+    monkeypatch.setattr(ell, "_SIGN_PATTERN", pattern)
+    report = ell.verify_focal_table(PARAMS, grid_size=10000)
+    assert not report.ok
+    assert report.violations
+    lo, hi = lo_q * 0.5 * math.pi, hi_q * 0.5 * math.pi
+    for vname, theta, value in report.violations:
+        assert vname == name
+        assert lo < theta < hi
+        assert value * sign > 0.0
+
+
 def test_focal_table_grid_minimum():
     with pytest.raises(BadParameters):
         ell.verify_focal_table(PARAMS, grid_size=10)
