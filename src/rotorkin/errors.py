@@ -45,8 +45,11 @@ class ExprSyntaxError(KinematicsError):
     """Malformed expression text; carries the byte offset of the failure."""
 
     def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at offset {offset})")
+        super().__init__(message, offset)  # both, so pickle can rebuild it
         self.offset = offset
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (at offset {self.offset})"
 
 
 class UnknownIdentifier(KinematicsError):
