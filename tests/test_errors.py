@@ -8,7 +8,8 @@ def test_every_error_survives_pickling():
     # a verify worker's exception reaches the parent process through pickle
     classes = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
                if issubclass(cls, Exception) and cls.__module__ == errors.__name__]
-    assert len(classes) == 24
+    assert {errors.KinematicsError, errors.ExprSyntaxError,
+            errors.NonFiniteData} <= set(classes)
     for cls in classes:
         exc = (cls("bad token", 3) if cls is errors.ExprSyntaxError
                else cls("bad token"))
