@@ -8,6 +8,7 @@ config file supplies the same fields as the flags; flags win.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -24,7 +25,7 @@ from .errors import (BadParameters, ExprSyntaxError, KinematicsError,
 from .expr import compile_chain
 from .numerics import fd_step_from_env
 from .plane import _finite_row, distance_kinematics_array, local_limits_array
-from .reconstruct import _csv_lines
+from .reconstruct import _write_csv
 from .space import space_distance_kinematics_array
 from .surface import chart_curve, surface_from_spec
 from .vec import Vec2
@@ -35,8 +36,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 # the most samples one run may ask for, as for reconstruction steps
 MAX_SAMPLES = 10 ** 6
-# rows converted to Python floats at a time on their way to the output
-_ROW_BLOCK = 4096
 
 
 class ConfigError(Exception):
@@ -140,25 +139,21 @@ def _grid(domain, samples: int) -> np.ndarray:
     return t0 + (t1 - t0) * np.arange(samples) / (samples - 1)
 
 
-def _rows(*columns):
-    """The row tuples of equal-length arrays, lazily: one `tolist` per
-    block of _ROW_BLOCK rows, so the rows are never all held at once."""
-    for start in range(0, len(columns[0]), _ROW_BLOCK):
-        yield from zip(*(column[start:start + _ROW_BLOCK].tolist()
-                         for column in columns))
-
-
-def _emit(headers, rows, out_path: Optional[str], fmt: str) -> None:
-    if fmt == "json":
-        payload = [dict(zip(headers, (float(c) for c in row))) for row in rows]
-        lines = [json.dumps(payload, indent=2) + "\n"]
-    else:
-        lines = _csv_lines(headers, rows)
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.writelines(lines)
-    else:
-        sys.stdout.writelines(lines)
+def _emit(headers, columns, out_path: Optional[str], fmt: str) -> None:
+    """Write the equal-length float columns, stacked once into a table, to
+    out_path or stdout; a path that cannot be opened is a config error."""
+    table = np.column_stack(columns)
+    try:
+        stream = (open(out_path, "w", newline="") if out_path
+                  else contextlib.nullcontext(sys.stdout))
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_path}: {exc.strerror}")
+    with stream as fh:
+        if fmt == "json":
+            payload = [dict(zip(headers, row)) for row in table.tolist()]
+            fh.write(json.dumps(payload, indent=2) + "\n")
+        else:
+            _write_csv(fh, headers, table)
 
 
 def _resolve_curve(args, config):
@@ -221,23 +216,23 @@ def cmd_kinematics(args) -> int:
         if curve.dim == 3:
             headers = ["t", "D", "dD", "d2D", "speed_A", "speed_B", "speed_C"]
             kin = space_distance_kinematics_array(curve, ts)
-            rows = _rows(ts, kin.D, kin.dD, kin.d2D,
-                         kin.speed_a, kin.speed_b, kin.speed_c)
+            columns = (ts, kin.D, kin.dD, kin.d2D,
+                       kin.speed_a, kin.speed_b, kin.speed_c)
         elif frame == "local":
             headers = ["t", "D", "dD", "d2D", "rot_speed", "phi", "psi_speed"]
             lim = local_limits_array(curve, ts)
             # chord-limit values: D -> 0, dD -> phi, d2D -> phi'
-            rows = _rows(ts, np.zeros_like(ts), lim.phi, lim.phi_prime,
-                         lim.psi_speed, lim.phi, lim.psi_speed)
+            columns = (ts, np.zeros_like(ts), lim.phi, lim.phi_prime,
+                       lim.psi_speed, lim.phi, lim.psi_speed)
         else:
             center = point if point is not None else Vec2(0.0, 0.0)
             headers = ["t", "D", "dD", "d2D", "rot_speed"]
             kin = distance_kinematics_array(curve, center, ts)
-            rows = _rows(ts, kin.D, kin.dD, kin.d2D, kin.rot_speed)
+            columns = (ts, kin.D, kin.dD, kin.d2D, kin.rot_speed)
     except KinematicsError as exc:
         print(f"{type(exc).__name__} at t={exc.t:g}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    _emit(headers, rows, out, fmt)
+    _emit(headers, columns, out, fmt)
     return EXIT_OK
 
 
@@ -274,8 +269,8 @@ def cmd_reconstruct(args) -> int:
         print(f"{type(exc).__name__}: {exc} (step={step})", file=sys.stderr)
         return EXIT_NUMERIC
     if out:
-        _emit(trajectory.header, _rows(trajectory.ts, *trajectory.points.T),
-              out, fmt)
+        _emit(trajectory.header, (trajectory.ts, *trajectory.points.T), out,
+              fmt)
     print(f"max_error={max_error:.17g}")
     return EXIT_OK if max_error < tolerance else EXIT_TOLERANCE
 
@@ -318,7 +313,7 @@ def cmd_surface(args) -> int:
     except KinematicsError as exc:
         print(f"{type(exc).__name__} at t={t:g}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    _emit(headers, rows, out, fmt)
+    _emit(headers, np.array(rows).T, out, fmt)
     return EXIT_OK
 
 
@@ -331,11 +326,11 @@ def cmd_ellipse(args) -> int:
     out = _out_path(args, config)
     params = ell.EllipseParams(a, b)  # bad axes are config errors
     try:
-        rows = ell.profile_rows(params, samples)
+        columns = ell.profile_columns(params, samples)
     except KinematicsError as exc:
         print(f"{type(exc).__name__} at t={exc.t:g}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    _emit(ell.PROFILE_HEADER.split(","), rows, out, fmt)
+    _emit(ell.PROFILE_HEADER.split(","), columns, out, fmt)
     return EXIT_OK
 
 

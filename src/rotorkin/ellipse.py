@@ -291,10 +291,11 @@ def focus_reconstruction_problem(params: EllipseParams,
 PROFILE_HEADER = "theta,xi1,d1,d2,d3,rot_speed_origin,rot_speed_focus"
 
 
-def profile_rows(params: EllipseParams, n_samples: int) -> list[tuple]:
+def profile_columns(params: EllipseParams,
+                    n_samples: int) -> tuple[np.ndarray, ...]:
     """The PROFILE_HEADER columns at n_samples angles evenly spaced over
-    [0, 2 pi], computed as whole columns and returned as rows.  A row with
-    a non-finite cell raises NonFiniteData, its `t` the first such theta."""
+    [0, 2 pi].  A row with a non-finite cell raises NonFiniteData, its `t`
+    the first such theta."""
     theta = (_TWO_PI * np.arange(n_samples) / (n_samples - 1)
              if n_samples > 1 else np.zeros(n_samples))
     with np.errstate(all="ignore"):  # non-finite rows raise below
@@ -307,4 +308,4 @@ def profile_rows(params: EllipseParams, n_samples: int) -> list[tuple]:
                             "is not finite")
         exc.t = float(theta[np.argmin(finite)])
         raise exc
-    return list(zip(*(column.tolist() for column in columns)))
+    return columns

@@ -14,9 +14,12 @@ largest pre-renormalization drift.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
+import os
+import shutil
+import tempfile
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -36,7 +39,8 @@ _COLLAPSE_TOL = 1e-3
 _TRIANGULATION_TOL = 1e-6
 _MAX_STEPS = 10 ** 6
 # steps per block of the time-only path (and points per block of
-# max_error_vs); bounds the memory of its per-block arrays
+# max_error_vs, rows per "%" call of the CSV writer); bounds the memory of
+# its per-block arrays
 _BLOCK = 1024
 # the plane problem's one direction turns in the plane of its slots (0, 1)
 _PLANE = ((0, 1),)
@@ -70,16 +74,67 @@ class Trajectory:
         return ["t", "x", "y", "z"][:self.dim + 1]
 
     def write_csv(self, path) -> None:
-        rows = zip(self.ts.tolist(), *self.points.T.tolist())
         with open(path, "w", newline="") as fh:
-            fh.writelines(_csv_lines(self.header, rows))
+            _write_csv(fh, self.header, np.column_stack((self.ts, self.points)))
 
 
-def _csv_lines(header, rows):
-    """CSV lines, lazily: the header, then one line per row tuple with
-    every cell as "%.17g", the same bytes as f"{float(cell):.17g}"."""
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+def _write_csv(fh, header, table: np.ndarray) -> None:
+    """Write `header` and the rows of the (n, k) float `table` to the text
+    stream `fh`, every cell as "%.17g" (the bytes of f"{cell:.17g}"), one
+    "%" per _BLOCK rows.  The blocks are cut into one contiguous run per
+    usable CPU; a forked child formats each run after the first into its
+    own temporary file, which the parent appends in order."""
     line = ",".join(["%.17g"] * len(header)) + "\n"
-    return itertools.chain([",".join(header) + "\n"], map(line.__mod__, rows))
+    starts = range(0, len(table), _BLOCK)
+    n = max(1, min(len(starts), _usable_cpus()))
+    runs = [starts[len(starts) * k // n:len(starts) * (k + 1) // n]
+            for k in range(n)]
+
+    def write(out, run):
+        for start in run:
+            block = table[start:start + _BLOCK]
+            out.write(line * len(block) % tuple(block.ravel().tolist()))
+
+    fh.flush()  # a child must not inherit unwritten output
+    children = []
+    with ExitStack() as files:
+        try:
+            for run in runs[1:]:
+                tmp = files.enter_context(tempfile.TemporaryFile("w+"))
+                if (pid := os.fork()) == 0:
+                    # the child formats its run and leaves through _exit
+                    # (status 1 on an error), so no atexit handler runs
+                    try:
+                        write(tmp, run)
+                        tmp.flush()
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                children.append((pid, tmp))
+            fh.write(",".join(header) + "\n")
+            write(fh, runs[0])
+            while children:
+                pid, tmp = children[0]
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[0]
+                if status:
+                    raise ChildProcessError(
+                        f"CSV writer process {pid} exited with {status}")
+                tmp.seek(0)
+                shutil.copyfileobj(tmp, fh)
+        finally:
+            for pid, _ in children:  # left only when the write failed
+                import signal  # lazily: 1 ms a CLI start would pay
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _rk4_step(f, t, y, h):

@@ -9,7 +9,6 @@ closed forms so the suite's own failure path can be exercised.
 from __future__ import annotations
 
 import math
-import os
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, fields
@@ -521,8 +520,7 @@ def run_all(filter_tag: Optional[str] = None,
     per usable CPU; workers get indices into their copy of CRITERIA."""
     picked = [k for k, (cid, tags, _) in enumerate(CRITERIA)
               if filter_tag is None or filter_tag in tags or filter_tag == cid]
-    workers = min(len(picked), len(os.sched_getaffinity(0))
-                  if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    workers = min(len(picked), reconstruct._usable_cpus())
     mapper = map
     with ExitStack() as stack:
         if workers > 1:

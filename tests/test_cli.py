@@ -1,8 +1,11 @@
+import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import tempfile
 from dataclasses import astuple
 from pathlib import Path
 
@@ -10,8 +13,9 @@ import numpy as np
 import pytest
 
 from rotorkin import cli
+from rotorkin import ellipse as ell
 from rotorkin.curves import curve_from_spec, make_catalog_curve
-from rotorkin.reconstruct import _csv_lines
+from rotorkin.reconstruct import _BLOCK, Trajectory, _write_csv
 from rotorkin.space import (space_distance_kinematics,
                             space_distance_kinematics_array)
 
@@ -20,6 +24,13 @@ def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def per_cell_csv(header, rows):
+    """The reference CSV text: one f"{cell:.17g}" per cell, row by row."""
+    return ",".join(header) + "\n" + "".join(
+        ",".join(f"{float(cell):.17g}" for cell in row) + "\n"
+        for row in rows)
 
 
 # -- kinematics -----------------------------------------------------------------
@@ -272,6 +283,27 @@ def test_reconstruct_bad_format_is_a_config_error(capsys, tmp_path, fmt):
     assert code == 2
     assert out == "" and err.startswith("config error: format")
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["kinematics", "reconstruct", "surface",
+                                     "ellipse"])
+def test_an_out_path_that_cannot_be_opened_is_a_config_error(capsys, tmp_path,
+                                                             command):
+    # it used to raise FileNotFoundError out of main: a traceback, exit 1
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "surface": {"kind": "sphere", "params": {"radius": 2.0, "cz": 5.0}},
+        "chart_curve": {"u": "t", "v": "0.3*sin(t)", "domain": [0.2, 5.8]}}))
+    argv = {"kinematics": ["--curve", "ellipse", "--samples", "5"],
+            "reconstruct": ["--preset", "circle", "--step", "0.01"],
+            "surface": ["--config", str(config), "--samples", "5"],
+            "ellipse": ["--samples", "5"]}[command]
+    for out_path, reason in ((tmp_path / "missing" / "out.csv",
+                              "No such file or directory"),
+                             (tmp_path, "Is a directory")):
+        code, out, err = run(capsys, [command, *argv, "--out", str(out_path)])
+        assert (code, out) == (2, "")
+        assert err == f"config error: cannot write {out_path}: {reason}\n"
 
 
 # -- surface ---------------------------------------------------------------------
@@ -675,21 +707,25 @@ def test_expr_space_curve_csv_is_the_scalar_loop(capsys, tmp_path):
     rows = [(t, *astuple(space_distance_kinematics(curve, t)))
             for t in cli._grid(curve.domain, 50).tolist()]
     header = ["t", "D", "dD", "d2D", "speed_A", "speed_B", "speed_C"]
-    assert out == "".join(_csv_lines(header, rows))
+    assert out == per_cell_csv(header, rows)
 
 
-@pytest.mark.parametrize("n", [2, cli._ROW_BLOCK - 1, cli._ROW_BLOCK,
-                               cli._ROW_BLOCK + 1])
+def cubic_csv(n):
+    """The reference CSV of `kinematics --curve cubic --samples n`."""
+    curve = make_catalog_curve("cubic")
+    ts = cli._grid(curve.domain, n)
+    kin = astuple(space_distance_kinematics_array(curve, ts))
+    return per_cell_csv(["t", "D", "dD", "d2D", "speed_A", "speed_B",
+                         "speed_C"], zip(ts, *kin))
+
+
+# four row blocks, so that two and three usable CPUs cut them into runs
+@pytest.mark.parametrize("n", [2, 4 * _BLOCK - 1, 4 * _BLOCK, 4 * _BLOCK + 1])
 def test_streamed_rows_match_per_cell_formatting(capsys, n):
     code, out, _ = run(capsys, ["kinematics", "--curve", "cubic",
                                 "--samples", str(n)])
     assert code == 0
-    curve = make_catalog_curve("cubic")
-    ts = cli._grid(curve.domain, n)
-    columns = (ts, *astuple(space_distance_kinematics_array(curve, ts)))
-    want = "".join(",".join(f"{float(cell):.17g}" for cell in row) + "\n"
-                   for row in zip(*columns))
-    assert out == "t,D,dD,d2D,speed_A,speed_B,speed_C\n" + want
+    assert out == cubic_csv(n)
 
 
 def test_space_curve_json_matches_csv(capsys):
@@ -699,14 +735,136 @@ def test_space_curve_json_matches_csv(capsys):
 
 # -- CSV formatting ----------------------------------------------------------
 
+def written_csv(header, table):
+    fh = io.StringIO()
+    _write_csv(fh, header, table)
+    return fh.getvalue()
+
+
 def test_csv_formatter_matches_per_cell_formatting():
     rows = [(-0.0, 5e-324, 1e308), (3, -7, 2 ** 60),
             (np.float64(0.1), np.float64(-1e-310), math.pi),
             (1.0 / 3.0, np.float64(2.0) ** 0.5, True)]
     want = "a,b,c\n" + "".join(
         ",".join(f"{float(v):.17g}" for v in row) + "\n" for row in rows)
-    assert "".join(_csv_lines(["a", "b", "c"], rows)) == want
-    assert "".join(_csv_lines(["a"], [])) == "a\n"
+    assert written_csv(["a", "b", "c"], np.array(rows, dtype=float)) == want
+    assert written_csv(["a"], np.empty((0, 1))) == "a\n"
+
+
+# -- CSV on forked writers ---------------------------------------------------
+
+SIZES = [2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK]
+
+
+def on_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_csv_is_the_same_on_any_number_of_cpus(monkeypatch, capsys, tmp_path,
+                                               n):
+    want = cubic_csv(n)
+    argv = ["kinematics", "--curve", "cubic", "--samples", str(n)]
+    for cpus in (1, 2, 3):
+        on_cpus(monkeypatch, cpus)
+        assert run(capsys, argv) == (0, want, "")
+        out_path = tmp_path / f"{cpus}.csv"
+        assert run(capsys, argv + ["--out", str(out_path)]) == (0, "", "")
+        assert out_path.read_text() == want
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_trajectory_csv_is_the_same_on_any_number_of_cpus(monkeypatch,
+                                                          tmp_path, n):
+    rng = np.random.default_rng(n)
+    trajectory = Trajectory(np.sort(rng.uniform(0.0, 1.0, n)),
+                            rng.standard_normal((n, 3)) * 1e3, 0.0)
+    want = per_cell_csv(["t", "x", "y", "z"],
+                        zip(trajectory.ts, *trajectory.points.T))
+    for cpus in (1, 2, 3):
+        on_cpus(monkeypatch, cpus)
+        path = tmp_path / f"{cpus}.csv"
+        trajectory.write_csv(path)
+        assert path.read_text() == want
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_surface_and_ellipse_csv_are_the_same_on_any_number_of_cpus(
+        monkeypatch, capsys, tmp_path, n):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "surface": {"kind": "torus", "params": {"R": 2.0, "r": 0.5}},
+        "chart_curve": {"u": "0.5 + t", "v": "1.3 + 0.3*sin(2*t)",
+                        "domain": [0.2, 5.2]}}))
+    params = ell.EllipseParams(2.3, 1.4)
+    commands = {
+        "surface": (["surface", "--config", str(path), "--samples", str(n)],
+                    None),
+        "ellipse": (["ellipse", "--a", "2.3", "--b", "1.4",
+                     "--samples", str(n)],
+                    per_cell_csv(ell.PROFILE_HEADER.split(","),
+                                 zip(*ell.profile_columns(params, n)))),
+    }
+    for argv, want in commands.values():
+        for cpus in (1, 2, 3):
+            on_cpus(monkeypatch, cpus)
+            code, out, err = run(capsys, argv)
+            assert (code, err) == (0, "")
+            want = want or out  # the surface: the first run's bytes
+            assert out == want
+
+
+class BrokenPipe(io.StringIO):
+    """A stream whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def timed_out(signum, frame):
+    raise TimeoutError("the write did not return")
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_failed_parent_write_kills_and_reaps_the_children(monkeypatch,
+                                                            cpus):
+    # each child formats into a pipe that nobody reads, so it blocks until
+    # it is killed; the alarm turns a write that waits for it into a failure
+    read_end, write_end = os.pipe()
+    monkeypatch.setattr(tempfile, "TemporaryFile", lambda *args, **kwargs:
+                        open(write_end, "w", closefd=False))
+    on_cpus(monkeypatch, cpus)
+    table = np.random.default_rng(0).standard_normal((16 * cpus * _BLOCK, 2))
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(60)
+    try:
+        with pytest.raises(BrokenPipeError):
+            _write_csv(BrokenPipe(), ["a", "b"], table)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        os.close(read_end)
+        os.close(write_end)
+    assert_no_child_left()
+
+
+def test_a_failed_child_fails_the_write(monkeypatch):
+    # each child formats into a file it cannot write; the parent raises on
+    # the first, then kills and reaps the second
+    on_cpus(monkeypatch, 3)
+    monkeypatch.setattr(tempfile, "TemporaryFile",
+                        lambda *args, **kwargs: open(os.devnull))
+    fh = io.StringIO()
+    with pytest.raises(ChildProcessError, match="exited with 1"):
+        _write_csv(fh, ["a", "b"], np.ones((3 * _BLOCK, 2)))
+    assert_no_child_left()
+    assert fh.getvalue().count("\n") == _BLOCK + 1  # the header and run 0
 
 
 # -- verify ----------------------------------------------------------------------

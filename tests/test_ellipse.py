@@ -232,8 +232,10 @@ def test_profile_csv(tmp_path):
 @pytest.mark.parametrize("a, b", [(2.0, 1.0), (2.3, 1.4), (5.0, 0.3)])
 def test_profile_columns_equal_the_scalar_profiles(a, b):
     params = ell.EllipseParams(a, b)
-    rows = ell.profile_rows(params, 401)
-    for row in rows:
+    columns = ell.profile_columns(params, 401)
+    assert len(columns) == len(ell.PROFILE_HEADER.split(","))
+    assert all(column.shape == (401,) for column in columns)
+    for row in zip(*(column.tolist() for column in columns)):
         theta = row[0]
         focus = ell.focus_frame_profile(params, theta)
         want = (theta, focus.xi1, focus.d1, focus.d2, focus.d3,
