@@ -146,8 +146,9 @@ def _emit(headers, columns, out_path: Optional[str], fmt: str) -> None:
     try:
         stream = (open(out_path, "w", newline="") if out_path
                   else contextlib.nullcontext(sys.stdout))
-    except OSError as exc:
-        raise ConfigError(f"cannot write {out_path}: {exc.strerror}")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot write {out_path}: {reason}")
     with stream as fh:
         if fmt == "json":
             payload = [dict(zip(headers, row)) for row in table.tolist()]

@@ -300,7 +300,8 @@ def test_an_out_path_that_cannot_be_opened_is_a_config_error(capsys, tmp_path,
             "ellipse": ["--samples", "5"]}[command]
     for out_path, reason in ((tmp_path / "missing" / "out.csv",
                               "No such file or directory"),
-                             (tmp_path, "Is a directory")):
+                             (tmp_path, "Is a directory"),
+                             (tmp_path / "nul\0.csv", "embedded null byte")):
         code, out, err = run(capsys, [command, *argv, "--out", str(out_path)])
         assert (code, out) == (2, "")
         assert err == f"config error: cannot write {out_path}: {reason}\n"
