@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -359,10 +360,21 @@ def main(argv=None) -> int:
     }
     try:
         fd_step_from_env()  # a bad ROTOR_FD_STEP is a config error
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
     except (ConfigError, KinematicsError) as exc:
         # bad parameters and malformed records are configuration errors
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except BrokenPipeError as exc:
+        # a closed stdout cannot be written, like an --out that cannot be
+        # opened; the null device takes the interpreter's final flush
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"config error: cannot write the output: {exc.strerror}",
+              file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -149,10 +149,12 @@ class SpaceCurve(_Curve):
 
 # -- reparametrization --------------------------------------------------------
 
+_N_PROBE = 64  # midpoints at which reparametrize checks the sign of g'
+
+
 def reparametrize(curve, g: Callable[[float], float],
                   g_derivatives: Optional[Sequence[Callable[[float], float]]] = None,
-                  domain_h: tuple[float, float] = None,
-                  n_probe: int = 64):
+                  domain_h: tuple[float, float] = None):
     """Curve in the parameter h where t = g(h), g strictly monotonic.
 
     `g_derivatives` supplies (g', g'', g''') callables; missing entries fall
@@ -171,8 +173,8 @@ def reparametrize(curve, g: Callable[[float], float],
     g1, g2, g3 = derivs
 
     sign = None
-    for i in range(n_probe):
-        h = h0 + (h1 - h0) * (i + 0.5) / n_probe
+    for i in range(_N_PROBE):
+        h = h0 + (h1 - h0) * (i + 0.5) / _N_PROBE
         s = g1(h)
         if s == 0.0 or (sign is not None and (s > 0) != sign):
             raise NonMonotonic(f"g' changes sign or vanishes near h={h:g}")

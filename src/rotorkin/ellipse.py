@@ -11,33 +11,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .curves import _finite_real
 from .errors import BadParameters, NonFiniteData
 from .numerics import adaptive_simpson, find_roots
-from .plane import PlaneKinematics
 from .reconstruct import PlaneReconstructionProblem, _pointwise
-from .vec import Vec2
 
 
 @dataclass(frozen=True)
 class EllipseParams:
     a: float
     b: float
-    allow_circle: bool = False
     c: float = field(init=False)
 
     def __post_init__(self):
         for name in ("a", "b"):
             _finite_real(getattr(self, name), f"ellipse {name}")
-        if self.allow_circle:
-            ok = self.a >= self.b > 0
-        else:
-            ok = self.a > self.b > 0
-        if not ok:
+        if not self.a > self.b > 0:
             raise BadParameters(
                 f"ellipse needs a > b > 0, got a={self.a}, b={self.b}")
         try:
@@ -46,25 +38,6 @@ class EllipseParams:
             raise BadParameters(
                 f"ellipse axis a={self.a} is too large") from None
         object.__setattr__(self, "c", c)
-
-
-@dataclass(frozen=True)
-class FocusProfile:
-    """Focal distance and its first three derivatives as callables of the
-    eccentric-angle parameter."""
-    xi1: Callable[[float], float]
-    d1: Callable[[float], float]
-    d2: Callable[[float], float]
-    d3: Callable[[float], float]
-
-
-@dataclass(frozen=True)
-class FocusFrameSample:
-    kinematics: PlaneKinematics
-    xi1: float
-    d1: float
-    d2: float
-    d3: float
 
 
 @dataclass(frozen=True)
@@ -110,26 +83,21 @@ def _focus_forms(params: EllipseParams, theta, m=math):
             speed_num / xi1 ** 2)
 
 
-def origin_frame_profile(params: EllipseParams, theta: float) -> PlaneKinematics:
-    """Closed-form kinematics about the ellipse center."""
-    d, dD, d2D, vel, speed = _origin_forms(params, theta)
-    return PlaneKinematics(D=d, dD=dD, d2D=d2D, rot_velocity=Vec2(*vel),
-                           rot_speed=speed)
+# frame name -> (closed forms, center, zeros of the radial acceleration on
+# [0, 2 pi]); every form puts the distance second derivative at index 2 and
+# the rotational speed last
+_FRAMES = {
+    "origin": (_origin_forms, lambda params: (0.0, 0.0), 4),
+    "focus": (_focus_forms, lambda params: (params.c, 0.0), 2),
+}
 
 
-def focus_profile(params: EllipseParams) -> FocusProfile:
-    """xi1 and its derivatives as callables of theta."""
-    def form(k):
-        return lambda theta: _focus_forms(params, theta)[k]
-    return FocusProfile(xi1=form(0), d1=form(1), d2=form(2), d3=form(3))
-
-
-def focus_frame_profile(params: EllipseParams, theta: float) -> FocusFrameSample:
-    """Kinematics about the focus (c, 0) plus the distance-profile values."""
-    xi1, d1, d2, d3, vel, speed = _focus_forms(params, theta)
-    kin = PlaneKinematics(D=xi1, dD=d1, d2D=d2, rot_velocity=Vec2(*vel),
-                          rot_speed=speed)
-    return FocusFrameSample(kinematics=kin, xi1=xi1, d1=d1, d2=d2, d3=d3)
+def _frame(frame: str):
+    try:
+        return _FRAMES[frame]
+    except (KeyError, TypeError):
+        raise BadParameters(
+            f"frame must be 'origin' or 'focus', got {frame!r}") from None
 
 
 # -- local rotating-frame values (chord-limit forms) ---------------------------
@@ -168,32 +136,28 @@ _SIGN_PATTERN = {
 }
 # where each derivative sits among the values of _focus_forms
 _FORM_INDEX = {"d1": 1, "d2": 2, "d3": 3}
+_GRID_SIZE = 10000  # sign-table points per full turn
+_ENDPOINT_TOL = 1e-12
 
 
-def verify_focal_table(params: EllipseParams, grid_size: int = 10000,
-                       endpoint_tol: float = 1e-12) -> FocalTableReport:
+def verify_focal_table(params: EllipseParams) -> FocalTableReport:
     """Check the endpoint values and monotonicity/sign table of the focal
     distance derivatives on a dense grid; returns every violating theta."""
-    if grid_size < 1000:
-        raise BadParameters("grid_size must be at least 1000")
-    profile = focus_profile(params)
     violations = []
-
     endpoint_err = 0.0
     for theta, *values in _ENDPOINTS:
-        for name, fn, expected in zip(("xi1", "d1", "d2"),
-                                      (profile.xi1, profile.d1, profile.d2),
-                                      values):
-            err = abs(fn(theta) - expected(params))
+        for name, got, expected in zip(("xi1", "d1", "d2"),
+                                       _focus_forms(params, theta), values):
+            err = abs(got - expected(params))
             endpoint_err = max(endpoint_err, err)
-            if err > endpoint_tol:
+            if err > _ENDPOINT_TOL:
                 violations.append((f"{name}@{theta:.6g}", theta, err))
 
     quarter = 0.5 * math.pi
     for name, intervals in _SIGN_PATTERN.items():
         for (lo_q, hi_q), sign in intervals:
             lo, hi = lo_q * quarter, hi_q * quarter
-            n = max(2, int(grid_size * (hi - lo) / _TWO_PI))
+            n = max(2, int(_GRID_SIZE * (hi - lo) / _TWO_PI))
             # midpoints: stay inside the open interval
             theta = lo + (hi - lo) * (np.arange(n) + 0.5) / n
             value = _focus_forms(params, theta, np)[_FORM_INDEX[name]]
@@ -202,24 +166,20 @@ def verify_focal_table(params: EllipseParams, grid_size: int = 10000,
                               zip(theta[bad].tolist(), value[bad].tolist()))
     violations.sort(key=lambda item: item[1])
     return FocalTableReport(violations=violations,
-                         endpoint_max_err=endpoint_err,
-                         ok=not violations)
+                            endpoint_max_err=endpoint_err, ok=not violations)
 
 
 def average_rotational_speed(params: EllipseParams, frame: str,
                              interval: tuple[float, float],
                              tol: float = 1e-10) -> float:
-    """Mean rotational speed over the interval by adaptive Simpson."""
+    """Mean rotational speed about the frame's center over the interval by
+    adaptive Simpson."""
     lo, hi = interval
     if not (0.0 <= lo < hi <= _TWO_PI + 1e-12):
         raise BadParameters("interval must lie within [0, 2*pi]")
-    if frame == "origin":
-        fn = lambda th: origin_frame_profile(params, th).rot_speed
-    elif frame == "focus":
-        fn = lambda th: focus_frame_profile(params, th).kinematics.rot_speed
-    else:
-        raise BadParameters(f"frame must be 'origin' or 'focus', got {frame!r}")
-    return adaptive_simpson(fn, lo, hi, tol=tol) / (hi - lo)
+    forms = _frame(frame)[0]
+    return adaptive_simpson(lambda th: forms(params, th)[-1], lo, hi,
+                            tol=tol) / (hi - lo)
 
 
 def accel_zero_locations(params: EllipseParams,
@@ -229,16 +189,9 @@ def accel_zero_locations(params: EllipseParams,
     The origin frame has four (at arctan sqrt(a/b) and its reflections),
     the focus frame two (at pi/2 and 3*pi/2); a different count raises.
     """
-    if frame == "origin":
-        fn = lambda th: origin_frame_profile(params, th).d2D
-        expected = 4
-    elif frame == "focus":
-        fn = lambda th: focus_frame_profile(params, th).d2
-        expected = 2
-    else:
-        raise BadParameters(f"frame must be 'origin' or 'focus', got {frame!r}")
-    return find_roots(fn, 0.0, _TWO_PI, n_scan=8192, tol=1e-12,
-                      expected=expected)
+    forms, _, zeros = _frame(frame)
+    return find_roots(lambda th: forms(params, th)[2], 0.0, _TWO_PI,
+                      n_scan=8192, tol=1e-12, expected=zeros)
 
 
 def origin_zero_closed_form(params: EllipseParams) -> list[float]:
@@ -246,44 +199,27 @@ def origin_zero_closed_form(params: EllipseParams) -> list[float]:
     return [base, math.pi - base, math.pi + base, _TWO_PI - base]
 
 
-# -- reconstruction data (origin and focus frames) -------------------------------
+# -- reconstruction data ------------------------------------------------------
 
-def origin_reconstruction_problem(params: EllipseParams,
-                                  step: float | None = None
-                                  ) -> PlaneReconstructionProblem:
-    """Second-order distance data about the center plus the signed angular
-    speed of the center-to-point direction; integrating it regenerates the
-    ellipse."""
-    a = params.a
+def reconstruction_problem(params: EllipseParams, frame: str,
+                           step: float | None = None
+                           ) -> PlaneReconstructionProblem:
+    """Second-order distance data about the frame's center plus the signed
+    angular speed of the center-to-point direction; integrating it
+    regenerates the ellipse."""
+    forms, center, _ = _frame(frame)
+    cx, cy = center(params)
 
     def data(theta):
-        _, _, d2D, _, omega = _origin_forms(params, theta, np)
-        return d2D, omega[:, None]
+        values = forms(params, theta, np)
+        return values[2], values[-1][:, None]
 
     rhs_D, (rhs_e,) = _pointwise(data)
     return PlaneReconstructionProblem(
-        rhs_D=rhs_D, rhs_e=rhs_e, D0=a, e0=np.array([1.0, 0.0]),
+        rhs_D=rhs_D, rhs_e=rhs_e, D0=params.a - cx, e0=np.array([1.0, 0.0]),
         domain=(0.0, _TWO_PI),
         step=step if step is not None else _TWO_PI / 1e4,
-        order=2, dD0=0.0, data=data)
-
-
-def focus_reconstruction_problem(params: EllipseParams,
-                                 step: float | None = None
-                                 ) -> PlaneReconstructionProblem:
-    """Same as origin_reconstruction_problem but about the focus (c, 0)."""
-    a, c = params.a, params.c
-
-    def data(theta):
-        _, _, d2, _, _, omega = _focus_forms(params, theta, np)
-        return d2, omega[:, None]
-
-    rhs_D, (rhs_e,) = _pointwise(data)
-    return PlaneReconstructionProblem(
-        rhs_D=rhs_D, rhs_e=rhs_e, D0=a - c, e0=np.array([1.0, 0.0]),
-        domain=(0.0, _TWO_PI),
-        step=step if step is not None else _TWO_PI / 1e4,
-        order=2, dD0=0.0, center=np.array([c, 0.0]), data=data)
+        order=2, dD0=0.0, center=np.array([cx, cy]), data=data)
 
 
 # -- CSV export -------------------------------------------------------------------

@@ -226,9 +226,13 @@ def local_limits_array(curve, ts) -> LocalLimits2:
                          lambda t: local_limits(curve, t))
 
 
-def plane_congruent(curve_a, curve_b, grid: Iterable[float],
-                    tol_abs: float = 1e-9,
-                    tol_rel: float = 1e-9) -> CongruenceReport:
+# plane_congruent and space_congruent fail a sample whose deviation exceeds
+# _CONGRUENT_TOL plus _CONGRUENT_TOL times the larger of the two values
+_CONGRUENT_TOL = 1e-9
+
+
+def plane_congruent(curve_a, curve_b,
+                    grid: Iterable[float]) -> CongruenceReport:
     """Pointwise comparison of (phi, |psi|) over a shared parameter grid.
 
     Equality of the two local invariants forces equal curvature, hence
@@ -247,7 +251,7 @@ def plane_congruent(curve_a, curve_b, grid: Iterable[float],
             dev = abs(va - vb)
             if dev > worst:
                 worst, worst_t, worst_q = dev, t, q
-            if dev > tol_abs + tol_rel * max(abs(va), abs(vb)):
+            if dev > _CONGRUENT_TOL + _CONGRUENT_TOL * max(abs(va), abs(vb)):
                 congruent = False
     return CongruenceReport(congruent=congruent, max_deviation=worst,
                             argmax_t=worst_t, quantity=worst_q)

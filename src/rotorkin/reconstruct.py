@@ -574,13 +574,11 @@ def _preset_helix(step, domain):
     return problem, curve
 
 
-def _preset_ellipse(step, domain, focus: bool):
+def _preset_ellipse(step, domain, frame: str):
     from . import ellipse
     from .curves import make_catalog_curve
-    params = ellipse.EllipseParams(2.0, 1.0)
-    builder = (ellipse.focus_reconstruction_problem if focus
-               else ellipse.origin_reconstruction_problem)
-    problem = builder(params, step=step)
+    problem = ellipse.reconstruction_problem(ellipse.EllipseParams(2.0, 1.0),
+                                             frame, step=step)
     if domain is not None:
         problem = replace(problem, domain=tuple(domain))
     return problem, make_catalog_curve("ellipse", {"a": 2.0, "b": 1.0},
@@ -592,11 +590,11 @@ PRESETS = {
     "helix": ReconstructionPreset("helix", _preset_helix, 1e-5, 3),
     "ellipse-origin": ReconstructionPreset(
         "ellipse-origin",
-        lambda step, domain: _preset_ellipse(step, domain, focus=False),
+        lambda step, domain: _preset_ellipse(step, domain, "origin"),
         1e-6, 2),
     "ellipse-focus": ReconstructionPreset(
         "ellipse-focus",
-        lambda step, domain: _preset_ellipse(step, domain, focus=True),
+        lambda step, domain: _preset_ellipse(step, domain, "focus"),
         1e-6, 2),
 }
 

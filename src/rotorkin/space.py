@@ -21,7 +21,8 @@ from .errors import (AxisProjectionDegenerate, CenterOnCurve, CurvesIntersect,
                      DegenerateFrame, DegenerateProjection, OutOfDomain,
                      SingularPoint)
 from .numerics import fd1_wide
-from .plane import _finite_rows, _over_samples, _radial_rates
+from .plane import (_CONGRUENT_TOL, _finite_rows, _over_samples,
+                    _radial_rates)
 from .vec import EPS_NORM, Vec3, triple_product
 
 # coordinate planes of the projected speeds A, B, C (xOy, xOz, yOz), and
@@ -243,8 +244,8 @@ def invariants(curve, t: float) -> InvariantTuple:
 
 # -- congruence ------------------------------------------------------------------
 
-_CHAIN_NAMES = ("|r'|^2", "r'.r''", "|r''|^2", "r''.r'''", "|r'''|^2",
-                "r'.r'''", "|r' x r''|", "(r' x r'' . r''')^2")
+_CHAIN_POINTS = 5  # interior points where space_congruent checks the Gram
+_CHAIN_TOL = 1e-8  # chain of each curve, and its largest relative error
 
 
 def _chain_from_invariants(curve, t: float, h: float) -> tuple[float, ...]:
@@ -301,10 +302,8 @@ def verify_invariant_chain(curve, t: float, h: float = 1e-3) -> float:
     return worst
 
 
-def space_congruent(curve_a, curve_b, grid: Iterable[float],
-                    tol_abs: float = 1e-9, tol_rel: float = 1e-9,
-                    chain_tol: float = 1e-8,
-                    chain_points: int = 5) -> SpaceCongruenceReport:
+def space_congruent(curve_a, curve_b,
+                    grid: Iterable[float]) -> SpaceCongruenceReport:
     """Pointwise comparison of the five invariants over a shared grid.
 
     A sign mismatch is an immediate failure regardless of magnitudes.  The
@@ -328,16 +327,16 @@ def space_congruent(curve_a, curve_b, grid: Iterable[float],
             dev = abs(va - vb)
             if dev > worst:
                 worst, worst_t, worst_q = dev, t, q
-            if dev > tol_abs + tol_rel * max(abs(va), abs(vb)):
+            if dev > _CONGRUENT_TOL + _CONGRUENT_TOL * max(abs(va), abs(vb)):
                 congruent = False
     chain_err = 0.0
     lo, hi = min(grid), max(grid)
     pad = 0.05 * (hi - lo) if hi > lo else 0.0
-    for k in range(chain_points):
-        t = lo + pad + (hi - lo - 2 * pad) * (k + 0.5) / chain_points
+    for k in range(_CHAIN_POINTS):
+        t = lo + pad + (hi - lo - 2 * pad) * (k + 0.5) / _CHAIN_POINTS
         for curve in (curve_a, curve_b):
             chain_err = max(chain_err, verify_invariant_chain(curve, t))
-    if chain_err > chain_tol:
+    if chain_err > _CHAIN_TOL:
         congruent = False
     return SpaceCongruenceReport(congruent=congruent, max_deviation=worst,
                                  argmax_t=worst_t, quantity=worst_q,

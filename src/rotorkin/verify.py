@@ -319,7 +319,7 @@ def crit_chart_expansion(fault=None) -> CriterionResult:
 # -- criteria 6-8: ellipse case study -----------------------------------------------
 
 def crit_focal_table(fault=None) -> CriterionResult:
-    report = ell.verify_focal_table(ell.EllipseParams(2.0, 1.0), grid_size=10000)
+    report = ell.verify_focal_table(ell.EllipseParams(2.0, 1.0))
     return CriterionResult(
         cid="focal-table", passed=report.ok and report.endpoint_max_err <= 1e-12,
         measured=report.endpoint_max_err, bound=1e-12, tags=("ellipse",),
@@ -345,13 +345,10 @@ def crit_accel_zeros(fault=None) -> CriterionResult:
     worst = 0.0
     for a in (2.0, 1.1):
         params = ell.EllipseParams(a, 1.0)
-        roots = ell.accel_zero_locations(params, "origin")
-        for root, closed in zip(roots, ell.origin_zero_closed_form(params)):
-            worst = max(worst, abs(root - closed))
-        focus_roots = ell.accel_zero_locations(params, "focus")
-        for root, closed in zip(focus_roots,
-                                (0.5 * math.pi, 1.5 * math.pi)):
-            worst = max(worst, abs(root - closed))
+        for frame, closed in (("origin", ell.origin_zero_closed_form(params)),
+                              ("focus", (0.5 * math.pi, 1.5 * math.pi))):
+            roots = ell.accel_zero_locations(params, frame)
+            worst = max(worst, *(abs(r - c) for r, c in zip(roots, closed)))
     return CriterionResult(
         cid="accel-zeros", passed=worst < 1e-10, measured=worst,
         bound=1e-10, tags=("ellipse",))

@@ -868,6 +868,47 @@ def test_a_failed_child_fails_the_write(monkeypatch):
     assert fh.getvalue().count("\n") == _BLOCK + 1  # the header and run 0
 
 
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("argv", [
+    ["kinematics", "--curve", "cubic", "--samples", str(5 * _BLOCK)],
+    ["reconstruct", "--preset", "circle"]], ids=["csv", "max_error"])
+def test_a_closed_stdout_is_a_config_error(argv, unbuffered):
+    # a reader that went away before the first byte: the CSV rows, or the
+    # max_error= line, ended in a BrokenPipeError traceback and exit 1
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "rotorkin.cli", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert "Exception ignored" not in done.stderr
+    assert done.stderr == "config error: cannot write the output: Broken pipe\n"
+
+
+def test_a_closed_stdout_kills_and_reaps_the_csv_children(monkeypatch):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    stdout = open(write_end, "w")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    on_cpus(monkeypatch, 3)
+    try:
+        code = cli.main(["kinematics", "--curve", "cubic",
+                         "--samples", str(8 * _BLOCK)])
+    finally:
+        stdout.close()  # main pointed the descriptor at the null device
+    assert code == 2
+    assert_no_child_left()
+
+
 # -- verify ----------------------------------------------------------------------
 
 def test_verify_filter_runs_subset(capsys):

@@ -93,7 +93,7 @@ def test_drift_small_for_fine_steps():
 
 def test_origin_data_regenerates_ellipse():
     params = ell.EllipseParams(2.0, 1.0)
-    problem = ell.origin_reconstruction_problem(params, step=TWO_PI / 1e4)
+    problem = ell.reconstruction_problem(params, "origin", step=TWO_PI / 1e4)
     trajectory = reconstruct_plane(problem)
     curve = make_catalog_curve("ellipse", {"a": 2.0, "b": 1.0})
     assert trajectory.max_error_vs(curve) <= 1e-6
@@ -101,7 +101,7 @@ def test_origin_data_regenerates_ellipse():
 
 def test_focus_data_regenerates_ellipse():
     params = ell.EllipseParams(2.0, 1.0)
-    problem = ell.focus_reconstruction_problem(params, step=TWO_PI / 1e4)
+    problem = ell.reconstruction_problem(params, "focus", step=TWO_PI / 1e4)
     trajectory = reconstruct_plane(problem)
     curve = make_catalog_curve("ellipse", {"a": 2.0, "b": 1.0})
     assert trajectory.max_error_vs(curve) <= 1e-6
@@ -305,8 +305,8 @@ def test_time_only_path_matches_general_path():
              for k in (1, 2)]
     plane.append(plane_data_from_curve(curve, center=Vec2(0.3, -0.2),
                                        order=2, step=TWO_PI / 600))
-    plane += [ell.origin_reconstruction_problem(params, step=TWO_PI / 600),
-              ell.focus_reconstruction_problem(params, step=TWO_PI / 600)]
+    plane += [ell.reconstruction_problem(params, frame, step=TWO_PI / 600)
+              for frame in ("origin", "focus")]
     space = [space_data_from_curve(shifted_helix(), order=k,
                                    step=math.pi / 600) for k in (1, 2)]
     cases = ([(p, reconstruct_plane, curve, 1e-7) for p in plane]
@@ -407,8 +407,8 @@ def test_ellipse_round_trip_property(a, ratio):
     params = ell.EllipseParams(a, a * ratio)
     curve = make_catalog_curve("ellipse", {"a": params.a, "b": params.b})
     problems = [plane_data_from_curve(curve),
-                ell.origin_reconstruction_problem(params),
-                ell.focus_reconstruction_problem(params)]
+                ell.reconstruction_problem(params, "origin"),
+                ell.reconstruction_problem(params, "focus")]
     for problem in problems:
         assert reconstruct_plane(problem).max_error_vs(curve) <= 1e-5
 
