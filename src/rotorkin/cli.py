@@ -23,12 +23,11 @@ from .curves import (CATALOG, _spec_domain, curve_from_spec,
                      make_catalog_curve)
 from .errors import (BadParameters, ExprSyntaxError, KinematicsError,
                      UnknownCurve, UnknownIdentifier)
-from .expr import compile_chain
 from .numerics import fd_step_from_env
 from .plane import _finite_row, distance_kinematics_array, local_limits_array
 from .reconstruct import _write_csv
 from .space import space_distance_kinematics_array
-from .surface import chart_curve, surface_from_spec
+from .surface import surface_from_spec
 from .vec import Vec2
 
 EXIT_OK = 0
@@ -294,9 +293,8 @@ def cmd_surface(args) -> int:
     if not isinstance(cc, dict) or not {"u", "v", "domain"} <= cc.keys():
         raise ConfigError(
             "surface command needs a chart_curve record {u, v, domain}")
-    u, v = compile_chain(cc["u"]), compile_chain(cc["v"])
-    curve = chart_curve(u[0], v[0], domain=_spec_domain(cc["domain"]),
-                        u_derivs=u[1:], v_derivs=v[1:])
+    curve = curve_from_spec({"kind": "expr", "domain": cc["domain"],
+                             "expr": {"x": cc["u"], "y": cc["v"]}})
 
     samples = _samples(args, config)
     fmt = _format(args, config)

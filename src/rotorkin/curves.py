@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -22,6 +21,14 @@ from .errors import (BadParameters, KinematicsError, NonMonotonic,
                      OrderUnsupported, OutOfDomain, UnknownCurve)
 from .numerics import default_step, fd_derivative
 from .vec import Vec2, Vec3
+
+
+def _widened(domain: tuple[float, float]) -> tuple[float, float]:
+    """The interval [t0, t1] widened by a slack that absorbs roundoff at
+    the ends: what every curve and chart domain check accepts."""
+    t0, t1 = domain
+    slack = 1e-12 * max(1.0, abs(t0), abs(t1))
+    return t0 - slack, t1 + slack
 
 
 @dataclass(frozen=True)
@@ -43,18 +50,13 @@ class _Curve:
         t0, t1 = self.domain
         if not (t0 < t1 and math.isfinite(t1 - t0)):  # also NaN, inf ends
             raise BadParameters(f"bad domain ({t0}, {t1})")
+        # once per curve (`replace` builds a new one); a cached_property
+        # would take a lock on first use
+        object.__setattr__(self, "_bounds", _widened(self.domain))
 
     @property
     def analytic(self) -> bool:
         return self.d1 is not None and self.d2 is not None and self.d3 is not None
-
-    @cached_property
-    def _bounds(self) -> tuple[float, float]:
-        """The domain widened by a slack that absorbs roundoff at the ends
-        (computed once; `replace` builds a new curve)."""
-        t0, t1 = self.domain
-        slack = 1e-12 * max(1.0, abs(t0), abs(t1))
-        return t0 - slack, t1 + slack
 
     def contains(self, t):
         """Whether t (a float, or elementwise an array) lies in the domain."""
@@ -235,11 +237,8 @@ def transform_curve(curve, matrix, offset=None):
 
 @dataclass(frozen=True)
 class CurveCatalogEntry:
-    name: str
     defaults: dict
     builder: Callable[..., _Curve]
-    default_domain: tuple[float, float]
-    doc: str = ""
 
 
 def _closed_form(cls, forms, domain, name):
@@ -331,27 +330,20 @@ def _polynomial(x_coeffs=(1.0, 1.0), y_coeffs=(2.0, 1.0, 0.0, 0.5)):
 
 
 CATALOG: dict[str, CurveCatalogEntry] = {
-    "line": CurveCatalogEntry(
-        "line", {"x0": 1.0, "y0": 2.0, "a": 3.0, "b": 4.0}, _line,
-        (-5.0, 5.0), "straight line (x0 + a t, y0 + b t)"),
-    "circle": CurveCatalogEntry(
-        "circle", {"radius": 1.0, "cx": 0.0, "cy": 0.0}, _circle,
-        (0.0, 2.0 * math.pi), "circle of given radius and center"),
-    "ellipse": CurveCatalogEntry(
-        "ellipse", {"a": 2.0, "b": 1.0}, _ellipse,
-        (0.0, 2.0 * math.pi), "ellipse (a cos t, b sin t), a > b > 0"),
-    "parabola": CurveCatalogEntry(
-        "parabola", {"a": 1.0, "x0": 0.0, "y0": 1.0}, _parabola,
-        (-2.0, 2.0), "parabola (x0 + t, y0 + a t^2)"),
-    "cubic": CurveCatalogEntry(
-        "cubic", {"a": 1.0, "b": 1.0, "c": 1.0}, _cubic,
-        (0.2, 1.5), "twisted cubic (a t, b t^2, c t^3)"),
+    "line": CurveCatalogEntry({"x0": 1.0, "y0": 2.0, "a": 3.0, "b": 4.0},
+                              _line),
+    "circle": CurveCatalogEntry({"radius": 1.0, "cx": 0.0, "cy": 0.0},
+                                _circle),
+    "ellipse": CurveCatalogEntry({"a": 2.0, "b": 1.0}, _ellipse),
+    "parabola": CurveCatalogEntry({"a": 1.0, "x0": 0.0, "y0": 1.0},
+                                  _parabola),
+    "cubic": CurveCatalogEntry({"a": 1.0, "b": 1.0, "c": 1.0}, _cubic),
     "helix": CurveCatalogEntry(
-        "helix", {"radius": 1.0, "pitch": 1.0, "cx": 0.0, "cy": 0.0, "cz": 0.0},
-        _helix, (0.0, 2.0 * math.pi), "circular helix with optional offset"),
+        {"radius": 1.0, "pitch": 1.0, "cx": 0.0, "cy": 0.0, "cz": 0.0},
+        _helix),
     "polynomial": CurveCatalogEntry(
-        "polynomial", {"x_coeffs": (1.0, 1.0), "y_coeffs": (2.0, 1.0, 0.0, 0.5)},
-        _polynomial, (-1.0, 1.0), "plane curve with polynomial coordinates"),
+        {"x_coeffs": (1.0, 1.0), "y_coeffs": (2.0, 1.0, 0.0, 0.5)},
+        _polynomial),
 }
 
 

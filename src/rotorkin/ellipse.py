@@ -48,25 +48,22 @@ class FocalTableReport:
 
 
 def _origin_forms(params: EllipseParams, theta, m=math):
-    """D, dD, d2D, the rotational velocity (x, y) and the rotational speed
-    about the center (also the signed angular speed: the ellipse turns
-    counterclockwise), at a float theta (m = math) or an array (m = numpy)."""
+    """D, dD, d2D and the rotational speed about the center (also the
+    signed angular speed: the ellipse turns counterclockwise), at a float
+    theta (m = math) or an array (m = numpy)."""
     a, b, c = params.a, params.b, params.c
     ct, st = m.cos(theta), m.sin(theta)
     q = a * a * ct * ct + b * b * st * st
     d = m.sqrt(q)
-    s = a * b / q ** 1.5
     return (d, -c * c * st * ct / d,
-            c * c * (-a * a * ct ** 4 + b * b * st ** 4) / q ** 1.5,
-            (-b * st * s, a * ct * s), a * b / q)
+            c * c * (-a * a * ct ** 4 + b * b * st ** 4) / q ** 1.5, a * b / q)
 
 
 def _focus_forms(params: EllipseParams, theta, m=math):
     """The focal distance xi1, its derivatives d1-d3 (each in the quotient
-    form whose signs the table tracks, not pre-simplified), the rotational
-    velocity (x, y) and the rotational speed about the focus (c, 0), which
-    is also the signed angular speed, at a float theta (m = math) or an
-    array (m = numpy)."""
+    form whose signs the table tracks, not pre-simplified) and the
+    rotational speed about the focus (c, 0), which is also the signed
+    angular speed, at a float theta (m = math) or an array (m = numpy)."""
     a, b, c = params.a, params.b, params.c
     ct, st = m.cos(theta), m.sin(theta)
     q = (a * ct - c) ** 2 + b * b * st * st
@@ -77,10 +74,7 @@ def _focus_forms(params: EllipseParams, theta, m=math):
     d3 = (3.0 * num1 ** 3 / q ** 2.5
           - 3.0 * num1 * num2 / q ** 1.5
           + (2.0 * c * c * m.sin(2.0 * theta) - a * c * st) / xi1)
-    speed_num = b * (a - c * ct)
-    s = speed_num / q ** 1.5
-    return (xi1, num1 / xi1, d2, d3, (-b * st * s, (a * ct - c) * s),
-            speed_num / xi1 ** 2)
+    return xi1, num1 / xi1, d2, d3, b * (a - c * ct) / xi1 ** 2
 
 
 # frame name -> (closed forms, center, zeros of the radial acceleration on
@@ -235,8 +229,8 @@ def profile_columns(params: EllipseParams,
     theta = (_TWO_PI * np.arange(n_samples) / (n_samples - 1)
              if n_samples > 1 else np.zeros(n_samples))
     with np.errstate(all="ignore"):  # non-finite rows raise below
-        xi1, d1, d2, d3, _, speed_focus = _focus_forms(params, theta, np)
-        speed_origin = _origin_forms(params, theta, np)[4]
+        xi1, d1, d2, d3, speed_focus = _focus_forms(params, theta, np)
+        speed_origin = _origin_forms(params, theta, np)[-1]
     columns = (theta, xi1, d1, d2, d3, speed_origin, speed_focus)
     finite = np.isfinite(columns).all(axis=0)
     if not finite.all():

@@ -552,10 +552,8 @@ def space_data_from_curve(curve, order: int = 1,
 
 @dataclass(frozen=True)
 class ReconstructionPreset:
-    name: str
     build: Callable  # (step, domain) -> (problem, reference curve)
     tolerance: float
-    dim: int
 
 
 def _preset_circle(step, domain):
@@ -586,16 +584,12 @@ def _preset_ellipse(step, domain, frame: str):
 
 
 PRESETS = {
-    "circle": ReconstructionPreset("circle", _preset_circle, 1e-8, 2),
-    "helix": ReconstructionPreset("helix", _preset_helix, 1e-5, 3),
+    "circle": ReconstructionPreset(_preset_circle, 1e-8),
+    "helix": ReconstructionPreset(_preset_helix, 1e-5),
     "ellipse-origin": ReconstructionPreset(
-        "ellipse-origin",
-        lambda step, domain: _preset_ellipse(step, domain, "origin"),
-        1e-6, 2),
+        lambda step, domain: _preset_ellipse(step, domain, "origin"), 1e-6),
     "ellipse-focus": ReconstructionPreset(
-        "ellipse-focus",
-        lambda step, domain: _preset_ellipse(step, domain, "focus"),
-        1e-6, 2),
+        lambda step, domain: _preset_ellipse(step, domain, "focus"), 1e-6),
 }
 
 

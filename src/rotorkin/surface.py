@@ -1,6 +1,7 @@
 """Kinematics of curves lying on parametric surfaces.
 
-A chart curve (u(t), v(t)) composed with a surface chart is a space curve;
+A chart curve is a plane curve x = u(t), y = v(t) in chart coordinates;
+composed with a surface chart it is a space curve;
 its first three t-derivatives expand over the natural frame {r_1, r_2, n}
 through the metric, the second fundamental form, and the Christoffel
 symbols.  The local rotating frame of the composed curve then yields
@@ -17,13 +18,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .curves import SpaceCurve, _finite_real
+from .curves import PlaneCurve, SpaceCurve, _finite_real, _widened
 from .errors import (BadParameters, DegenerateProjection, IrregularNet,
                      OutOfDomain, SingularPoint)
-from .numerics import default_step, fd_derivative
 from .space import (SpaceKinematics, _chord_plane_speeds,
                     space_distance_kinematics)
-from .vec import EPS_NORM, Vec3, unit_vector
+from .vec import EPS_NORM, Vec2, Vec3, unit_vector
 
 
 @dataclass(frozen=True)
@@ -38,59 +38,29 @@ class Surface:
     domain: tuple[tuple[float, float], tuple[float, float]]
     name: str = ""
 
-    def contains(self, u: float, v: float) -> bool:
-        (u0, u1), (v0, v1) = self.domain
-        slack_u = 1e-12 * max(1.0, abs(u0), abs(u1))
-        slack_v = 1e-12 * max(1.0, abs(v0), abs(v1))
-        return (u0 - slack_u <= u <= u1 + slack_u
-                and v0 - slack_v <= v <= v1 + slack_v)
+    def __post_init__(self):
+        object.__setattr__(self, "_bounds", tuple(map(_widened, self.domain)))
 
     def point(self, u: float, v: float) -> Vec3:
-        if not self.contains(u, v):
+        (u0, u1), (v0, v1) = self._bounds
+        if not (u0 <= u <= u1 and v0 <= v <= v1):
             raise OutOfDomain(f"(u, v)=({u:g}, {v:g}) outside the chart domain")
         return self.chart(u, v)
-
-    def partial(self, key: str, u: float, v: float) -> Vec3:
-        return self.partials[key](u, v)
-
-
-@dataclass(frozen=True)
-class ChartCurve:
-    """Curve in chart coordinates with derivatives to order 3.
-
-    u_fns / v_fns hold (value, d1, d2, d3); missing derivative slots fall
-    back to finite differences of the value callable.
-    """
-    u_fns: tuple
-    v_fns: tuple
-    domain: tuple[float, float]
-    name: str = ""
-
-    def _eval(self, fns, t: float, order: int) -> float:
-        fn = fns[order] if order < len(fns) else None
-        if fn is not None:
-            return fn(t)
-        return fd_derivative(fns[0], t, order, h=default_step(order),
-                             domain=self.domain)
-
-    def uv(self, t: float) -> tuple[float, float]:
-        if not (self.domain[0] <= t <= self.domain[1]):
-            raise OutOfDomain(f"t={t:g} outside chart-curve domain")
-        return self.u_fns[0](t), self.v_fns[0](t)
-
-    def duv(self, t: float, order: int) -> tuple[float, float]:
-        return self._eval(self.u_fns, t, order), self._eval(self.v_fns, t, order)
 
 
 def chart_curve(u: Callable[[float], float], v: Callable[[float], float],
                 domain: tuple[float, float],
                 u_derivs: Optional[tuple] = None,
                 v_derivs: Optional[tuple] = None,
-                name: str = "") -> ChartCurve:
-    u_derivs = tuple(u_derivs) if u_derivs else (None, None, None)
-    v_derivs = tuple(v_derivs) if v_derivs else (None, None, None)
-    return ChartCurve(u_fns=(u,) + u_derivs, v_fns=(v,) + v_derivs,
-                      domain=domain, name=name)
+                name: str = "") -> PlaneCurve:
+    """The chart curve (u(t), v(t)) as a plane curve x = u, y = v.  Its
+    derivatives are analytic when both (d1, d2, d3) tuples are given, and
+    finite differences of the position otherwise."""
+    def pair(fu, fv):
+        return lambda t: Vec2(fu(t), fv(t))
+    derivs = (tuple(map(pair, u_derivs, v_derivs)) if u_derivs and v_derivs
+              else (None, None, None))
+    return PlaneCurve(pair(u, v), domain, *derivs, name=name)
 
 
 @dataclass(frozen=True)
@@ -168,21 +138,24 @@ def surface_geometry(surface: Surface, u: float, v: float) -> SurfaceGeometry:
                            L_partials=L_partials, n=n, r1=r1v, r2=r2v)
 
 
-def _curve_data(curve: ChartCurve, t: float):
-    uv = curve.uv(t)
-    du = np.array(curve.duv(t, 1))
-    ddu = np.array(curve.duv(t, 2))
-    dddu = np.array(curve.duv(t, 3))
-    return uv, du, ddu, dddu
+def _jet(curve: PlaneCurve, t: float, order: int) -> list:
+    """(u, v) and its first `order` derivatives at t, as float pairs."""
+    w = curve.point(t)
+    pairs = [(w.x, w.y)]
+    for k in range(1, order + 1):
+        w = curve.derivative(t, k)
+        pairs.append((w.x, w.y))
+    return pairs
 
 
-def chart_curve_derivatives(surface: Surface, curve: ChartCurve,
+def chart_curve_derivatives(surface: Surface, curve: PlaneCurve,
                             t: float) -> tuple[Vec3, Vec3, Vec3, Vec3]:
     """Position and derivatives to order 3 of the composed curve, expanded
     over {r_1, r_2, n} via the natural-frame equations (the order-3
     expansion includes Christoffel partials, Gamma*Gamma, L*L*g^-1, and
     L-partial contractions)."""
-    (u, v), du, ddu, dddu = _curve_data(curve, t)
+    (u, v), *rest = _jet(curve, t, 3)
+    du, ddu, dddu = map(np.array, rest)
     geo = surface_geometry(surface, u, v)
     basis = np.stack([np.array(geo.r1.as_tuple()), np.array(geo.r2.as_tuple())])
     n_arr = np.array(geo.n.as_tuple())
@@ -213,33 +186,27 @@ def chart_curve_derivatives(surface: Surface, curve: ChartCurve,
     return (pos, vec(d1), vec(d2), vec(d3))
 
 
-def composed_space_curve(surface: Surface, curve: ChartCurve) -> SpaceCurve:
+def composed_space_curve(surface: Surface, curve: PlaneCurve) -> SpaceCurve:
     """The composed curve t -> r(u(t), v(t)) as a SpaceCurve whose analytic
     derivatives come from the direct chain rule on chart partials -- an
     independent route from chart_curve_derivatives."""
     p = surface.partials
 
     def pos(t):
-        return surface.point(*curve.uv(t))
+        return surface.point(*curve.point(t).as_tuple())
 
     def d1(t):
-        (u, v) = curve.uv(t)
-        up, vp = curve.duv(t, 1)
+        (u, v), (up, vp) = _jet(curve, t, 1)
         return p["u"](u, v) * up + p["v"](u, v) * vp
 
     def d2(t):
-        (u, v) = curve.uv(t)
-        up, vp = curve.duv(t, 1)
-        upp, vpp = curve.duv(t, 2)
+        (u, v), (up, vp), (upp, vpp) = _jet(curve, t, 2)
         return (p["uu"](u, v) * (up * up) + p["uv"](u, v) * (2.0 * up * vp)
                 + p["vv"](u, v) * (vp * vp)
                 + p["u"](u, v) * upp + p["v"](u, v) * vpp)
 
     def d3(t):
-        (u, v) = curve.uv(t)
-        up, vp = curve.duv(t, 1)
-        upp, vpp = curve.duv(t, 2)
-        uppp, vppp = curve.duv(t, 3)
+        (u, v), (up, vp), (upp, vpp), (uppp, vppp) = _jet(curve, t, 3)
         return (p["uuu"](u, v) * up ** 3
                 + p["uuv"](u, v) * (3.0 * up * up * vp)
                 + p["uvv"](u, v) * (3.0 * up * vp * vp)
@@ -254,37 +221,34 @@ def composed_space_curve(surface: Surface, curve: ChartCurve) -> SpaceCurve:
                       name=f"{surface.name}+{curve.name}")
 
 
-def surface_distance_kinematics(surface: Surface, curve: ChartCurve,
+def surface_distance_kinematics(surface: Surface, curve: PlaneCurve,
                                 t: float) -> SpaceKinematics:
     """Distance rate about the origin and coordinate-plane projected
     rotational speeds of the composed curve: its space kinematics."""
     return space_distance_kinematics(composed_space_curve(surface, curve), t)
 
 
-def surface_local_first_derivative(surface: Surface, curve: ChartCurve,
+def surface_local_first_derivative(surface: Surface, curve: PlaneCurve,
                                    t: float) -> float:
     """|r_u u' + r_v v'|; its square is the first fundamental form applied
     to (u', v')."""
-    (u, v) = curve.uv(t)
-    up, vp = curve.duv(t, 1)
-    return (surface.partial("u", u, v) * up
-            + surface.partial("v", u, v) * vp).norm()
+    return composed_space_curve(surface, curve).derivative(t, 1).norm()
 
 
-def surface_chord_speeds(surface: Surface, curve: ChartCurve, t: float,
+def surface_chord_speeds(surface: Surface, curve: PlaneCurve, t: float,
                          dt: float) -> tuple[float, float, float]:
     """Finite-step rotational speeds of the chord components in the three
     natural-frame planes (r1-r2, r1-n, r2-n) at chord step dt > 0."""
     if dt <= 0.0:
         raise OutOfDomain("chord step dt must be positive")
-    geo = surface_geometry(surface, *curve.uv(t))
+    geo = surface_geometry(surface, *curve.point(t).as_tuple())
     composed = composed_space_curve(surface, curve)
     return _chord_plane_speeds(
         (geo.r1, geo.r2, geo.n), composed.point(t + dt) - composed.point(t),
         composed.derivative(t + dt, 1), ("r1-r2", "r1-n", "r2-n"), t)
 
 
-def surface_plane_rot_limits(surface: Surface, curve: ChartCurve, t: float,
+def surface_plane_rot_limits(surface: Surface, curve: PlaneCurve, t: float,
                              components: str = "abc"
                              ) -> tuple[float | None, float | None, float | None]:
     """dt -> 0+ rotational speed limits of the chord components:
@@ -298,9 +262,8 @@ def surface_plane_rot_limits(surface: Surface, curve: ChartCurve, t: float,
     be nonzero; `components` selects which are computed (the rest are
     returned as None), so a degenerate unrequested component does not raise.
     """
-    (u, v) = curve.uv(t)
-    up = np.array(curve.duv(t, 1))
-    upp = np.array(curve.duv(t, 2))
+    (u, v), *rest = _jet(curve, t, 2)
+    up, upp = map(np.array, rest)
     geo = surface_geometry(surface, u, v)
 
     psi_a = psi_b = psi_c = None

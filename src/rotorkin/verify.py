@@ -37,7 +37,6 @@ class CriterionResult:
     passed: bool
     measured: float
     bound: float
-    tags: tuple
     detail: str = ""
 
     def line(self) -> str:
@@ -182,7 +181,7 @@ def crit_fd_rates(fault=None) -> CriterionResult:
     return CriterionResult(
         cid="fd-rates",
         passed=worst < 1e-6 and mismatch <= 1e-12 and elapsed < 5.0,
-        measured=worst, bound=1e-6, tags=("plane", "space", "surface"),
+        measured=worst, bound=1e-6,
         detail=f"elapsed {elapsed:.2f}s, array kernels {mismatch:.2g} "
                "(bound 1e-12)")
 
@@ -214,8 +213,7 @@ def crit_rot_speeds(fault=None) -> CriterionResult:
         worst = max(worst, *(_case_rel(case) for case in cases))
 
     return CriterionResult(
-        cid="rot-speeds", passed=worst < 1e-6, measured=worst, bound=1e-6,
-        tags=("plane", "space", "surface"))
+        cid="rot-speeds", passed=worst < 1e-6, measured=worst, bound=1e-6)
 
 
 # -- criterion 3: local-limit ladder convergence ----------------------------------
@@ -281,7 +279,7 @@ def crit_local_limits(fault=None) -> CriterionResult:
     passed = worst < 1e-4 and s13_worst < 1e-3
     return CriterionResult(
         cid="local-limits", passed=passed, measured=max(worst, s13_worst),
-        bound=1e-4, tags=("plane", "space", "surface"),
+        bound=1e-4,
         detail=f"s13 ladder {s13_worst:.3g} (bound 1e-3)")
 
 
@@ -294,8 +292,7 @@ def crit_line_degeneracy(fault=None) -> CriterionResult:
         lim = plane.local_limits(curve, t)
         worst = max(worst, abs(lim.psi_speed), abs(lim.phi_prime))
     return CriterionResult(
-        cid="line-degeneracy", passed=worst == 0.0, measured=worst,
-        bound=0.0, tags=("plane",))
+        cid="line-degeneracy", passed=worst == 0.0, measured=worst, bound=0.0)
 
 
 # -- criterion 5: order-3 chain-rule expansion (surfaces) ---------------------------
@@ -312,8 +309,7 @@ def crit_chart_expansion(fault=None) -> CriterionResult:
             worst = max(worst,
                         (expansion - oracle).norm() / max(oracle.norm(), 1e-9))
     return CriterionResult(
-        cid="chart-expansion", passed=worst < 1e-4, measured=worst,
-        bound=1e-4, tags=("surface",))
+        cid="chart-expansion", passed=worst < 1e-4, measured=worst, bound=1e-4)
 
 
 # -- criteria 6-8: ellipse case study -----------------------------------------------
@@ -322,7 +318,7 @@ def crit_focal_table(fault=None) -> CriterionResult:
     report = ell.verify_focal_table(ell.EllipseParams(2.0, 1.0))
     return CriterionResult(
         cid="focal-table", passed=report.ok and report.endpoint_max_err <= 1e-12,
-        measured=report.endpoint_max_err, bound=1e-12, tags=("ellipse",),
+        measured=report.endpoint_max_err, bound=1e-12,
         detail=f"{len(report.violations)} sign violations")
 
 
@@ -337,8 +333,7 @@ def crit_average_speeds(fault=None) -> CriterionResult:
                     params, frame, (k * width, (k + 1) * width))
                 worst = max(worst, abs(avg - 1.0))
     return CriterionResult(
-        cid="average-speeds", passed=worst < 1e-8, measured=worst,
-        bound=1e-8, tags=("ellipse",))
+        cid="average-speeds", passed=worst < 1e-8, measured=worst, bound=1e-8)
 
 
 def crit_accel_zeros(fault=None) -> CriterionResult:
@@ -350,8 +345,7 @@ def crit_accel_zeros(fault=None) -> CriterionResult:
             roots = ell.accel_zero_locations(params, frame)
             worst = max(worst, *(abs(r - c) for r, c in zip(roots, closed)))
     return CriterionResult(
-        cid="accel-zeros", passed=worst < 1e-10, measured=worst,
-        bound=1e-10, tags=("ellipse",))
+        cid="accel-zeros", passed=worst < 1e-10, measured=worst, bound=1e-10)
 
 
 # -- criterion 9: reconstruction round-trips -----------------------------------------
@@ -385,7 +379,6 @@ def crit_reconstruction(fault=None) -> CriterionResult:
     passed = worst < 1e-5 and min_order >= 3.5
     return CriterionResult(
         cid="reconstruction", passed=passed, measured=worst, bound=1e-5,
-        tags=("reconstruction",),
         detail=f"convergence orders {[f'{o:.2f}' for o in orders]}")
 
 
@@ -443,7 +436,7 @@ def crit_congruence(fault=None) -> CriterionResult:
 
     return CriterionResult(
         cid="congruence", passed=ok and worst < 1e-9, measured=worst,
-        bound=1e-9, tags=("plane", "space"))
+        bound=1e-9)
 
 
 # -- criterion 11: first fundamental form ----------------------------------------------
@@ -453,8 +446,8 @@ def crit_fundamental_form(fault=None) -> CriterionResult:
     worst = 0.0
     for surf, chart in _surface_cases():
         for t in _sample(rng, chart.domain, 200):
-            (u, v) = chart.uv(t)
-            up = np.array(chart.duv(t, 1))
+            (u, v) = chart.point(t).as_tuple()
+            up = np.array(chart.derivative(t, 1).as_tuple())
             geo = surface.surface_geometry(surf, u, v)
             first_form = float(np.einsum("ij,i,j->", geo.g, up, up))
             phi = surface.surface_local_first_derivative(surf, chart, t)
@@ -462,7 +455,7 @@ def crit_fundamental_form(fault=None) -> CriterionResult:
                         abs(phi * phi - first_form) / max(1.0, first_form))
     return CriterionResult(
         cid="fundamental-form", passed=worst < 1e-12, measured=worst,
-        bound=1e-12, tags=("surface",))
+        bound=1e-12)
 
 
 # -- criterion 12: CLI determinism -------------------------------------------------------
@@ -482,12 +475,12 @@ def crit_cli_determinism(fault=None) -> CriterionResult:
             if code != 0:
                 return CriterionResult(
                     cid="cli-determinism", passed=False, measured=float(code),
-                    bound=0.0, tags=("cli",), detail="kinematics run failed")
+                    bound=0.0, detail="kinematics run failed")
             outs.append(path.read_bytes())
     identical = outs[0] == outs[1]
     return CriterionResult(
         cid="cli-determinism", passed=identical,
-        measured=0.0 if identical else 1.0, bound=0.0, tags=("cli",))
+        measured=0.0 if identical else 1.0, bound=0.0)
 
 
 # (id, static tags, runner); tags drive --filter without running anything

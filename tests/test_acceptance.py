@@ -56,7 +56,7 @@ def test_pool_matches_the_criterion_by_criterion_runs():
 
 def _pid(fault=None):
     return verify.CriterionResult(
-        cid="pid", passed=True, measured=0.0, bound=0.0, tags=("cli",),
+        cid="pid", passed=True, measured=0.0, bound=0.0,
         detail=str(os.getpid()))
 
 

@@ -378,6 +378,24 @@ def test_degenerate_ellipse_profile_exits_3_without_rows(capsys):
                    "b=1e-09 is not finite\n")
 
 
+def test_surface_grid_end_one_ulp_past_the_domain_is_sampled(capsys,
+                                                             tmp_path):
+    # the grid's last point 0.1 + (2.7 - 0.1) rounds one ulp past 2.7; the
+    # chart curve kept its own exact domain check and exited 3 with
+    # "OutOfDomain at t=2.7", where every other curve allows the slack
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "surface": {"kind": "torus", "params": {"R": 2, "r": 0.5, "cz": 3}},
+        "chart_curve": {"u": "t", "v": "sin(t) + 2", "domain": [0.1, 2.7]}}))
+    code, out, err = run(capsys, ["surface", "--config", str(path)])
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[1:]
+    assert len(rows) == 100
+    last = cli._grid((0.1, 2.7), 100)[-1]
+    assert last > 2.7
+    assert float(rows[-1].split(",")[0]) == last
+
+
 # -- sample counts ---------------------------------------------------------------
 
 SURFACE_CONFIG = {

@@ -47,7 +47,7 @@ def test_circle_limit_constant_speed():
     # EllipseParams holds a > b; the closed forms read only a, b and c
     circle = SimpleNamespace(a=1.5, b=1.5, c=0.0)
     for theta in (0.0, 1.0, 3.0, 5.5):
-        _, dD, _, _, speed = ell._origin_forms(circle, theta)
+        _, dD, _, speed = ell._origin_forms(circle, theta)
         assert speed == pytest.approx(1.0, abs=1e-15)
         assert dD == pytest.approx(0.0, abs=1e-15)
 
@@ -60,7 +60,7 @@ def test_acceleration_vanishes_at_arctan_root():
 def test_origin_profile_matches_generic_kinematics():
     curve = make_catalog_curve("ellipse", {"a": A, "b": B})
     for theta in RNG.uniform(0.0, TWO_PI, size=300):
-        d, dD, d2D, _, speed = ell._origin_forms(PARAMS, float(theta))
+        d, dD, d2D, speed = ell._origin_forms(PARAMS, float(theta))
         generic = distance_kinematics(curve, Vec2(0.0, 0.0), float(theta))
         for x, y in ((d, generic.D), (dD, generic.dD), (d2D, generic.d2D),
                      (speed, generic.rot_speed)):
@@ -83,7 +83,7 @@ def test_focus_profile_matches_generic_kinematics():
     curve = make_catalog_curve("ellipse", {"a": A, "b": B})
     focus = Vec2(C, 0.0)
     for theta in RNG.uniform(0.0, TWO_PI, size=300):
-        xi1, d1, d2, _, _, speed = ell._focus_forms(PARAMS, float(theta))
+        xi1, d1, d2, _, speed = ell._focus_forms(PARAMS, float(theta))
         generic = distance_kinematics(curve, focus, float(theta))
         for x, y in ((xi1, generic.D), (d1, generic.dD), (d2, generic.d2D),
                      (speed, generic.rot_speed)):
@@ -268,8 +268,8 @@ def test_profile_columns_equal_the_scalar_profiles(a, b):
     assert all(column.shape == (401,) for column in columns)
     for row in zip(*(column.tolist() for column in columns)):
         theta = row[0]
-        xi1, d1, d2, d3, _, speed_focus = ell._focus_forms(params, theta)
-        want = (theta, xi1, d1, d2, d3, ell._origin_forms(params, theta)[4],
+        xi1, d1, d2, d3, speed_focus = ell._focus_forms(params, theta)
+        want = (theta, xi1, d1, d2, d3, ell._origin_forms(params, theta)[3],
                 speed_focus)
         assert row[0] == theta
         for got, expected in zip(row[1:], want[1:]):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rotorkin.curves import curve_from_spec
 from rotorkin.errors import (AxisProjectionDegenerate, BadParameters,
                              DegenerateProjection, IrregularNet, OutOfDomain)
-from rotorkin.numerics import extrapolate_to_zero, fd_derivative
+from rotorkin.numerics import default_step, extrapolate_to_zero, fd_derivative
 from rotorkin.space import space_distance_kinematics
 from rotorkin.surface import (chart_curve, chart_curve_derivatives,
                               composed_space_curve,
@@ -175,6 +176,82 @@ def test_catalog_partials_are_derivatives_of_the_chart(case, s, w):
         assert (error <= estimate + rounding).all(), (key, error, estimate)
 
 
+# -- chart curves ----------------------------------------------------------------
+
+def test_chart_curve_without_derivatives_differences_each_coordinate():
+    # bit for bit what a difference of each coordinate on its own gives,
+    # with the one-sided stencils at the ends
+    u, v = (lambda t: t * t), (lambda t: math.sin(3.0 * t))
+    domain = (0.2, 1.7)
+    curve = chart_curve(u, v, domain=domain)
+    for t in (0.2, 0.2005, 0.9, 1.6999, 1.7):
+        for order in (1, 2, 3):
+            want = tuple(fd_derivative(f, t, order, h=default_step(order),
+                                       domain=domain) for f in (u, v))
+            assert curve.derivative(t, order).as_tuple() == want
+
+
+def test_chart_curve_analytic_derivatives_pair_the_coordinates():
+    curve = chart_curve(math.sin, math.cos, domain=(0.0, 1.0),
+                        u_derivs=(math.cos, math.sin, math.tan),
+                        v_derivs=(math.exp, math.log1p, math.atan))
+    assert curve.point(0.5).as_tuple() == (math.sin(0.5), math.cos(0.5))
+    for order, fu, fv in ((1, math.cos, math.exp), (2, math.sin, math.log1p),
+                          (3, math.tan, math.atan)):
+        assert curve.derivative(0.5, order).as_tuple() == (fu(0.5), fv(0.5))
+
+
+def _num(x):
+    return f"({x!r})"
+
+
+@st.composite
+def chart_lines(draw):
+    """A sphere or torus off the origin, the chart line u = a + b t,
+    v = c + d sin(t) on t in [0, 1] inside its chart, and the same
+    composed curve written as one expression space curve."""
+    kind = draw(st.sampled_from(["sphere", "torus"]))
+    cx, cy, cz = (draw(st.floats(3.5, 6.0)) for _ in range(3))
+    a, b = draw(st.floats(1.6, 4.5)), draw(st.floats(-1.5, 1.5))
+    if kind == "sphere":
+        radius = draw(st.floats(0.5, 2.0))
+        params = {"radius": radius}
+        c, d = draw(st.floats(-0.8, 0.8)), draw(st.floats(-0.4, 0.4))
+    else:
+        big, small = draw(st.floats(1.0, 2.0)), draw(st.floats(0.1, 0.9))
+        params = {"R": big, "r": small}
+        c, d = draw(st.floats(0.5, 5.5)), draw(st.floats(-0.5, 0.5))
+    u = f"{_num(a)} + {_num(b)}*t"
+    v = f"{_num(c)} + {_num(d)}*sin(t)"
+    if kind == "sphere":
+        rho, z = f"{_num(radius)}*cos({v})", f"{_num(radius)}*sin({v})"
+    else:
+        rho = f"({_num(big)} + {_num(small)}*cos({v}))"
+        z = f"{_num(small)}*sin({v})"
+    surf = make_surface(kind, {**params, "cx": cx, "cy": cy, "cz": cz})
+    chart = curve_from_spec({"kind": "expr", "expr": {"x": u, "y": v},
+                             "domain": [0.0, 1.0]})
+    space = curve_from_spec({"kind": "expr", "domain": [0.0, 1.0], "expr": {
+        "x": f"{_num(cx)} + {rho}*cos({u})",
+        "y": f"{_num(cy)} + {rho}*sin({u})",
+        "z": f"{_num(cz)} + {z}"}})
+    return surf, chart, space
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=chart_lines(), ts=st.lists(st.floats(0.0, 1.0), min_size=6,
+                                       max_size=6))
+def test_surface_kinematics_are_those_of_the_expression_space_curve(case, ts):
+    surf, chart, space = case
+    fields = ("D", "dD", "d2D", "speed_a", "speed_b", "speed_c")
+    for t in ts:
+        got = surface_distance_kinematics(surf, chart, t)
+        want = space_distance_kinematics(space, t)
+        for name in fields:
+            x, y = getattr(got, name), getattr(want, name)
+            assert abs(x - y) <= 1e-10 * max(abs(x), abs(y), 1e-9), name
+
+
 # -- chart-curve derivative expansion ------------------------------------------------
 
 def test_sphere_equator_second_derivative():
@@ -284,7 +361,8 @@ def test_chord_length_ladder_converges_to_phi():
         phi = surface_local_first_derivative(surf, curve, t)
         ratios = []
         for dt in LADDER_WIDE:
-            chord = surf.point(*curve.uv(t + dt)) - surf.point(*curve.uv(t))
+            chord = (surf.point(*curve.point(t + dt).as_tuple())
+                     - surf.point(*curve.point(t).as_tuple()))
             ratios.append(chord.norm() / dt)
         estimate = extrapolate_to_zero(LADDER_WIDE, ratios)
         assert abs(estimate - phi) <= 1e-4 * max(phi, 1.0)
@@ -296,8 +374,8 @@ def test_phi_squared_is_first_fundamental_form():
     for t in RNG.uniform(0.3, 5.7, size=200):
         t = float(t)
         phi = surface_local_first_derivative(surf, curve, t)
-        geo = surface_geometry(surf, *curve.uv(t))
-        up = np.array(curve.duv(t, 1))
+        geo = surface_geometry(surf, *curve.point(t).as_tuple())
+        up = np.array(curve.derivative(t, 1).as_tuple())
         form = float(np.einsum("ij,i,j->", geo.g, up, up))
         assert abs(phi * phi - form) <= 1e-12 * max(form, 1.0)
 
@@ -322,9 +400,9 @@ def test_tangent_plane_limit_matches_verbatim_contraction():
     surf = make_surface("torus")
     curve = torus_wind_curve()
     for t in (0.8, 2.9):
-        (u, v) = curve.uv(t)
-        up = np.array(curve.duv(t, 1))
-        upp = np.array(curve.duv(t, 2))
+        (u, v) = curve.point(t).as_tuple()
+        up = np.array(curve.derivative(t, 1).as_tuple())
+        upp = np.array(curve.derivative(t, 2).as_tuple())
         geo = surface_geometry(surf, u, v)
         G, g = geo.Gamma, geo.g
 
@@ -367,7 +445,7 @@ def test_chord_speeds_vs_fd_of_projected_direction():
     surf = make_surface("torus")
     curve = torus_wind_curve()
     t = 1.3
-    geo = surface_geometry(surf, *curve.uv(t))
+    geo = surface_geometry(surf, *curve.point(t).as_tuple())
     basis = [np.array(geo.r1.as_tuple()), np.array(geo.r2.as_tuple()),
              np.array(geo.n.as_tuple())]
     m = np.stack(basis).T
@@ -376,7 +454,8 @@ def test_chord_speeds_vs_fd_of_projected_direction():
         speeds = surface_chord_speeds(surf, curve, t, dt)
         for idx, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
             def unit_comp(s):
-                delta = surf.point(*curve.uv(t + s)) - surf.point(*curve.uv(t))
+                delta = (surf.point(*curve.point(t + s).as_tuple())
+                         - surf.point(*curve.point(t).as_tuple()))
                 chi = np.linalg.solve(m, np.array(delta.as_tuple()))
                 vec = chi[i] * basis[i] + chi[j] * basis[j]
                 return vec / np.linalg.norm(vec)
