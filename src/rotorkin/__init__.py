@@ -7,15 +7,24 @@ chord-limit invariants that classify curves up to position, and
 reconstructs trajectories from the decomposed data by ODE integration.
 """
 
-from .curves import (PlaneCurve, SpaceCurve, curve_from_spec,
-                     make_catalog_curve, reparametrize, transform_curve)
-from .ellipse import EllipseParams
-from .vec import Vec2, Vec3
-
-__all__ = [
-    "PlaneCurve", "SpaceCurve", "Vec2", "Vec3", "EllipseParams",
-    "make_catalog_curve", "curve_from_spec", "reparametrize",
-    "transform_curve",
-]
+import importlib
 
 __version__ = "0.1.0"
+
+# each public name and its module, imported on first use of the name (PEP
+# 562), so that `import rotorkin.cli` loads only the modules the CLI runs
+_HOMES = {"PlaneCurve": "curves", "SpaceCurve": "curves", "Vec2": "vec",
+          "Vec3": "vec", "EllipseParams": "ellipse",
+          "make_catalog_curve": "curves", "curve_from_spec": "curves",
+          "reparametrize": "curves", "transform_curve": "curves"}
+__all__ = list(_HOMES)
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -3,6 +3,7 @@
 Subcommands: kinematics, reconstruct, surface, ellipse, verify.  A JSON
 config file supplies the same fields as the flags; flags win.  Exit codes:
 0 success, 1 tolerance failure, 2 config error, 3 numerical degeneracy.
+Each cmd_ function imports the modules that only its command runs.
 """
 
 from __future__ import annotations
@@ -17,17 +18,13 @@ from typing import Optional
 
 import numpy as np
 
-from . import ellipse as ell
-from . import reconstruct, surface, verify
+from .csvout import _write_csv
 from .curves import (CATALOG, _spec_domain, curve_from_spec,
                      make_catalog_curve)
 from .errors import (BadParameters, ExprSyntaxError, KinematicsError,
                      UnknownCurve, UnknownIdentifier)
 from .numerics import fd_step_from_env
 from .plane import _finite_row, distance_kinematics_array, local_limits_array
-from .reconstruct import _write_csv
-from .space import space_distance_kinematics_array
-from .surface import surface_from_spec
 from .vec import Vec2
 
 EXIT_OK = 0
@@ -36,6 +33,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 # the most samples one run may ask for, as for reconstruction steps
 MAX_SAMPLES = 10 ** 6
+# the names of reconstruct.PRESETS, sorted, for --preset's help
+PRESET_NAMES = ("circle", "ellipse-focus", "ellipse-origin", "helix")
 
 
 class ConfigError(Exception):
@@ -66,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("reconstruct", help="rebuild a trajectory from motion data")
     common(r)
-    r.add_argument("--preset", help="|".join(sorted(reconstruct.PRESETS)))
+    r.add_argument("--preset", help="|".join(PRESET_NAMES))
     r.add_argument("--step", type=float, default=None)
 
     s = sub.add_parser("surface", help="kinematics of a chart curve on a surface")
@@ -203,7 +202,8 @@ def cmd_kinematics(args) -> int:
         # the axes the curve was built with
         axes = {**CATALOG["ellipse"].defaults, **(params or {})}
         a, b = axes["a"], axes["b"]
-        ell.EllipseParams(a, b)  # raises if a is too large to square
+        from .ellipse import EllipseParams
+        EllipseParams(a, b)  # raises if a is too large to square
         # not EllipseParams.c: a ** 2 rounds differently from a * a
         point = Vec2(math.sqrt(a * a - b * b), 0.0)
         frame = "point"
@@ -215,6 +215,7 @@ def cmd_kinematics(args) -> int:
     ts = _grid(curve.domain, samples)
     try:
         if curve.dim == 3:
+            from .space import space_distance_kinematics_array
             headers = ["t", "D", "dD", "d2D", "speed_A", "speed_B", "speed_C"]
             kin = space_distance_kinematics_array(curve, ts)
             columns = (ts, kin.D, kin.dD, kin.d2D,
@@ -238,6 +239,7 @@ def cmd_kinematics(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    from . import reconstruct
     config = _load_config(args)
     preset_name = args.preset or config.get("preset")
     if preset_name is not None and not isinstance(preset_name, str):
@@ -277,6 +279,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_surface(args) -> int:
+    from . import surface
     config = _load_config(args)
     record = config.get("surface")
     if args.surface_kind:
@@ -287,7 +290,7 @@ def cmd_surface(args) -> int:
                   "params": (record or {}).get("params")}
     if not record:
         raise ConfigError("surface command needs --surface or a surface record")
-    surf = surface_from_spec(record)
+    surf = surface.surface_from_spec(record)
 
     cc = config.get("chart_curve")
     if not isinstance(cc, dict) or not {"u", "v", "domain"} <= cc.keys():
@@ -318,6 +321,7 @@ def cmd_surface(args) -> int:
 
 
 def cmd_ellipse(args) -> int:
+    from . import ellipse as ell
     config = _load_config(args)
     a = args.a if args.a is not None else config.get("a", 2.0)
     b = args.b if args.b is not None else config.get("b", 1.0)
@@ -335,6 +339,7 @@ def cmd_ellipse(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
     results = verify.run_all(filter_tag=args.filter,
                              fault=getattr(args, "inject_fault", None))
     if not results:  # only a filter that matches nothing selects none

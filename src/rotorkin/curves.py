@@ -16,7 +16,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import expr as expr_mod
 from .errors import (BadParameters, KinematicsError, NonMonotonic,
                      OrderUnsupported, OutOfDomain, UnknownCurve)
 from .numerics import default_step, fd_derivative
@@ -53,10 +52,6 @@ class _Curve:
         # once per curve (`replace` builds a new one); a cached_property
         # would take a lock on first use
         object.__setattr__(self, "_bounds", _widened(self.domain))
-
-    @property
-    def analytic(self) -> bool:
-        return self.d1 is not None and self.d2 is not None and self.d3 is not None
 
     def contains(self, t):
         """Whether t (a float, or elementwise an array) lies in the domain."""
@@ -415,7 +410,8 @@ def curve_from_spec(record: dict):
     if domain is None:
         raise BadParameters("expr curve needs an explicit domain")
     domain = _spec_domain(domain)
-    fx, fy, fz = (expr_mod.compile_chain(exprs[axis]) if axis in exprs
+    from .expr import compile_chain
+    fx, fy, fz = (compile_chain(exprs[axis]) if axis in exprs
                   else None for axis in ("x", "y", "z"))
     # per order, the array functions of the coordinates
     arrays = tuple(tuple(f.array for f in fns)

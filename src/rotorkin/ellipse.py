@@ -17,7 +17,6 @@ import numpy as np
 from .curves import _finite_real
 from .errors import BadParameters, NonFiniteData
 from .numerics import adaptive_simpson, find_roots
-from .reconstruct import PlaneReconstructionProblem, _pointwise
 
 
 @dataclass(frozen=True)
@@ -196,11 +195,11 @@ def origin_zero_closed_form(params: EllipseParams) -> list[float]:
 # -- reconstruction data ------------------------------------------------------
 
 def reconstruction_problem(params: EllipseParams, frame: str,
-                           step: float | None = None
-                           ) -> PlaneReconstructionProblem:
-    """Second-order distance data about the frame's center plus the signed
-    angular speed of the center-to-point direction; integrating it
-    regenerates the ellipse."""
+                           step: float | None = None):
+    """The PlaneReconstructionProblem of second-order distance data about
+    the frame's center plus the signed angular speed of the center-to-point
+    direction; integrating it regenerates the ellipse."""
+    from .reconstruct import PlaneReconstructionProblem, _pointwise
     forms, center, _ = _frame(frame)
     cx, cy = center(params)
 

@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
-import shutil
-import tempfile
-from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
+from .csvout import _write_csv
+from .curves import make_catalog_curve
 from .errors import (BadParameters, InconsistentDirections, NonFiniteData,
                      NonTangentField, ProjectionCollapse, StepTooLarge)
 from .plane import _frame_terms
@@ -39,8 +38,7 @@ _COLLAPSE_TOL = 1e-3
 _TRIANGULATION_TOL = 1e-6
 _MAX_STEPS = 10 ** 6
 # steps per block of the time-only path (and points per block of
-# max_error_vs, rows per "%" call of the CSV writer); bounds the memory of
-# its per-block arrays
+# max_error_vs); bounds the memory of its per-block arrays
 _BLOCK = 1024
 # the plane problem's one direction turns in the plane of its slots (0, 1)
 _PLANE = ((0, 1),)
@@ -76,65 +74,6 @@ class Trajectory:
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             _write_csv(fh, self.header, np.column_stack((self.ts, self.points)))
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where it cannot fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-
-
-def _write_csv(fh, header, table: np.ndarray) -> None:
-    """Write `header` and the rows of the (n, k) float `table` to the text
-    stream `fh`, every cell as "%.17g" (the bytes of f"{cell:.17g}"), one
-    "%" per _BLOCK rows.  The blocks are cut into one contiguous run per
-    usable CPU; a forked child formats each run after the first into its
-    own temporary file, which the parent appends in order."""
-    line = ",".join(["%.17g"] * len(header)) + "\n"
-    starts = range(0, len(table), _BLOCK)
-    n = max(1, min(len(starts), _usable_cpus()))
-    runs = [starts[len(starts) * k // n:len(starts) * (k + 1) // n]
-            for k in range(n)]
-
-    def write(out, run):
-        for start in run:
-            block = table[start:start + _BLOCK]
-            out.write(line * len(block) % tuple(block.ravel().tolist()))
-
-    fh.flush()  # a child must not inherit unwritten output
-    children = []
-    with ExitStack() as files:
-        try:
-            for run in runs[1:]:
-                tmp = files.enter_context(tempfile.TemporaryFile("w+"))
-                if (pid := os.fork()) == 0:
-                    # the child formats its run and leaves through _exit
-                    # (status 1 on an error), so no atexit handler runs
-                    try:
-                        write(tmp, run)
-                        tmp.flush()
-                        os._exit(0)
-                    finally:
-                        os._exit(1)
-                children.append((pid, tmp))
-            fh.write(",".join(header) + "\n")
-            write(fh, runs[0])
-            while children:
-                pid, tmp = children[0]
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                del children[0]
-                if status:
-                    raise ChildProcessError(
-                        f"CSV writer process {pid} exited with {status}")
-                tmp.seek(0)
-                shutil.copyfileobj(tmp, fh)
-        finally:
-            for pid, _ in children:  # left only when the write failed
-                import signal  # lazily: 1 ms a CLI start would pay
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
 
 
 def _rk4_step(f, t, y, h):
@@ -185,6 +124,8 @@ def _non_positive(step: int, t: float) -> StepTooLarge:
 def _pointwise(data, planes=_PLANE):
     """rhs_D and the direction fields e' = omega(t) J e, one per plane
     (i, j) of `planes`, of time-only `data`, as one-element calls of it."""
+    # RK4 stages and fields share abscissae; callers only read the results
+    @lru_cache(maxsize=4)
     def at(t):
         return data(np.array([float(t)]))
 
@@ -557,14 +498,12 @@ class ReconstructionPreset:
 
 
 def _preset_circle(step, domain):
-    from .curves import make_catalog_curve
     curve = make_catalog_curve("circle", domain=domain)
     problem = plane_data_from_curve(curve, order=1, step=step)
     return problem, curve
 
 
 def _preset_helix(step, domain):
-    from .curves import make_catalog_curve
     curve = make_catalog_curve(
         "helix", {"cx": 2.0, "cy": 2.0, "cz": 1.0},
         domain=domain or (0.0, math.pi))
@@ -574,7 +513,6 @@ def _preset_helix(step, domain):
 
 def _preset_ellipse(step, domain, frame: str):
     from . import ellipse
-    from .curves import make_catalog_curve
     problem = ellipse.reconstruction_problem(ellipse.EllipseParams(2.0, 1.0),
                                              frame, step=step)
     if domain is not None:

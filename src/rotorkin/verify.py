@@ -20,6 +20,7 @@ import numpy as np
 
 from . import ellipse as ell
 from . import plane, reconstruct, space, surface
+from .csvout import _usable_cpus
 from .curves import make_catalog_curve, transform_curve
 from .numerics import extrapolate_to_zero, fd_derivative
 from .vec import Vec2, Vec3
@@ -510,7 +511,7 @@ def run_all(filter_tag: Optional[str] = None,
     per usable CPU; workers get indices into their copy of CRITERIA."""
     picked = [k for k, (cid, tags, _) in enumerate(CRITERIA)
               if filter_tag is None or filter_tag in tags or filter_tag == cid]
-    workers = min(len(picked), reconstruct._usable_cpus())
+    workers = min(len(picked), _usable_cpus())
     mapper = map
     with ExitStack() as stack:
         if workers > 1:

@@ -14,8 +14,9 @@ import pytest
 
 from rotorkin import cli
 from rotorkin import ellipse as ell
+from rotorkin.csvout import _BLOCK, _write_csv
 from rotorkin.curves import curve_from_spec, make_catalog_curve
-from rotorkin.reconstruct import _BLOCK, Trajectory, _write_csv
+from rotorkin.reconstruct import Trajectory
 from rotorkin.space import (space_distance_kinematics,
                             space_distance_kinematics_array)
 
@@ -961,3 +962,90 @@ def test_verify_fault_injection_fails_psi_criterion(capsys):
                                 "--inject-fault", "psi"])
     assert code == 1
     assert out.startswith("FAIL local-limits")
+
+
+# -- start-up imports ------------------------------------------------------------
+
+# runs `python -m rotorkin.cli ARGS` the way -m does (the package first, then
+# the module as __main__) and writes the exit code and sys.modules to FILE
+MODULES_AFTER_RUN = """
+import json, runpy, sys
+path, sys.argv = sys.argv[1], ["rotorkin", *sys.argv[2:]]
+try:
+    runpy.run_module("rotorkin.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    with open(path, "w") as fh:
+        json.dump([exc.code, sorted(sys.modules)], fh)
+"""
+
+TORUS = {"surface": {"kind": "torus", "params": {"R": 2, "r": 0.5, "cz": 3}},
+         "chart_curve": {"u": "t", "v": "sin(t) + 2", "domain": [0.1, 2.7]}}
+
+
+def run_python(*args):
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["kinematics", "--curve", "ellipse", "--samples", "2"],
+     {"surface", "verify", "reconstruct", "expr", "ellipse", "space"}),
+    (["kinematics", "--curve", "cubic", "--samples", "2"],
+     {"surface", "verify", "reconstruct", "expr", "ellipse"}),
+    (["reconstruct", "--preset", "circle"], {"surface", "verify", "expr"}),
+    (["ellipse", "--samples", "2"], {"reconstruct", "surface"}),
+    (["surface", "--config", "{torus}", "--samples", "2"],
+     {"verify", "reconstruct"}),
+], ids=["kinematics-plane", "kinematics-space", "reconstruct", "ellipse",
+        "surface"])
+def test_a_command_imports_only_the_modules_it_runs(tmp_path, argv, unused):
+    torus = tmp_path / "torus.json"
+    torus.write_text(json.dumps(TORUS))
+    modules = tmp_path / "modules.json"
+    done = run_python("-c", MODULES_AFTER_RUN, str(modules),
+                      *(arg.format(torus=torus) for arg in argv),
+                      "--out", str(tmp_path / "out.csv"))
+    code, loaded = json.loads(modules.read_text())
+    assert code == 0, done.stderr
+    assert "rotorkin.curves" in loaded
+    assert not {f"rotorkin.{name}" for name in unused} & set(loaded)
+
+
+def test_package_names_resolve_to_their_home_modules():
+    import importlib
+
+    import rotorkin
+    homes = {"curves": ("PlaneCurve", "SpaceCurve", "make_catalog_curve",
+                        "curve_from_spec", "reparametrize",
+                        "transform_curve"),
+             "vec": ("Vec2", "Vec3"), "ellipse": ("EllipseParams",)}
+    assert sorted(rotorkin.__all__) == sorted(sum(homes.values(), ()))
+    for module, names in homes.items():
+        home = importlib.import_module(f"rotorkin.{module}")
+        for name in names:
+            assert getattr(rotorkin, name) is getattr(home, name)
+    star = {}
+    exec("from rotorkin import *", star)
+    assert set(rotorkin.__all__) <= star.keys()
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(rotorkin, "no_such_name")
+    assert set(rotorkin.__all__) <= set(dir(rotorkin))
+
+
+def test_the_package_import_loads_no_module_and_submodules_still_import():
+    done = run_python("-c", "import json, sys, rotorkin\n"
+                      "before = [m for m in sys.modules if 'rotorkin.' in m]\n"
+                      "from rotorkin import verify\n"
+                      "print(json.dumps([before, verify.__name__]))")
+    assert json.loads(done.stdout) == [[], "rotorkin.verify"], done.stderr
+
+
+def test_preset_help_names_every_preset(capsys):
+    from rotorkin import reconstruct
+    with pytest.raises(SystemExit):
+        cli.main(["reconstruct", "--help"])
+    help_text = capsys.readouterr().out
+    names = help_text.rsplit("--preset PRESET", 1)[1].split()[0]
+    assert names.split("|") == sorted(reconstruct.PRESETS)

@@ -609,6 +609,25 @@ def test_each_abscissa_is_evaluated_once(curve_calls):
     assert curve_calls["point"] == 2 * 300 + 1 + 1
 
 
+@pytest.mark.parametrize("expr, builder, run", [
+    ({"x": "2 + cos(t)", "y": "1 + sin(t)"}, plane_data_from_curve,
+     reconstruct_plane),
+    ({"x": "2 + cos(t)", "y": "2 + sin(t)", "z": "1 + t"},
+     space_data_from_curve, reconstruct_space),
+])
+def test_general_path_shares_data_calls_between_stages(curve_calls, expr,
+                                                       builder, run):
+    # the RK4 stages of one step evaluate the data at t, t + h/2 and t + h,
+    # one call each for the distance and every direction field; they made
+    # 8 one-element calls per plane step and 16 per space step
+    curve = counting_arrays(curve_from_spec(
+        {"kind": "expr", "expr": expr, "domain": [0.0, 1.0]}), curve_calls)
+    problem = builder(curve, order=1, step=1e-2)
+    curve_calls.clear()
+    run(replace(problem, data=None))
+    assert 2 * 100 < curve_calls["point"] <= 3 * 100 + 1
+
+
 @pytest.mark.parametrize("spec", [
     {"kind": "ellipse", "params": {"a": 2.5, "b": 1.5}},
     {"kind": "expr", "expr": {"x": "2 + cos(t)", "y": "2 + sin(t)",
