@@ -24,7 +24,8 @@ from .curves import (CATALOG, _spec_domain, curve_from_spec,
 from .errors import (BadParameters, ExprSyntaxError, KinematicsError,
                      UnknownCurve, UnknownIdentifier)
 from .numerics import fd_step_from_env
-from .plane import _finite_row, distance_kinematics_array, local_limits_array
+from .plane import (_finite_row, distance_kinematics_array,
+                    local_limits_array, uniform_grid)
 from .vec import Vec2
 
 EXIT_OK = 0
@@ -133,11 +134,6 @@ def _format(args, config) -> str:
     return fmt
 
 
-def _grid(domain, samples: int) -> np.ndarray:
-    t0, t1 = domain
-    return t0 + (t1 - t0) * np.arange(samples) / (samples - 1)
-
-
 def _emit(headers, columns, out_path: Optional[str], fmt: str) -> None:
     """Write the equal-length float columns, stacked once into a table, to
     out_path or stdout; a path that cannot be opened is a config error."""
@@ -200,7 +196,7 @@ def cmd_kinematics(args) -> int:
         if curve.name != "ellipse":
             raise ConfigError("focus frame is only valid for the ellipse")
         # the axes the curve was built with
-        axes = {**CATALOG["ellipse"].defaults, **(params or {})}
+        axes = {**CATALOG["ellipse"].__kwdefaults__, **(params or {})}
         a, b = axes["a"], axes["b"]
         from .ellipse import EllipseParams
         EllipseParams(a, b)  # raises if a is too large to square
@@ -212,7 +208,7 @@ def cmd_kinematics(args) -> int:
     if frame == "local" and curve.dim != 2:
         raise ConfigError("the local frame sampler applies to plane curves")
 
-    ts = _grid(curve.domain, samples)
+    ts = uniform_grid(curve.domain, samples)
     try:
         if curve.dim == 3:
             from .space import space_distance_kinematics_array
@@ -310,7 +306,7 @@ def cmd_surface(args) -> int:
 
     rows = []
     try:
-        for t in _grid(curve.domain, samples).tolist():
+        for t in uniform_grid(curve.domain, samples).tolist():
             # a non-finite row raises NonFiniteData instead of printing inf
             rows.append((t, *_finite_row(kinematics, t, names)))
     except KinematicsError as exc:
@@ -382,4 +378,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # under -m this file is __main__: verify's `from . import cli` reuses it
+    sys.modules.setdefault("rotorkin.cli", sys.modules[__name__])
     sys.exit(main())

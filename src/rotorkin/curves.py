@@ -230,12 +230,6 @@ def transform_curve(curve, matrix, offset=None):
 
 # -- catalog -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CurveCatalogEntry:
-    defaults: dict
-    builder: Callable[..., _Curve]
-
-
 def _closed_form(cls, forms, domain, name):
     """A catalog curve from its closed forms (see `_Curve.forms`); the
     scalar calls evaluate them with `math`."""
@@ -246,7 +240,7 @@ def _closed_form(cls, forms, domain, name):
                name=name, forms=tuple(forms))
 
 
-def _line(x0=1.0, y0=2.0, a=3.0, b=4.0):
+def _line(*, x0=1.0, y0=2.0, a=3.0, b=4.0):
     return _closed_form(PlaneCurve, (
         lambda t, m: (x0 + a * t, y0 + b * t),
         lambda t, m: (a, b),
@@ -254,7 +248,7 @@ def _line(x0=1.0, y0=2.0, a=3.0, b=4.0):
         lambda t, m: (0.0, 0.0)), (-5.0, 5.0), "line")
 
 
-def _circle(radius=1.0, cx=0.0, cy=0.0):
+def _circle(*, radius=1.0, cx=0.0, cy=0.0):
     if radius <= 0:
         raise BadParameters("circle needs radius > 0")
     r = radius
@@ -266,7 +260,7 @@ def _circle(radius=1.0, cx=0.0, cy=0.0):
         (0.0, 2.0 * math.pi), "circle")
 
 
-def _ellipse(a=2.0, b=1.0):
+def _ellipse(*, a=2.0, b=1.0):
     if not (a > b > 0):
         raise BadParameters(f"ellipse needs a > b > 0, got a={a}, b={b}")
     return _closed_form(PlaneCurve, (
@@ -277,7 +271,7 @@ def _ellipse(a=2.0, b=1.0):
         (0.0, 2.0 * math.pi), "ellipse")
 
 
-def _parabola(a=1.0, x0=0.0, y0=1.0):
+def _parabola(*, a=1.0, x0=0.0, y0=1.0):
     return _closed_form(PlaneCurve, (
         lambda t, m: (x0 + t, y0 + a * t * t),
         lambda t, m: (1.0, 2.0 * a * t),
@@ -285,7 +279,7 @@ def _parabola(a=1.0, x0=0.0, y0=1.0):
         lambda t, m: (0.0, 0.0)), (-2.0, 2.0), "parabola")
 
 
-def _cubic(a=1.0, b=1.0, c=1.0):
+def _cubic(*, a=1.0, b=1.0, c=1.0):
     # twisted cubic; positive parameters keep it clear of the axes for t > 0
     return _closed_form(SpaceCurve, (
         lambda t, m: (a * t, b * t * t, c * t ** 3),
@@ -294,7 +288,7 @@ def _cubic(a=1.0, b=1.0, c=1.0):
         lambda t, m: (0.0, 0.0, 6.0 * c)), (0.2, 1.5), "cubic")
 
 
-def _helix(radius=1.0, pitch=1.0, cx=0.0, cy=0.0, cz=0.0):
+def _helix(*, radius=1.0, pitch=1.0, cx=0.0, cy=0.0, cz=0.0):
     if radius <= 0:
         raise BadParameters("helix needs radius > 0")
     r, p = radius, pitch
@@ -316,7 +310,7 @@ def _poly_eval(coeffs, t, order):
     return total
 
 
-def _polynomial(x_coeffs=(1.0, 1.0), y_coeffs=(2.0, 1.0, 0.0, 0.5)):
+def _polynomial(*, x_coeffs=(1.0, 1.0), y_coeffs=(2.0, 1.0, 0.0, 0.5)):
     xs = tuple(float(c) for c in x_coeffs)
     ys = tuple(float(c) for c in y_coeffs)
     return _closed_form(PlaneCurve, [
@@ -324,21 +318,11 @@ def _polynomial(x_coeffs=(1.0, 1.0), y_coeffs=(2.0, 1.0, 0.0, 0.5)):
         for k in range(4)], (-1.0, 1.0), "polynomial")
 
 
-CATALOG: dict[str, CurveCatalogEntry] = {
-    "line": CurveCatalogEntry({"x0": 1.0, "y0": 2.0, "a": 3.0, "b": 4.0},
-                              _line),
-    "circle": CurveCatalogEntry({"radius": 1.0, "cx": 0.0, "cy": 0.0},
-                                _circle),
-    "ellipse": CurveCatalogEntry({"a": 2.0, "b": 1.0}, _ellipse),
-    "parabola": CurveCatalogEntry({"a": 1.0, "x0": 0.0, "y0": 1.0},
-                                  _parabola),
-    "cubic": CurveCatalogEntry({"a": 1.0, "b": 1.0, "c": 1.0}, _cubic),
-    "helix": CurveCatalogEntry(
-        {"radius": 1.0, "pitch": 1.0, "cx": 0.0, "cy": 0.0, "cz": 0.0},
-        _helix),
-    "polynomial": CurveCatalogEntry(
-        {"x_coeffs": (1.0, 1.0), "y_coeffs": (2.0, 1.0, 0.0, 0.5)},
-        _polynomial),
+# name -> builder; a builder's keyword defaults are the curve's parameters
+CATALOG: dict[str, Callable[..., _Curve]] = {
+    "line": _line, "circle": _circle, "ellipse": _ellipse,
+    "parabola": _parabola, "cubic": _cubic, "helix": _helix,
+    "polynomial": _polynomial,
 }
 
 
@@ -346,23 +330,24 @@ def make_catalog_curve(name: str, params: dict | None = None,
                        domain: tuple[float, float] | None = None):
     """Construct a catalog curve; unknown names raise UnknownCurve and
     incomplete/invalid parameters raise BadParameters."""
-    entry = CATALOG.get(name) if isinstance(name, str) else None
-    if entry is None:
+    builder = CATALOG.get(name) if isinstance(name, str) else None
+    if builder is None:
         raise UnknownCurve(f"no catalog curve named {name!r}")
     if not isinstance(params, (dict, type(None))):
         raise BadParameters(f"{name}: params must be an object, got {params!r}")
     params = dict(params or {})
-    unknown = set(params) - set(entry.defaults)
+    defaults = builder.__kwdefaults__
+    unknown = set(params) - set(defaults)
     if unknown:
         raise BadParameters(f"{name}: unknown parameters {sorted(unknown)}")
     for key, value in params.items():
-        many = isinstance(entry.defaults[key], tuple)
+        many = isinstance(defaults[key], tuple)
         if many and not isinstance(value, (list, tuple, np.ndarray)):
             raise BadParameters(f"{name}: {key} must be a list of numbers")
         for item in (value if many else (value,)):
             _finite_real(item, f"{name}: {key}")
     try:
-        curve = entry.builder(**params)
+        curve = builder(**params)
     except TypeError as exc:
         raise BadParameters(f"{name}: {exc}") from exc
     if domain is not None:

@@ -17,6 +17,7 @@ import numpy as np
 from .curves import _finite_real
 from .errors import BadParameters, NonFiniteData
 from .numerics import adaptive_simpson, find_roots
+from .plane import uniform_grid
 
 
 @dataclass(frozen=True)
@@ -163,16 +164,15 @@ def verify_focal_table(params: EllipseParams) -> FocalTableReport:
 
 
 def average_rotational_speed(params: EllipseParams, frame: str,
-                             interval: tuple[float, float],
-                             tol: float = 1e-10) -> float:
+                             interval: tuple[float, float]) -> float:
     """Mean rotational speed about the frame's center over the interval by
     adaptive Simpson."""
     lo, hi = interval
     if not (0.0 <= lo < hi <= _TWO_PI + 1e-12):
         raise BadParameters("interval must lie within [0, 2*pi]")
     forms = _frame(frame)[0]
-    return adaptive_simpson(lambda th: forms(params, th)[-1], lo, hi,
-                            tol=tol) / (hi - lo)
+    return adaptive_simpson(lambda th: forms(params, th)[-1], lo,
+                            hi) / (hi - lo)
 
 
 def accel_zero_locations(params: EllipseParams,
@@ -184,7 +184,7 @@ def accel_zero_locations(params: EllipseParams,
     """
     forms, _, zeros = _frame(frame)
     return find_roots(lambda th: forms(params, th)[2], 0.0, _TWO_PI,
-                      n_scan=8192, tol=1e-12, expected=zeros)
+                      expected=zeros)
 
 
 def origin_zero_closed_form(params: EllipseParams) -> list[float]:
@@ -225,8 +225,8 @@ def profile_columns(params: EllipseParams,
     """The PROFILE_HEADER columns at n_samples angles evenly spaced over
     [0, 2 pi].  A row with a non-finite cell raises NonFiniteData, its `t`
     the first such theta."""
-    theta = (_TWO_PI * np.arange(n_samples) / (n_samples - 1)
-             if n_samples > 1 else np.zeros(n_samples))
+    theta = (uniform_grid((0.0, _TWO_PI), n_samples) if n_samples > 1
+             else np.zeros(n_samples))
     with np.errstate(all="ignore"):  # non-finite rows raise below
         xi1, d1, d2, d3, speed_focus = _focus_forms(params, theta, np)
         speed_origin = _origin_forms(params, theta, np)[-1]

@@ -590,13 +590,13 @@ def differentiate(node: Node) -> Node:
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def derivative_chain(node: Node, order: int = 3) -> list[Node]:
-    """node and its derivatives up to `order`.  A chain of more than
+def derivative_chain(node: Node) -> list[Node]:
+    """node and its first three derivatives.  A chain of more than
     _MAX_CHAIN_NODES nodes, as `evaluate` walks them, raises BadParameters;
     each tree is measured before it is differentiated."""
     chain = [node]
     total = _measure(node)[1]
-    while len(chain) <= order and total <= _MAX_CHAIN_NODES:
+    while len(chain) <= 3 and total <= _MAX_CHAIN_NODES:
         chain.append(differentiate(chain[-1]))
         total += _measure(chain[-1])[1]
     if total > _MAX_CHAIN_NODES:

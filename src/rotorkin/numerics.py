@@ -87,12 +87,13 @@ def fd_derivative(f: Callable[[float], object], t: float, order: int,
     return acc
 
 
-def fd1_wide(f: Callable[[float], float], t: float, h: float = 1e-3) -> float:
-    """5-point first derivative (4th-order accurate).
+def fd1_wide(f: Callable[[float], float], t: float) -> float:
+    """5-point first derivative (4th-order accurate) with step 1e-3.
 
     The wide step keeps noise amplification low when f is itself the result
     of a finite-difference computation.
     """
+    h = 1e-3
     return (f(t - 2 * h) - 8 * f(t - h) + 8 * f(t + h) - f(t + 2 * h)) / (12 * h)
 
 
@@ -113,9 +114,8 @@ def extrapolate_to_zero(hs: Sequence[float], vs: Sequence[float]) -> float:
     return tab[0]
 
 
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     tol: float = 1e-10, max_depth: int = 40) -> float:
-    """Adaptive Simpson quadrature with absolute tolerance `tol`."""
+def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
+    """Adaptive Simpson quadrature to an absolute tolerance of 1e-10."""
 
     def simpson(x0, x2, f0, f1, f2):
         return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
@@ -128,7 +128,7 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
         frm = f(rm)
         left = simpson(x0, x1, f0, flm, f1)
         right = simpson(x1, x2, f1, frm, f2)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * eps:
+        if depth >= 40 or abs(left + right - whole) <= 15.0 * eps:
             return left + right + (left + right - whole) / 15.0
         return (recurse(x0, x1, f0, flm, f1, left, eps / 2.0, depth + 1)
                 + recurse(x1, x2, f1, frm, f2, right, eps / 2.0, depth + 1))
@@ -136,12 +136,11 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     if a == b:
         return 0.0
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), tol, 0)
+    return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), 1e-10, 0)
 
 
-def bisect_root(f: Callable[[float], float], a: float, b: float,
-                tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Bisection on [a, b]; requires a sign change."""
+def bisect_root(f: Callable[[float], float], a: float, b: float) -> float:
+    """Bisection on [a, b] to a bracket of 1e-12; requires a sign change."""
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
@@ -149,10 +148,10 @@ def bisect_root(f: Callable[[float], float], a: float, b: float,
         return b
     if fa * fb > 0:
         raise KinematicsError(f"no sign change on [{a:g}, {b:g}]")
-    for _ in range(max_iter):
+    for _ in range(200):
         m = 0.5 * (a + b)
         fm = f(m)
-        if fm == 0.0 or (b - a) < tol:
+        if fm == 0.0 or (b - a) < 1e-12:
             return m
         if fa * fm < 0:
             b, fb = m, fm
@@ -162,20 +161,21 @@ def bisect_root(f: Callable[[float], float], a: float, b: float,
 
 
 def find_roots(f: Callable[[float], float], a: float, b: float,
-               n_scan: int = 4096, tol: float = 1e-12,
                expected: int | None = None) -> list[float]:
-    """All transversal roots of f on [a, b] located by scan + bisection."""
+    """All transversal roots of f on [a, b] located by a scan of 8192
+    intervals, then bisection."""
     roots = []
+    n_scan = 8192
     xs = [a + (b - a) * i / n_scan for i in range(n_scan + 1)]
     vals = [f(x) for x in xs]
     for i in range(n_scan):
         v0, v1 = vals[i], vals[i + 1]
         if v0 == 0.0:
-            if not roots or abs(roots[-1] - xs[i]) > tol * 10:
+            if not roots or abs(roots[-1] - xs[i]) > 1e-12 * 10:
                 roots.append(xs[i])
         elif v0 * v1 < 0:
-            roots.append(bisect_root(f, xs[i], xs[i + 1], tol=tol))
-    if vals[-1] == 0.0 and (not roots or abs(roots[-1] - b) > tol * 10):
+            roots.append(bisect_root(f, xs[i], xs[i + 1]))
+    if vals[-1] == 0.0 and (not roots or abs(roots[-1] - b) > 1e-12 * 10):
         roots.append(b)
     if expected is not None and len(roots) != expected:
         raise RootCountMismatch(

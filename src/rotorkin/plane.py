@@ -258,12 +258,12 @@ def plane_congruent(curve_a, curve_b,
 
 
 def uniform_grid(domain: tuple[float, float], n: int,
-                 shrink: float = 0.0) -> list[float]:
-    """n evenly spaced parameters over the domain, optionally pulled in
-    from both ends by a fraction `shrink` of the span."""
+                 shrink: float = 0.0) -> np.ndarray:
+    """n evenly spaced parameters over the domain (n = 1: its midpoint),
+    optionally pulled in from both ends by a fraction `shrink` of the span."""
     t0, t1 = domain
     pad = shrink * (t1 - t0)
     t0, t1 = t0 + pad, t1 - pad
     if n == 1:
-        return [0.5 * (t0 + t1)]
-    return [t0 + (t1 - t0) * i / (n - 1) for i in range(n)]
+        return np.array([0.5 * (t0 + t1)])
+    return t0 + (t1 - t0) * np.arange(n) / (n - 1)

@@ -248,7 +248,7 @@ _CHAIN_POINTS = 5  # interior points where space_congruent checks the Gram
 _CHAIN_TOL = 1e-8  # chain of each curve, and its largest relative error
 
 
-def _chain_from_invariants(curve, t: float, h: float) -> tuple[float, ...]:
+def _chain_from_invariants(curve, t: float) -> tuple[float, ...]:
     """Gram data reconstructed from the invariant functions alone, using
     wide-stencil derivatives of phi^2 and |r''|^2 along the parameter."""
 
@@ -256,7 +256,7 @@ def _chain_from_invariants(curve, t: float, h: float) -> tuple[float, ...]:
         return invariants(curve, s).phi ** 2
 
     def dot12(s):
-        return 0.5 * fd1_wide(phi2, s, h)
+        return 0.5 * fd1_wide(phi2, s)
 
     def norm2sq(s):
         inv = invariants(curve, s)
@@ -266,9 +266,9 @@ def _chain_from_invariants(curve, t: float, h: float) -> tuple[float, ...]:
     p2 = inv.phi ** 2
     d12 = dot12(t)
     r2sq = norm2sq(t)
-    d23 = 0.5 * fd1_wide(norm2sq, t, h)
+    d23 = 0.5 * fd1_wide(norm2sq, t)
     r3sq = 9.0 * inv.s23 ** 2 * r2sq + d23 ** 2 / r2sq
-    d13 = fd1_wide(dot12, t, h) - r2sq
+    d13 = fd1_wide(dot12, t) - r2sq
     cross_sq = p2 * r2sq - d12 ** 2
     trip_sq = (cross_sq * r3sq
                - (d13 ** 2 * r2sq - 2.0 * d13 * d23 * d12 + d23 ** 2 * p2))
@@ -285,7 +285,7 @@ def _chain_direct(curve, t: float) -> tuple[float, ...]:
             r1.dot(r3), cross.norm(), cross.dot(r3) ** 2)
 
 
-def verify_invariant_chain(curve, t: float, h: float = 1e-3) -> float:
+def verify_invariant_chain(curve, t: float) -> float:
     """Max relative error between the Gram chain reconstructed from the
     invariants and direct evaluation; exercises the derived relations that
     force equal curvature and torsion.
@@ -293,7 +293,7 @@ def verify_invariant_chain(curve, t: float, h: float = 1e-3) -> float:
     Entries that vanish identically (e.g. r'.r'' on constant-speed curves)
     are measured against the chain's overall scale, not against zero.
     """
-    recon = _chain_from_invariants(curve, t, h)
+    recon = _chain_from_invariants(curve, t)
     direct = _chain_direct(curve, t)
     scale = max(abs(value) for value in direct)
     worst = 0.0

@@ -131,10 +131,10 @@ _set_x3, _set_y3, _set_z3 = Vec3.x.__set__, Vec3.y.__set__, Vec3.z.__set__
 Vec = Union[Vec2, Vec3]
 
 
-def unit_vector(v: Vec, eps: float = EPS_NORM) -> Vec:
-    """v / |v|, raising DegenerateVector when |v| <= eps."""
+def unit_vector(v: Vec) -> Vec:
+    """v / |v|, raising DegenerateVector when |v| <= EPS_NORM."""
     n = v.norm()
-    if n <= eps:
+    if n <= EPS_NORM:
         raise DegenerateVector(f"cannot normalize vector of length {n:g}")
     return v / n
 

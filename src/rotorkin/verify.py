@@ -409,9 +409,10 @@ def crit_congruence(fault=None) -> CriterionResult:
     ok = True
 
     ellipse_curve = make_catalog_curve("ellipse", {"a": 2.0, "b": 1.0})
-    grid2 = plane.uniform_grid(ellipse_curve.domain, 40)
+    # Python floats: np.float64 slows the Vec arithmetic of the scalar loops
+    grid2 = plane.uniform_grid(ellipse_curve.domain, 40).tolist()
     helix_curve = make_catalog_curve("helix")
-    grid3 = plane.uniform_grid(helix_curve.domain, 30, shrink=0.02)
+    grid3 = plane.uniform_grid(helix_curve.domain, 30, shrink=0.02).tolist()
     for curve, grid, rotation, vec, congruent in (
             (ellipse_curve, grid2, _random_rotation2, Vec2,
              plane.plane_congruent),

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from rotorkin import cli
 from rotorkin import ellipse as ell
 from rotorkin.csvout import _BLOCK, _write_csv
 from rotorkin.curves import curve_from_spec, make_catalog_curve
+from rotorkin.plane import uniform_grid
 from rotorkin.reconstruct import Trajectory
 from rotorkin.space import (space_distance_kinematics,
                             space_distance_kinematics_array)
@@ -128,6 +130,15 @@ def test_focus_frame_requires_ellipse(capsys):
     code, _, err = run(capsys, ["kinematics", "--curve", "circle",
                                 "--frame", "focus"])
     assert code == 2
+
+
+def test_an_unknown_catalog_parameter_is_a_config_error(capsys, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"curve": {"kind": "line",
+                                          "params": {"zz": 1}}}))
+    code, out, err = run(capsys, ["kinematics", "--config", str(path)])
+    assert (code, out, err) == (
+        2, "", "config error: line: unknown parameters ['zz']\n")
 
 
 def test_focus_frame_of_a_huge_ellipse_is_too_large(capsys):
@@ -392,7 +403,7 @@ def test_surface_grid_end_one_ulp_past_the_domain_is_sampled(capsys,
     assert (code, err) == (0, "")
     rows = out.splitlines()[1:]
     assert len(rows) == 100
-    last = cli._grid((0.1, 2.7), 100)[-1]
+    last = uniform_grid((0.1, 2.7), 100)[-1]
     assert last > 2.7
     assert float(rows[-1].split(",")[0]) == last
 
@@ -725,7 +736,7 @@ def test_expr_space_curve_csv_is_the_scalar_loop(capsys, tmp_path):
     assert code == 0
     curve = curve_from_spec(record)
     rows = [(t, *astuple(space_distance_kinematics(curve, t)))
-            for t in cli._grid(curve.domain, 50).tolist()]
+            for t in uniform_grid(curve.domain, 50).tolist()]
     header = ["t", "D", "dD", "d2D", "speed_A", "speed_B", "speed_C"]
     assert out == per_cell_csv(header, rows)
 
@@ -733,7 +744,7 @@ def test_expr_space_curve_csv_is_the_scalar_loop(capsys, tmp_path):
 def cubic_csv(n):
     """The reference CSV of `kinematics --curve cubic --samples n`."""
     curve = make_catalog_curve("cubic")
-    ts = cli._grid(curve.domain, n)
+    ts = uniform_grid(curve.domain, n)
     kin = astuple(space_distance_kinematics_array(curve, ts))
     return per_cell_csv(["t", "D", "dD", "d2D", "speed_A", "speed_B",
                          "speed_C"], zip(ts, *kin))
@@ -1040,6 +1051,17 @@ def test_the_package_import_loads_no_module_and_submodules_still_import():
                       "from rotorkin import verify\n"
                       "print(json.dumps([before, verify.__name__]))")
     assert json.loads(done.stdout) == [[], "rotorkin.verify"], done.stderr
+
+
+def test_verify_under_dash_m_runs_cli_once():
+    # -m runs cli.py as __main__; the cli-determinism criterion's
+    # `from . import cli` must find that module, not import cli.py again
+    done = run_python("-X", "importtime", "-m", "rotorkin.cli", "verify",
+                      "--filter", "cli")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("PASS cli-determinism ")
+    assert re.search(r"\| +rotorkin\.curves$", done.stderr, re.M)
+    assert not re.search(r"\| +rotorkin\.cli$", done.stderr, re.M)
 
 
 def test_preset_help_names_every_preset(capsys):

@@ -434,9 +434,43 @@ def test_sample_checks_domain_and_finiteness():
     {"x_coeffs": ["a"]}, {"x_coeffs": 3.0}, {"y_coeffs": [1.0, float("inf")]}])
 def test_catalog_params_must_be_finite_numbers(params):
     name = next(n for n, e in CATALOG.items()
-                if set(params) <= set(e.defaults))
+                if set(params) <= set(e.__kwdefaults__))
     with pytest.raises(BadParameters):
         make_catalog_curve(name, params)
+
+
+def test_unknown_and_unlisted_catalog_params_keep_their_messages():
+    with pytest.raises(BadParameters,
+                       match=r"^line: unknown parameters \['zz'\]$"):
+        curve_from_spec({"kind": "line", "params": {"zz": 1}})
+    with pytest.raises(BadParameters, match="^polynomial: x_coeffs must be "
+                                            "a list of numbers$"):
+        make_catalog_curve("polynomial", {"x_coeffs": 3.0})
+
+
+# each catalog curve's parameters and their default values
+CATALOG_DEFAULTS = {
+    "line": {"x0": 1.0, "y0": 2.0, "a": 3.0, "b": 4.0},
+    "circle": {"radius": 1.0, "cx": 0.0, "cy": 0.0},
+    "ellipse": {"a": 2.0, "b": 1.0},
+    "parabola": {"a": 1.0, "x0": 0.0, "y0": 1.0},
+    "cubic": {"a": 1.0, "b": 1.0, "c": 1.0},
+    "helix": {"radius": 1.0, "pitch": 1.0, "cx": 0.0, "cy": 0.0, "cz": 0.0},
+    "polynomial": {"x_coeffs": (1.0, 1.0), "y_coeffs": (2.0, 1.0, 0.0, 0.5)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_catalog_defaults_are_the_builder_keyword_defaults(name):
+    assert CATALOG[name].__kwdefaults__ == CATALOG_DEFAULTS[name]
+    default = make_catalog_curve(name)
+    explicit = make_catalog_curve(name, CATALOG_DEFAULTS[name])
+    assert default.domain == explicit.domain
+    t0, t1 = default.domain
+    for t in (t0, 0.3 * t0 + 0.7 * t1, t1):
+        assert default.point(t) == explicit.point(t)
+        for order in (1, 2, 3):
+            assert default.derivative(t, order) == explicit.derivative(t, order)
 
 
 @pytest.mark.parametrize("domain", [

@@ -257,6 +257,22 @@ def test_rate_and_rotation_covariance():
             1e-8 * max(kin_t.rot_speed, 1.0)
 
 
+# -- parameter grids -----------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3, 100001])
+@pytest.mark.parametrize("shrink", [0.0, 0.02])
+def test_uniform_grid_is_the_list_formula_bit_for_bit(n, shrink):
+    domain = (-1.3, 2.9)
+    t0, t1 = domain
+    pad = shrink * (t1 - t0)
+    t0, t1 = t0 + pad, t1 - pad
+    expected = ([0.5 * (t0 + t1)] if n == 1
+                else [t0 + (t1 - t0) * i / (n - 1) for i in range(n)])
+    grid = uniform_grid(domain, n, shrink)
+    assert grid.dtype == np.float64
+    assert [t.hex() for t in grid.tolist()] == [t.hex() for t in expected]
+
+
 # -- congruence ----------------------------------------------------------------------
 
 def test_congruent_to_itself():

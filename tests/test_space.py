@@ -234,7 +234,7 @@ def test_curvature_torsion_from_invariant_chain():
     from rotorkin.space import _chain_direct, _chain_from_invariants
     for name, t in (("helix", 2.0), ("cubic", 0.7)):
         curve = make_catalog_curve(name)
-        recon = _chain_from_invariants(curve, t, 1e-3)
+        recon = _chain_from_invariants(curve, t)
         direct = _chain_direct(curve, t)
         eps = invariants(curve, t).epsilon
 
