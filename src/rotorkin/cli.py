@@ -23,8 +23,7 @@ from .curves import (CATALOG, _spec_domain, curve_from_spec,
                      make_catalog_curve)
 from .errors import (BadParameters, ExprSyntaxError, KinematicsError,
                      UnknownCurve, UnknownIdentifier)
-from .numerics import fd_step_from_env
-from .plane import (_finite_row, distance_kinematics_array,
+from .plane import (_scalar_rows, distance_kinematics_array,
                     local_limits_array, uniform_grid)
 from .vec import Vec2
 
@@ -96,7 +95,8 @@ def _load_config(args) -> dict:
         try:
             with open(path) as fh:
                 config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        # ValueError: undecodable bytes, bad JSON or too many int digits
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}")
         if not isinstance(config, dict):
             raise ConfigError("config root must be a JSON object")
@@ -183,6 +183,12 @@ def _parse_frame(spec):
     raise ConfigError(f"bad frame spec {spec!r}")
 
 
+def _numeric_failure(exc: KinematicsError) -> int:
+    """Print the error line of a numerical degeneracy at `exc.t`."""
+    print(f"{type(exc).__name__} at t={exc.t:g}: {exc}", file=sys.stderr)
+    return EXIT_NUMERIC
+
+
 def cmd_kinematics(args) -> int:
     config = _load_config(args)
     curve, params = _resolve_curve(args, config)
@@ -228,8 +234,7 @@ def cmd_kinematics(args) -> int:
             kin = distance_kinematics_array(curve, center, ts)
             columns = (ts, kin.D, kin.dD, kin.d2D, kin.rot_speed)
     except KinematicsError as exc:
-        print(f"{type(exc).__name__} at t={exc.t:g}: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _numeric_failure(exc)
     _emit(headers, columns, out, fmt)
     return EXIT_OK
 
@@ -301,18 +306,15 @@ def cmd_surface(args) -> int:
     headers = ["t", "D", "dD", "d2D", "speed_A", "speed_B", "speed_C"]
     names = ["D", "dD", "d2D", "speed_a", "speed_b", "speed_c"]
 
-    def kinematics(t):
-        return surface.surface_distance_kinematics(surf, curve, t)
-
-    rows = []
+    ts = uniform_grid(curve.domain, samples).tolist()
     try:
-        for t in uniform_grid(curve.domain, samples).tolist():
-            # a non-finite row raises NonFiniteData instead of printing inf
-            rows.append((t, *_finite_row(kinematics, t, names)))
+        # a non-finite row raises NonFiniteData instead of printing inf
+        rows = _scalar_rows(
+            lambda t: surface.surface_distance_kinematics(surf, curve, t),
+            ts, names)
     except KinematicsError as exc:
-        print(f"{type(exc).__name__} at t={t:g}: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    _emit(headers, np.array(rows).T, out, fmt)
+        return _numeric_failure(exc)
+    _emit(headers, (ts, *np.array(rows).T), out, fmt)
     return EXIT_OK
 
 
@@ -328,8 +330,7 @@ def cmd_ellipse(args) -> int:
     try:
         columns = ell.profile_columns(params, samples)
     except KinematicsError as exc:
-        print(f"{type(exc).__name__} at t={exc.t:g}: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _numeric_failure(exc)
     _emit(ell.PROFILE_HEADER.split(","), columns, out, fmt)
     return EXIT_OK
 
@@ -358,7 +359,6 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
-        fd_step_from_env()  # a bad ROTOR_FD_STEP is a config error
         code = handlers[args.command](args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit
         return code

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (BadParameters, KinematicsError, NonMonotonic,
                      OrderUnsupported, OutOfDomain, UnknownCurve)
-from .numerics import default_step, fd_derivative
+from .numerics import fd_derivative
 from .vec import Vec2, Vec3
 
 
@@ -77,8 +77,7 @@ class _Curve:
         analytic = (self.d1, self.d2, self.d3)[order - 1]
         if analytic is not None:
             return analytic(t)
-        return fd_derivative(self.position, t, order,
-                             h=default_step(order), domain=self.domain)
+        return fd_derivative(self.position, t, order, domain=self.domain)
 
     def sample(self, ts, order: int = 2):
         """r and its first `order` (0-2) derivatives at every parameter of

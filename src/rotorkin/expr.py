@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -290,24 +290,32 @@ def _children(node: Node) -> tuple:
     return ()
 
 
-def _measure(node: Node) -> tuple[int, int]:
-    """(depth, size) of the tree under `node`, the size counted as
-    `evaluate` walks it: a shared subtree once per reference.  It is
-    memoized over shared subtrees and does not recurse, so it costs one
-    visit per distinct node at any depth."""
-    known = {}  # id(node) -> (depth, size); the tree keeps the ids alive
+def _post_order(node: Node) -> Iterator[Node]:
+    """Each distinct node of the tree under `node` once, children before
+    parents and left before right, without recursion at any depth."""
+    seen = set()  # ids of the nodes yielded; the tree keeps them alive
     stack = [node]
     while stack:
         top = stack[-1]
-        if id(top) in known:  # pushed by more than one parent
+        if id(top) in seen:  # pushed by more than one parent
             stack.pop()
             continue
-        children = _children(top)
-        pending = [c for c in children if id(c) not in known]
+        pending = [c for c in _children(top) if id(c) not in seen]
         if pending:
-            stack.extend(pending)
+            stack.extend(reversed(pending))  # the left child comes first
             continue
         stack.pop()
+        seen.add(id(top))
+        yield top
+
+
+def _measure(node: Node) -> tuple[int, int]:
+    """(depth, size) of the tree under `node`, the size counted as
+    `evaluate` walks it: a shared subtree once per reference.  It costs
+    one visit per distinct node at any depth."""
+    known = {}  # id(node) -> (depth, size)
+    for top in _post_order(node):
+        children = _children(top)
         known[id(top)] = (
             1 + max((known[id(c)][0] for c in children), default=0),
             1 + sum(known[id(c)][1] for c in children))
@@ -465,17 +473,7 @@ def compile_tree(node: Node) -> Callable[[float], float]:
     constants = []
     on_arrays = True  # no power, and every function in _ARRAY_NAMES
     lines = []
-    stack = [node]
-    while stack:  # iterative, as in _measure, so depth costs no recursion
-        top = stack[-1]
-        if id(top) in operands:  # pushed by more than one parent
-            stack.pop()
-            continue
-        pending = [c for c in _children(top) if id(c) not in operands]
-        if pending:
-            stack.extend(reversed(pending))  # the left child runs first
-            continue
-        stack.pop()
+    for top in _post_order(node):
         if isinstance(top, Var):
             operands[id(top)] = "t"
             continue

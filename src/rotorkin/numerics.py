@@ -8,11 +8,9 @@ numpy arrays), so the same code differentiates scalar and vector maps.
 from __future__ import annotations
 
 import math
-import os
 from typing import Callable, Sequence
 
-from .errors import (BadParameters, KinematicsError, OrderUnsupported,
-                     RootCountMismatch)
+from .errors import KinematicsError, OrderUnsupported, RootCountMismatch
 
 # Default steps balance truncation against roundoff at double precision:
 # the k-th difference divides ~eps*|f| by h^k, so higher orders need wider
@@ -34,32 +32,11 @@ _FORWARD = {
 }
 
 
-def fd_step_from_env() -> float | None:
-    """ROTOR_FD_STEP as a float, or None when it is unset; a value that is
-    not a finite number > 0 raises BadParameters."""
-    env = os.environ.get("ROTOR_FD_STEP")
-    if env is None:
-        return None
-    try:
-        step = float(env)
-    except ValueError:
-        step = math.nan
-    if not (math.isfinite(step) and step > 0.0):
-        raise BadParameters(
-            f"ROTOR_FD_STEP must be a finite number > 0, got {env!r}")
-    return step
-
-
-def default_step(order: int) -> float:
-    """FD step for the given order; ROTOR_FD_STEP overrides all orders."""
-    step = fd_step_from_env()
-    return FD_STEPS[order] if step is None else step
-
-
 def fd_derivative(f: Callable[[float], object], t: float, order: int,
                   h: float | None = None,
                   domain: tuple[float, float] | None = None):
-    """Finite-difference derivative of f at t.
+    """Finite-difference derivative of f at t, with step `h`, or
+    FD_STEPS[order] when h is None.
 
     Central stencil when the window fits inside `domain`, otherwise the
     one-sided stencil of the same accuracy anchored at the nearest endpoint.
@@ -67,7 +44,7 @@ def fd_derivative(f: Callable[[float], object], t: float, order: int,
     if order not in (1, 2, 3):
         raise OrderUnsupported(f"derivative order {order} not supported")
     if h is None:
-        h = default_step(order)
+        h = FD_STEPS[order]
 
     stencil = _CENTRAL[order]
     sign = 1.0

@@ -158,32 +158,34 @@ def _over_samples(curve, ts, kernel, scalar, sample=True):
     redo = np.flatnonzero(~good)
     for start in range(0, len(redo), _REDO_BLOCK):
         block = redo[start:start + _REDO_BLOCK]
-        rows = []
-        for t in ts[block].tolist():
-            try:
-                rows.append(_finite_row(scalar, t, names))
-            except KinematicsError as exc:
-                exc.t = t
-                raise
+        rows = _scalar_rows(scalar, ts[block].tolist(), names)
         for name, column in zip(names, zip(*rows)):
             getattr(out, name)[block] = column
     return out
 
 
-def _finite_row(scalar, t, names):
-    """The fields `names` of scalar(t), vectors as component tuples; each
-    must be finite (a vector is, by construction)."""
-    try:
-        result = scalar(t)
-    except OverflowError as exc:
-        raise NonFiniteData(f"kinematics overflow at t={t:g}") from exc
-    row = [getattr(result, name) for name in names]
-    for k, value in enumerate(row):
-        if isinstance(value, Vec2):
-            row[k] = value.as_tuple()
-        elif not math.isfinite(value):
-            raise NonFiniteData(f"non-finite kinematics at t={t:g}")
-    return row
+def _scalar_rows(scalar, ts, names):
+    """The fields `names` of scalar(t), one row per float t of ts, vectors
+    as component tuples.  An overflow or a non-finite field (a vector is
+    finite) raises NonFiniteData; any error's `t` is the failing t."""
+    rows = []
+    for t in ts:
+        try:
+            try:
+                result = scalar(t)
+            except OverflowError as exc:
+                raise NonFiniteData(f"kinematics overflow at t={t:g}") from exc
+            row = [getattr(result, name) for name in names]
+            for k, value in enumerate(row):
+                if isinstance(value, Vec2):
+                    row[k] = value.as_tuple()
+                elif not math.isfinite(value):
+                    raise NonFiniteData(f"non-finite kinematics at t={t:g}")
+        except KinematicsError as exc:
+            exc.t = t
+            raise
+        rows.append(row)
+    return rows
 
 
 def _finite_rows(*columns):

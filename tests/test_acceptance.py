@@ -33,6 +33,19 @@ def test_criterion(cid):
     assert result.cid == cid
 
 
+def test_fd_oracles_read_no_environment(monkeypatch):
+    # at 0.05, ROTOR_FD_STEP used to reach fd-rates' oracles: it measured
+    # 1.01594 against its bound of 1e-6
+    runners = {"fd-rates": verify.crit_fd_rates,
+               "rot-speeds": verify.crit_rot_speeds}
+    plain = {cid: _run(cid) for cid in runners}
+    monkeypatch.setenv("ROTOR_FD_STEP", "0.05")
+    for cid, runner in runners.items():
+        result = runner()
+        assert result.passed, result.line()
+        assert repr(result.measured) == repr(plain[cid].measured)
+
+
 def test_verify_cli_exits_zero_on_subset():
     # full `verify` is exercised criterion-by-criterion above; the CLI exit
     # path is checked on the cheap ellipse-tagged subset

@@ -624,21 +624,36 @@ def test_oversized_expressions_are_config_errors(capsys, tmp_path, command,
     assert out == "" and err.startswith("config error")
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf"])
-def test_bad_fd_step_is_a_config_error_at_start(capsys, monkeypatch, value):
-    # the ellipse has analytic derivatives, so the step was never read
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf", "1e-6"])
+def test_fd_step_variable_is_ignored(capsys, monkeypatch, value):
+    # the finite-difference steps are fixed: no environment variable
+    # fails a run or changes its output
+    argv = ["kinematics", "--curve", "ellipse", "--samples", "3"]
+    plain = run(capsys, argv)
     monkeypatch.setenv("ROTOR_FD_STEP", value)
-    code, out, err = run(capsys, ["kinematics", "--curve", "ellipse",
-                                  "--samples", "3"])
-    assert code == 2
-    assert out == "" and "ROTOR_FD_STEP" in err
+    assert run(capsys, argv) == plain
+    assert plain[0] == 0
 
 
-def test_good_fd_step_is_accepted(capsys, monkeypatch):
-    monkeypatch.setenv("ROTOR_FD_STEP", "1e-6")
-    code, _, _ = run(capsys, ["kinematics", "--curve", "ellipse",
-                              "--samples", "3"])
-    assert code == 0
+# each raised out of main before it was caught (a traceback, exit 1)
+UNREADABLE_CONFIGS = {
+    "non-utf8": b'{"samples": 3, "out": "\xff"}',  # UnicodeDecodeError
+    "deep": b"[" * 200_000,  # RecursionError
+    "long-int": b'{"samples": ' + b"9" * 5000 + b"}",  # int digit limit
+}
+
+
+@pytest.mark.parametrize("command", ["kinematics", "reconstruct", "surface",
+                                     "ellipse"])
+@pytest.mark.parametrize("name", sorted(UNREADABLE_CONFIGS))
+def test_unreadable_configs_are_config_errors(capsys, tmp_path, command,
+                                              name):
+    path = tmp_path / "config.json"
+    path.write_bytes(UNREADABLE_CONFIGS[name])
+    code, out, err = run(capsys, [command, "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: cannot read config {path}: ")
+    assert err.count("\n") == 1
 
 
 # -- numerical failures on the array path ----------------------------------

@@ -13,7 +13,7 @@ from rotorkin.curves import (CATALOG, PlaneCurve, SpaceCurve, curve_from_spec,
 from rotorkin.errors import (BadParameters, EvalDomain, KinematicsError,
                              NonMonotonic, OrderUnsupported, OutOfDomain,
                              UnknownCurve)
-from rotorkin.numerics import fd_derivative
+from rotorkin.numerics import FD_STEPS, fd_derivative
 from rotorkin.vec import Vec2, Vec3
 
 RNG = np.random.default_rng(1203)
@@ -108,12 +108,17 @@ def test_fd_one_sided_at_endpoints():
     assert (d - Vec2(-math.cos(1.0), -math.sin(1.0))).norm() < 1e-5
 
 
-def test_env_step_override(monkeypatch):
-    from rotorkin.numerics import default_step
-    monkeypatch.setenv("ROTOR_FD_STEP", "1e-7")
-    assert default_step(1) == 1e-7
-    monkeypatch.delenv("ROTOR_FD_STEP")
-    assert default_step(1) == 1e-5
+@pytest.mark.parametrize("value", ["1e-7", "abc"])
+def test_fd_fallback_steps_ignore_the_environment(monkeypatch, value):
+    # the steps are FD_STEPS, whatever the environment holds
+    monkeypatch.setenv("ROTOR_FD_STEP", value)
+    curve = PlaneCurve(position=lambda t: Vec2(math.cos(t), math.sin(t)),
+                       domain=(0.0, 1.0))
+    for t in (0.0, 0.5, 1.0):
+        for order in (1, 2, 3):
+            want = fd_derivative(curve.position, t, order, h=FD_STEPS[order],
+                                 domain=curve.domain)
+            assert curve.derivative(t, order) == want
 
 
 # -- reparametrization ---------------------------------------------------------
@@ -238,6 +243,28 @@ def test_reparametrized_derivatives_are_derivatives(name, phi, start, width,
         assert (error <= estimate + rounding).all(), (order, error, estimate)
 
 
+@pytest.mark.parametrize("given", [0, 1, 2])
+def test_reparametrize_differences_missing_g_derivatives(given):
+    # the first `given` derivatives of g are analytic, the rest are
+    # differenced, one-sided at the ends of domain_h
+    ellipse = make_catalog_curve("ellipse", domain=(0.5, 2.5))
+    domain_h = (math.log(0.5), math.log(2.5))
+    exact = reparametrize(ellipse, math.exp, domain_h=domain_h,
+                          g_derivatives=(math.exp,) * 3)
+    warped = reparametrize(ellipse, math.exp, domain_h=domain_h,
+                           g_derivatives=(math.exp,) * given)
+    for h in (domain_h[0], -0.3, 0.4, domain_h[1]):
+        for order, tol in ((1, 1e-7), (2, 1e-5), (3, 1e-3)):
+            a = exact.derivative(h, order)
+            b = warped.derivative(h, order)
+            assert (a - b).norm() <= tol * max(a.norm(), 1.0), (h, order)
+
+
+def test_reparametrize_requires_domain_h():
+    with pytest.raises(BadParameters, match="domain_h is required"):
+        reparametrize(make_catalog_curve("ellipse"), lambda h: h)
+
+
 def test_reparametrize_rejects_non_monotonic():
     curve = make_catalog_curve("ellipse")
     with pytest.raises(NonMonotonic):
@@ -298,18 +325,6 @@ def test_curve_from_spec_errors():
     with pytest.raises(BadParameters):
         curve_from_spec({"kind": "expr", "expr": {"x": "t", "y": "t"},
                          "domain": [-1e308, 1e308]})
-
-
-def test_env_step_must_be_finite_and_positive(monkeypatch):
-    from rotorkin.numerics import default_step, fd_step_from_env
-    for bad in ("abc", "0", "-1e-5", "nan", "inf", ""):
-        monkeypatch.setenv("ROTOR_FD_STEP", bad)
-        with pytest.raises(BadParameters):
-            fd_step_from_env()
-        with pytest.raises(BadParameters):
-            default_step(2)
-    monkeypatch.delenv("ROTOR_FD_STEP")
-    assert fd_step_from_env() is None
 
 
 # -- sampling on arrays ----------------------------------------------------------

@@ -245,6 +245,20 @@ def test_operator_chains_count_toward_the_depth_limit(op):
     assert math.isfinite(expr.evaluate(expr.differentiate(node), 0.7))
 
 
+def test_post_order_yields_each_distinct_node_once_children_first():
+    t, two = expr.Var(), expr.Const(2.0)
+    shared = expr.BinOp("*", t, two)
+    sine = expr.Func("sin", shared)
+    neg = expr.Neg(shared)
+    root = expr.BinOp("+", sine, neg)
+    # identity, not equality: frozen dataclasses compare by value
+    assert [id(n) for n in expr._post_order(root)] == [
+        id(n) for n in (t, two, shared, sine, neg, root)]
+    square = expr.BinOp("*", shared, shared)
+    assert [id(n) for n in expr._post_order(square)] == [
+        id(n) for n in (t, two, shared, square)]
+
+
 def test_measure_walks_shared_subtrees_once_per_reference():
     s = expr.Func("sin", expr.Var())
     assert expr._measure(expr.BinOp("*", s, s)) == (3, 5)

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from rotorkin.errors import KinematicsError, OrderUnsupported, RootCountMismatch
-from rotorkin.numerics import (adaptive_simpson, bisect_root,
+from rotorkin.numerics import (FD_STEPS, adaptive_simpson, bisect_root,
                                extrapolate_to_zero, fd_derivative, find_roots)
 
 
@@ -30,6 +30,15 @@ def test_one_sided_stencils_at_domain_edges():
     for t, order in ((0.0, 1), (0.0, 2), (1.0, 3)):
         fd = fd_derivative(f, t, order, h=1e-3, domain=(0.0, 1.0))
         assert abs(fd - math.exp(t)) <= 1e-4 * math.exp(t)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_default_steps_are_fixed(monkeypatch, order):
+    # h=None means FD_STEPS[order]; the environment cannot change it
+    monkeypatch.setenv("ROTOR_FD_STEP", "0.05")
+    for t in (-0.7, 0.0, 1.3):
+        assert (fd_derivative(math.exp, t, order)
+                == fd_derivative(math.exp, t, order, h=FD_STEPS[order]))
 
 
 def test_unsupported_order():

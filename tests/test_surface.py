@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from rotorkin.curves import curve_from_spec
 from rotorkin.errors import (AxisProjectionDegenerate, BadParameters,
                              DegenerateProjection, IrregularNet, OutOfDomain)
-from rotorkin.numerics import default_step, extrapolate_to_zero, fd_derivative
+from rotorkin.numerics import FD_STEPS, extrapolate_to_zero, fd_derivative
 from rotorkin.space import space_distance_kinematics
 from rotorkin.surface import (chart_curve, chart_curve_derivatives,
                               composed_space_curve,
@@ -186,7 +186,7 @@ def test_chart_curve_without_derivatives_differences_each_coordinate():
     curve = chart_curve(u, v, domain=domain)
     for t in (0.2, 0.2005, 0.9, 1.6999, 1.7):
         for order in (1, 2, 3):
-            want = tuple(fd_derivative(f, t, order, h=default_step(order),
+            want = tuple(fd_derivative(f, t, order, h=FD_STEPS[order],
                                        domain=domain) for f in (u, v))
             assert curve.derivative(t, order).as_tuple() == want
 
