@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (BadParameters, KinematicsError, NonMonotonic,
                      OrderUnsupported, OutOfDomain, UnknownCurve)
 from .numerics import fd_derivative
-from .vec import Vec2, Vec3
+from .vec import Vec2, Vec3, _checked
 
 
 def _widened(domain: tuple[float, float]) -> tuple[float, float]:
@@ -78,6 +78,21 @@ class _Curve:
         if analytic is not None:
             return analytic(t)
         return fd_derivative(self.position, t, order, domain=self.domain)
+
+    def _at(self, t: float, order: int) -> tuple:
+        """The components of r (order 0) or of its order 1-3 derivative at
+        t: what `point` or `derivative` gives, with the same domain and
+        finite checks, as a tuple.  A catalog curve builds no Vec."""
+        lo, hi = self._bounds
+        if not lo <= t <= hi:  # `contains`, without its call
+            raise self._outside(t)
+        if self.forms is not None:
+            return _checked(self.forms[order](t, math))
+        fn = (self.position, self.d1, self.d2, self.d3)[order]
+        if fn is not None:
+            return fn(t).as_tuple()
+        return fd_derivative(self.position, t, order,
+                             domain=self.domain).as_tuple()
 
     def sample(self, ts, order: int = 2):
         """r and its first `order` (0-2) derivatives at every parameter of
@@ -204,24 +219,26 @@ def transform_curve(curve, matrix, offset=None):
     if curve.dim == 2:
         b = offset if offset is not None else Vec2(0.0, 0.0)
 
-        def apply(v: Vec2) -> Vec2:
-            return Vec2(rows[0][0] * v.x + rows[0][1] * v.y,
-                        rows[1][0] * v.x + rows[1][1] * v.y)
+        def apply(c: tuple) -> Vec2:
+            x, y = c
+            return Vec2(rows[0][0] * x + rows[0][1] * y,
+                        rows[1][0] * x + rows[1][1] * y)
     else:
         b = offset if offset is not None else Vec3(0.0, 0.0, 0.0)
 
-        def apply(v: Vec3) -> Vec3:
-            return Vec3(rows[0][0] * v.x + rows[0][1] * v.y + rows[0][2] * v.z,
-                        rows[1][0] * v.x + rows[1][1] * v.y + rows[1][2] * v.z,
-                        rows[2][0] * v.x + rows[2][1] * v.y + rows[2][2] * v.z)
+        def apply(c: tuple) -> Vec3:
+            x, y, z = c
+            return Vec3(rows[0][0] * x + rows[0][1] * y + rows[0][2] * z,
+                        rows[1][0] * x + rows[1][1] * y + rows[1][2] * z,
+                        rows[2][0] * x + rows[2][1] * y + rows[2][2] * z)
 
     def make_deriv(order):
         def deriv(t):
-            return apply(curve.derivative(t, order))
+            return apply(curve._at(t, order))
         return deriv
 
     return replace(curve,
-                   position=lambda t: apply(curve.point(t)) + b,
+                   position=lambda t: apply(curve._at(t, 0)) + b,
                    d1=make_deriv(1), d2=make_deriv(2), d3=make_deriv(3),
                    forms=None, arrays=None,
                    name=f"{curve.name}@moved" if curve.name else "moved")

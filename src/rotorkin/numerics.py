@@ -30,6 +30,9 @@ _FORWARD = {
     2: ((0, 2.0), (1, -5.0), (2, 4.0), (3, -1.0)),
     3: ((0, -2.5), (1, 9.0), (2, -12.0), (3, 7.0), (4, -1.5)),
 }
+# the widest offset of each central and forward stencil, in units of h
+_CENTRAL_REACH = {k: max(abs(j) for j, _ in s) for k, s in _CENTRAL.items()}
+_FORWARD_REACH = {k: max(j for j, _ in s) for k, s in _FORWARD.items()}
 
 
 def fd_derivative(f: Callable[[float], object], t: float, order: int,
@@ -50,10 +53,10 @@ def fd_derivative(f: Callable[[float], object], t: float, order: int,
     sign = 1.0
     if domain is not None:
         lo, hi = domain
-        reach = max(abs(k) for k, _ in stencil) * h
+        reach = _CENTRAL_REACH[order] * h
         if t - reach < lo or t + reach > hi:
             stencil = _FORWARD[order]
-            fwd_reach = max(k for k, _ in stencil) * h
+            fwd_reach = _FORWARD_REACH[order] * h
             if t + fwd_reach > hi and (t - lo) > (hi - t):
                 sign = -1.0  # mirror to a backward stencil
     scale = sign ** order / h ** order

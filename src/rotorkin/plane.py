@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (CenterOnCurve, DegenerateChord, KinematicsError,
                      NonFiniteData, OutOfDomain, SingularPoint)
-from .vec import EPS_NORM, Vec2
+from .vec import EPS_NORM, Vec2, _sub
 
 @dataclass(frozen=True)
 class PlaneKinematics:
@@ -81,17 +81,16 @@ def _local_terms(rp, rpp, phi):
             abs(cross) / (2.0 * phi * phi))
 
 
-def _plane_kinematics(curve, center: Vec2, t: float,
+def _plane_kinematics(curve, center: tuple, t: float,
                       coincident) -> PlaneKinematics:
-    """The rotating frame at `center` tracking the curve point at t; raises
-    `coincident` when that point is the center."""
-    rel = curve.point(t) - center
-    d = rel.norm()
+    """The rotating frame at `center` (x, y) tracking the curve point at t;
+    raises `coincident` when that point is the center."""
+    rel = _sub(curve._at(t, 0), center)
+    d = math.hypot(*rel)
     if d <= EPS_NORM:
         raise coincident(f"the curve meets the frame center at t={t:g}")
-    dD, d2D, velocity, omega = _frame_terms(
-        rel.as_tuple(), curve.derivative(t, 1).as_tuple(),
-        curve.derivative(t, 2).as_tuple(), d)
+    dD, d2D, velocity, omega = _frame_terms(rel, curve._at(t, 1),
+                                            curve._at(t, 2), d)
     return PlaneKinematics(D=d, dD=dD, d2D=d2D,
                            rot_velocity=Vec2(*velocity), rot_speed=abs(omega))
 
@@ -99,7 +98,7 @@ def _plane_kinematics(curve, center: Vec2, t: float,
 def distance_kinematics(curve, center: Vec2, t: float) -> PlaneKinematics:
     """Distance rate, its derivative, and the rotational velocity of the
     center-to-point direction, all with respect to the curve parameter."""
-    return _plane_kinematics(curve, center, t, CenterOnCurve)
+    return _plane_kinematics(curve, center.as_tuple(), t, CenterOnCurve)
 
 
 def chord_kinematics(curve, t: float, dt: float) -> PlaneKinematics:
@@ -108,7 +107,7 @@ def chord_kinematics(curve, t: float, dt: float) -> PlaneKinematics:
     dt -> 0+ these converge to local_limits."""
     if dt <= 0.0:
         raise OutOfDomain("chord step dt must be positive")
-    return _plane_kinematics(curve, curve.point(t), t + dt, DegenerateChord)
+    return _plane_kinematics(curve, curve._at(t, 0), t + dt, DegenerateChord)
 
 
 def local_limits(curve, t: float) -> LocalLimits2:
@@ -116,12 +115,11 @@ def local_limits(curve, t: float) -> LocalLimits2:
     phi (chord-rate limit), phi' (its derivative), and the local rotational
     velocity psi, which is half the curvature times the speed in magnitude
     and normal to the tangent."""
-    rp = curve.derivative(t, 1)
-    phi = rp.norm()
+    rp = curve._at(t, 1)
+    phi = math.hypot(*rp)
     if phi <= EPS_NORM:
         raise SingularPoint(f"curve is singular at t={t:g}")
-    phi_prime, psi, psi_speed = _local_terms(
-        rp.as_tuple(), curve.derivative(t, 2).as_tuple(), phi)
+    phi_prime, psi, psi_speed = _local_terms(rp, curve._at(t, 2), phi)
     return LocalLimits2(phi=phi, phi_prime=phi_prime, psi=Vec2(*psi),
                         psi_speed=psi_speed)
 

@@ -418,6 +418,17 @@ def reconstruct_space(problem: SpaceReconstructionProblem) -> Trajectory:
 
 # -- analytic data generators ---------------------------------------------------
 
+def _start_distance(norm, r0, t0: float) -> float:
+    """norm(r0), the distance at the start t0; one that overflows raises
+    NonFiniteData (the builders keep their own norms, so that every finite
+    start distance keeps its bits)."""
+    with np.errstate(over="ignore"):  # an overflow raises below
+        d0 = float(norm(r0))
+    if not math.isfinite(d0):
+        raise NonFiniteData(f"start distance overflows at t={t0:g}")
+    return d0
+
+
 def plane_data_from_curve(curve, center: Vec2 = Vec2(0.0, 0.0),
                           order: int = 1,
                           step: Optional[float] = None) -> PlaneReconstructionProblem:
@@ -438,7 +449,7 @@ def plane_data_from_curve(curve, center: Vec2 = Vec2(0.0, 0.0),
     rhs_D, (rhs_e,) = _pointwise(data)
     r0, rp0 = (a[0] for a in curve.sample([t0], 1))
     r0 = r0 - c
-    d0 = float(np.hypot(*r0))
+    d0 = _start_distance(lambda r: np.hypot(*r), r0, t0)
     return PlaneReconstructionProblem(
         rhs_D=rhs_D, rhs_e=rhs_e, D0=d0,
         e0=r0 / d0,
@@ -466,7 +477,7 @@ def space_data_from_curve(curve, order: int = 1,
         return (dD, d2D)[order - 1], omega
 
     r0, rp0 = (a[0] for a in curve.sample([t0], 1))
-    d0 = float(np.linalg.norm(r0))
+    d0 = _start_distance(np.linalg.norm, r0, t0)
     if np.abs(r0).min() < _COLLAPSE_TOL * d0:
         raise ProjectionCollapse(
             f"start point {tuple(r0.tolist())} lies on a coordinate plane; "

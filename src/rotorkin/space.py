@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import Iterable
 
 import numpy as np
@@ -23,7 +24,7 @@ from .errors import (AxisProjectionDegenerate, CenterOnCurve, CurvesIntersect,
 from .numerics import fd1_wide
 from .plane import (_CONGRUENT_TOL, _finite_rows, _over_samples,
                     _radial_rates)
-from .vec import EPS_NORM, Vec3, triple_product
+from .vec import EPS_NORM, Vec3, _checked, _norm, _sub, triple_product
 
 # coordinate planes of the projected speeds A, B, C (xOy, xOz, yOz), and
 # the basis planes 1-2, 1-3, 2-3 of the chord speeds
@@ -85,28 +86,41 @@ def _pair_speed(u: float, v: float, du: float, dv: float, label: str,
     return abs(cross) / denom
 
 
-def _space_kinematics(rel: Vec3, rp: Vec3, rpp: Vec3, t: float, coincident,
-                      projection) -> SpaceKinematics:
+def _dot(p: tuple, q: tuple) -> float:
+    """p . q of component triples, as Vec3.dot takes it."""
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+
+
+def _cross(p: tuple, q: tuple) -> tuple:
+    """p x q of component triples, with the finite check of Vec3.cross."""
+    return _checked((p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2],
+                     p[0] * q[1] - p[1] * q[0]))
+
+
+def _space_kinematics(rel: tuple, rp: tuple, rpp: tuple, t: float,
+                      coincident, projection) -> SpaceKinematics:
     """Distance rates and coordinate-plane projected rotational speeds of
-    the vector `rel` with derivatives rp, rpp; raises `coincident` when rel
-    vanishes and `projection` when one of its projections does."""
-    d = rel.norm()
+    the vector `rel` with derivatives rp, rpp (component triples); raises
+    `coincident` when rel vanishes and `projection` when one of its
+    projections does."""
+    d = _norm(rel)
     if d <= EPS_NORM:
         raise coincident(f"distance vanishes at t={t:g}")
-    dD, d2D = _radial_rates(d, rel.dot(rp), rp.dot(rp), rel.dot(rpp))
+    dD, d2D = _radial_rates(d, _dot(rel, rp), _dot(rp, rp), _dot(rel, rpp))
+    (x, y, z), (xp, yp, zp) = rel, rp
     return SpaceKinematics(
         D=d, dD=dD, d2D=d2D,
-        speed_a=_pair_speed(rel.x, rel.y, rp.x, rp.y, "xOy", t, projection),
-        speed_b=_pair_speed(rel.x, rel.z, rp.x, rp.z, "xOz", t, projection),
-        speed_c=_pair_speed(rel.y, rel.z, rp.y, rp.z, "yOz", t, projection),
+        speed_a=_pair_speed(x, y, xp, yp, "xOy", t, projection),
+        speed_b=_pair_speed(x, z, xp, zp, "xOz", t, projection),
+        speed_c=_pair_speed(y, z, yp, zp, "yOz", t, projection),
     )
 
 
 def space_distance_kinematics(curve, t: float) -> SpaceKinematics:
     """Distance rate/second derivative about the origin and the three
     coordinate-plane projected rotational speeds."""
-    return _space_kinematics(curve.point(t), curve.derivative(t, 1),
-                             curve.derivative(t, 2), t, CenterOnCurve,
+    return _space_kinematics(curve._at(t, 0), curve._at(t, 1),
+                             curve._at(t, 2), t, CenterOnCurve,
                              AxisProjectionDegenerate)
 
 
@@ -152,9 +166,7 @@ def pair_kinematics(curve_a, curve_b, t: float) -> SpaceKinematics:
     """Kinematics of the connecting vector from curve_a to curve_b at a
     shared parameter value."""
     return _space_kinematics(
-        curve_b.point(t) - curve_a.point(t),
-        curve_b.derivative(t, 1) - curve_a.derivative(t, 1),
-        curve_b.derivative(t, 2) - curve_a.derivative(t, 2),
+        *(_sub(curve_b._at(t, k), curve_a._at(t, k)) for k in (0, 1, 2)),
         t, CurvesIntersect, DegenerateProjection)
 
 
@@ -208,38 +220,53 @@ def derivative_plane_speeds(curve, t: float, dt: float) -> tuple[float, float, f
         t)
 
 
-def derivative_plane_limits(curve, t: float) -> DerivativePlaneLimits:
-    """Closed-form dt -> 0+ limits of the derivative-plane rotational
-    velocities, plus the orientation sign of r' wedge r'' . r'''."""
-    r1 = curve.derivative(t, 1)
-    r2 = curve.derivative(t, 2)
-    r3 = curve.derivative(t, 3)
-    n1 = r1.norm()
-    n2 = r2.norm()
+def _turn(a: tuple, b: tuple, norm_a: float, k: float) -> tuple:
+    """(b |a|^2 - a (a . b)) / (k |a|^3) of component triples, with the
+    finite check of each vector it forms."""
+    s = norm_a * norm_a
+    scaled = _checked((b[0] * s, b[1] * s, b[2] * s))
+    s = _dot(a, b)
+    rejection = _sub(scaled, _checked((a[0] * s, a[1] * s, a[2] * s)))
+    s = 1.0 / (k * norm_a ** 3)
+    return _checked((rejection[0] * s, rejection[1] * s, rejection[2] * s))
+
+
+def _limit_terms(curve, t: float) -> tuple:
+    """phi, psi12 and psi23 (component triples) and epsilon of
+    derivative_plane_limits, raising what it raises."""
+    r1, r2, r3 = curve._at(t, 1), curve._at(t, 2), curve._at(t, 3)
+    n1 = _norm(r1)
+    n2 = _norm(r2)
     if n1 <= EPS_NORM:
         raise SingularPoint(f"r' vanishes at t={t:g}")
     if n2 <= EPS_NORM:
         raise SingularPoint(f"r'' vanishes at t={t:g}")
-    trip = triple_product(r1, r2, r3)
-    scale = n1 * n2 * r3.norm()
+    trip = _dot(_cross(r1, r2), r3)
+    scale = n1 * n2 * _norm(r3)
     if abs(trip) <= EPS_NORM * max(scale, 1.0):
         raise DegenerateFrame(
             f"r' wedge r'' . r''' vanishes at t={t:g}")
-    psi12 = (r2 * (n1 * n1) - r1 * r1.dot(r2)) * (1.0 / (2.0 * n1 ** 3))
-    psi23 = (r3 * (n2 * n2) - r2 * r2.dot(r3)) * (1.0 / (3.0 * n2 ** 3))
+    return (n1, _turn(r1, r2, n1, 2.0), _turn(r2, r3, n2, 3.0),
+            1 if trip > 0 else -1)
+
+
+def derivative_plane_limits(curve, t: float) -> DerivativePlaneLimits:
+    """Closed-form dt -> 0+ limits of the derivative-plane rotational
+    velocities, plus the orientation sign of r' wedge r'' . r'''."""
+    phi, psi12, psi23, epsilon = _limit_terms(curve, t)
     return DerivativePlaneLimits(
-        phi=n1,
-        psi12=psi12,
+        phi=phi,
+        psi12=Vec3(*psi12),
         psi13=Vec3(0.0, 0.0, 0.0),
-        psi23=psi23,
-        epsilon=1 if trip > 0 else -1,
+        psi23=Vec3(*psi23),
+        epsilon=epsilon,
     )
 
 
 def invariants(curve, t: float) -> InvariantTuple:
-    lim = derivative_plane_limits(curve, t)
-    return InvariantTuple(phi=lim.phi, s12=lim.psi12.norm(), s13=0.0,
-                          s23=lim.psi23.norm(), epsilon=lim.epsilon)
+    phi, psi12, psi23, epsilon = _limit_terms(curve, t)
+    return InvariantTuple(phi=phi, s12=_norm(psi12), s13=0.0,
+                          s23=_norm(psi23), epsilon=epsilon)
 
 
 # -- congruence ------------------------------------------------------------------
@@ -250,19 +277,25 @@ _CHAIN_TOL = 1e-8  # chain of each curve, and its largest relative error
 
 def _chain_from_invariants(curve, t: float) -> tuple[float, ...]:
     """Gram data reconstructed from the invariant functions alone, using
-    wide-stencil derivatives of phi^2 and |r''|^2 along the parameter."""
+    wide-stencil derivatives of phi^2 and |r''|^2 along the parameter.
+
+    The nested stencils meet at the same parameters again, so the
+    invariants and phi^2 differences are kept by parameter for the call.
+    """
+    invariants_at = cache(partial(invariants, curve))
 
     def phi2(s):
-        return invariants(curve, s).phi ** 2
+        return invariants_at(s).phi ** 2
 
+    @cache
     def dot12(s):
         return 0.5 * fd1_wide(phi2, s)
 
     def norm2sq(s):
-        inv = invariants(curve, s)
+        inv = invariants_at(s)
         return 4.0 * inv.s12 ** 2 * inv.phi ** 2 + dot12(s) ** 2 / inv.phi ** 2
 
-    inv = invariants(curve, t)
+    inv = invariants_at(t)
     p2 = inv.phi ** 2
     d12 = dot12(t)
     r2sq = norm2sq(t)
@@ -277,12 +310,10 @@ def _chain_from_invariants(curve, t: float) -> tuple[float, ...]:
 
 
 def _chain_direct(curve, t: float) -> tuple[float, ...]:
-    r1 = curve.derivative(t, 1)
-    r2 = curve.derivative(t, 2)
-    r3 = curve.derivative(t, 3)
-    cross = r1.cross(r2)
-    return (r1.dot(r1), r1.dot(r2), r2.dot(r2), r2.dot(r3), r3.dot(r3),
-            r1.dot(r3), cross.norm(), cross.dot(r3) ** 2)
+    r1, r2, r3 = curve._at(t, 1), curve._at(t, 2), curve._at(t, 3)
+    cross = _cross(r1, r2)
+    return (_dot(r1, r1), _dot(r1, r2), _dot(r2, r2), _dot(r2, r3),
+            _dot(r3, r3), _dot(r1, r3), _norm(cross), _dot(cross, r3) ** 2)
 
 
 def verify_invariant_chain(curve, t: float) -> float:

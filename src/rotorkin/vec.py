@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import isfinite
+from operator import sub
 from typing import Union
 
 from .errors import DegenerateVector, KinematicsError
@@ -142,3 +143,27 @@ def unit_vector(v: Vec) -> Vec:
 def triple_product(a: Vec3, b: Vec3, c: Vec3) -> float:
     """a vedge b . c (the 3x3 determinant of the rows a, b, c)."""
     return a.cross(b).dot(c)
+
+
+# -- the same rules on component tuples ---------------------------------------
+# The scalar formulas keep their vectors as float tuples and build a Vec only
+# for a public result; these give them Vec's finite check and norms.
+
+def _checked(components: tuple) -> tuple:
+    """`components`, after the finite check a Vec built from them runs."""
+    if not all(map(isfinite, components)):
+        _check_finite(*components)
+    return components
+
+
+def _sub(p: tuple, q: tuple) -> tuple:
+    """p - q of component tuples, with the finite check of Vec.__sub__."""
+    return _checked(tuple(map(sub, p, q)))
+
+
+def _norm(c: tuple) -> float:
+    """|c| by the formula of Vec2.norm (hypot) or of Vec3.norm."""
+    if len(c) == 2:
+        return math.hypot(*c)
+    x, y, z = c
+    return math.sqrt(x * x + y * y + z * z)

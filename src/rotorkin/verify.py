@@ -23,7 +23,7 @@ from . import plane, reconstruct, space, surface
 from .csvout import _usable_cpus
 from .curves import make_catalog_curve, transform_curve
 from .numerics import extrapolate_to_zero, fd_derivative
-from .vec import Vec2, Vec3
+from .vec import Vec2, Vec3, _norm, _sub
 
 _SEED = 20260810
 _LADDER = (1e-2, 1e-3, 1e-4, 1e-5)
@@ -106,8 +106,9 @@ def _surface_cases():
 
 def _rate_cases():
     """Each distance-rate and rotation case once, in the order the criteria
-    draw their samples: (domain, rel(s), the scalar kinematics of rel at t,
-    its projected speeds with their planes, array kernels).
+    draw their samples: (domain, rel(s) as a component tuple, the scalar
+    kinematics of rel at t, its projected speeds with their planes, array
+    kernels).
 
     The array kernels are (kernel(ts), scalar(t)) pairs that fd-rates holds
     against the scalar API; a None scalar is the case's own kinematics.
@@ -121,11 +122,12 @@ def _rate_cases():
                 arrays += ((partial(plane.local_limits_array, curve),
                             partial(plane.local_limits, curve)),)
             yield (curve.domain,
-                   lambda s, _c=curve, _p=center: _c.point(s) - _p,
+                   lambda s, _c=curve, _p=center.as_tuple(): _sub(
+                       _c._at(s, 0), _p),
                    partial(plane.distance_kinematics, curve, center),
                    (("rot_speed", (0, 1)),), arrays)
     for curve in (make_catalog_curve("cubic"), _shifted_helix()):
-        yield (curve.domain, curve.point,
+        yield (curve.domain, partial(curve._at, order=0),
                partial(space.space_distance_kinematics, curve), speeds,
                ((partial(space.space_distance_kinematics_array, curve),
                  None),))
@@ -133,10 +135,12 @@ def _rate_cases():
     curve_b = make_catalog_curve(
         "helix", {"cx": -2.0, "cy": -2.0, "cz": -1.0, "pitch": 0.5},
         domain=(0.0, math.pi))
-    yield (curve_a.domain, lambda s: curve_b.point(s) - curve_a.point(s),
+    yield (curve_a.domain,
+           lambda s: _sub(curve_b._at(s, 0), curve_a._at(s, 0)),
            partial(space.pair_kinematics, curve_a, curve_b), speeds, ())
     for surf, chart in _surface_cases():
-        yield (chart.domain, surface.composed_space_curve(surf, chart).point,
+        yield (chart.domain,
+               partial(surface.composed_space_curve(surf, chart)._at, order=0),
                partial(surface.surface_distance_kinematics, surf, chart),
                speeds, ())
 
@@ -168,7 +172,7 @@ def crit_fd_rates(fault=None) -> CriterionResult:
     worst = mismatch = 0.0
     for domain, rel, kinematics, _, arrays in _rate_cases():
         def dist(s):
-            return rel(s).norm()
+            return _norm(rel(s))
         ts = _sample(rng, domain, 1000)
         kins = [kinematics(t) for t in ts]
         worst = max(worst, _case_rel(
@@ -189,28 +193,37 @@ def crit_fd_rates(fault=None) -> CriterionResult:
 
 # -- criterion 2: rotational-speed consistency ------------------------------------
 
-def _fd_turn_speed(rel, keep, t: float, domain) -> float:
-    """FD speed at t of the unit direction of rel projected onto the
-    coordinate plane `keep` (a pair of component indices)."""
-    i, j = keep
+def _fd_turn_speeds(rel, planes, t: float, domain) -> list[float]:
+    """FD speeds at t of the unit direction of rel projected onto each
+    coordinate plane of `planes` (pairs of component indices).
 
-    def e(s):
-        r = rel(s).as_tuple()
-        norm = math.hypot(r[i], r[j])
-        return Vec2(r[i] / norm, r[j] / norm)
-    return fd_derivative(e, t, 1, domain=domain).norm()
+    Each component of a direction is differenced on its own, which gives
+    the bits of the difference of the direction as a Vec2; rel is
+    evaluated once per stencil point for all the planes.
+    """
+    rels = {}
+
+    def unit(s, i, j, k):
+        r = rels.get(s)
+        if r is None:
+            r = rels[s] = rel(s)
+        return r[k] / math.hypot(r[i], r[j])
+    return [math.hypot(*(fd_derivative(partial(unit, i=i, j=j, k=k), t, 1,
+                                       domain=domain) for k in (i, j)))
+            for i, j in planes]
 
 
 def crit_rot_speeds(fault=None) -> CriterionResult:
     rng = np.random.default_rng(_SEED + 1)
     worst = 0.0
     for domain, rel, kinematics, speeds, _ in _rate_cases():
+        names, planes = zip(*speeds)
         cases = tuple([] for _ in speeds)
         for t in _sample(rng, domain, 300):
             kin = kinematics(t)
-            for case, (name, keep) in zip(cases, speeds):
-                case.append((getattr(kin, name),
-                             _fd_turn_speed(rel, keep, t, domain)))
+            for case, name, fd in zip(cases, names, _fd_turn_speeds(
+                    rel, planes, t, domain)):
+                case.append((getattr(kin, name), fd))
         worst = max(worst, *(_case_rel(case) for case in cases))
 
     return CriterionResult(

@@ -251,6 +251,27 @@ def test_reconstruct_start_on_coordinate_plane_exits_3(capsys, tmp_path):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("expr", [
+    # a space curve whose start (about -2.6e299 in z) squares past the
+    # largest float: numpy's norm warned "overflow encountered in dot" and
+    # the run blamed a coordinate plane
+    {"x": "3.038351 + 1.525773*cos(t) + 0.317333*sin(2*t)",
+     "y": "3.218705 + 1.313973*sin(t) + 0.242169*cos(2*t)",
+     "z": "1.581239 + 0.258763*t + 0.208643*sin(t)"},
+    # a plane curve starting at (-1.5e308, -1.5e308): np.hypot warned
+    # and the run exited 2 with "e0 must be a unit vector"
+    {"x": "1.5e8*t", "y": "1.5e8*t"},
+])
+def test_reconstruct_start_distance_overflow_exits_3(capsys, tmp_path, expr):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"curve": {"kind": "expr", "expr": expr,
+                                          "domain": [-1e300, 1e300]}}))
+    code, out, err = run(capsys, ["reconstruct", "--config", str(path)])
+    assert (code, out) == (3, "")
+    assert err == ("NonFiniteData: start distance overflows at t=-1e+300 "
+                   "(step=None)\n")
+
+
 @pytest.mark.parametrize("args", [
     ["--preset", "circle", "--step", "0.01"],
     ["--preset", "helix", "--step", "0.01"],

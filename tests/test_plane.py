@@ -2,17 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from rotorkin.curves import (curve_from_spec, make_catalog_curve,
+from rotorkin.curves import (PlaneCurve, curve_from_spec, make_catalog_curve,
                              reparametrize, transform_curve)
 from rotorkin.errors import (CenterOnCurve, DegenerateChord, KinematicsError,
                              NonFiniteData, SingularPoint)
 from rotorkin.numerics import extrapolate_to_zero, fd_derivative
-from rotorkin.plane import (chord_kinematics, distance_kinematics,
-                            distance_kinematics_array, local_limits,
-                            local_limits_array, plane_congruent, uniform_grid)
+from rotorkin.plane import (LocalLimits2, PlaneKinematics, chord_kinematics,
+                            distance_kinematics, distance_kinematics_array,
+                            local_limits, local_limits_array, plane_congruent,
+                            uniform_grid)
 from rotorkin.vec import Vec2
 
 RNG = np.random.default_rng(522)
@@ -486,3 +487,105 @@ def test_overflowing_kinematics_raise_instead_of_leaking_inf():
     with pytest.raises(NonFiniteData) as exc:
         distance_kinematics_array(curve, ORIGIN, np.linspace(0.0, 1.0, 3))
     assert exc.value.t == 0.0
+
+
+# -- the float-tuple formulas against the Vec arithmetic they replaced -------
+# The scalar formulas keep their vectors as float tuples and build a Vec2
+# only for a result.  These references are the Vec2 arithmetic they had
+# before; the two must agree bit for bit.
+
+def vec_distance_kinematics(curve, center, t):
+    rel = curve.point(t) - center
+    d = rel.norm()
+    rp, rpp = curve.derivative(t, 1), curve.derivative(t, 2)
+    radial = rel.dot(rp)
+    w = rel.cross(rp)
+    s = w / d ** 3
+    return PlaneKinematics(
+        D=d, dD=radial / d,
+        d2D=-radial * radial / d ** 3 + (rp.dot(rp) + rel.dot(rpp)) / d,
+        rot_velocity=Vec2(-rel.y * s, rel.x * s), rot_speed=abs(w / (d * d)))
+
+
+def vec_local_limits(curve, t):
+    rp, rpp = curve.derivative(t, 1), curve.derivative(t, 2)
+    phi = rp.norm()
+    cross = rp.cross(rpp)
+    s = cross / (2.0 * phi ** 3)
+    return LocalLimits2(phi=phi, phi_prime=rp.dot(rpp) / phi,
+                        psi=Vec2(-rp.y * s, rp.x * s),
+                        psi_speed=abs(cross) / (2.0 * phi * phi))
+
+
+PLANE_TEXTS = ({"x": "cos(t) + 0.3*t^2", "y": "sin(2*t)/(2 + t)"},
+               {"x": "2 + t", "y": "exp(0.5*t) - ln(1 + t)"})
+
+
+@st.composite
+def plane_curves(draw):
+    """A catalog curve, its image under a rigid motion, an expression
+    curve, or a catalog curve's position with differenced derivatives."""
+    kind = draw(st.sampled_from(("catalog", "moved", "expr", "fd")))
+    if kind == "expr":
+        return curve_from_spec({"kind": "expr", "domain": [0.0, 3.0],
+                                "expr": draw(st.sampled_from(PLANE_TEXTS))})
+    name = draw(st.sampled_from(sorted(CATALOG_PARAMS)))
+    curve = make_catalog_curve(name, draw(CATALOG_PARAMS[name]))
+    if kind == "moved":
+        angle = draw(st.floats(-math.pi, math.pi))
+        c, s = math.cos(angle), math.sin(angle)
+        return transform_curve(curve, ((c, -s), (s, c)),
+                               Vec2(draw(coordinate), draw(coordinate)))
+    if kind == "fd":
+        return PlaneCurve(position=curve.position, domain=curve.domain)
+    return curve
+
+
+def assert_bit_identical(got, want):
+    """got() equals want(), and so does its repr, which tells -0.0 from
+    0.0; a sample where got() finds the frame degenerate is rejected."""
+    try:
+        result = got()
+    except (CenterOnCurve, DegenerateChord, SingularPoint):
+        reject()
+    reference = want()
+    assert result == reference
+    assert repr(result) == repr(reference)
+
+
+@settings(max_examples=100, deadline=None)
+@given(curve=plane_curves(), where=st.floats(0.0, 1.0),
+       step=st.floats(1e-6, 1.0), cx=coordinate, cy=coordinate)
+def test_scalar_formulas_are_the_vec_arithmetic_bit_for_bit(curve, where,
+                                                            step, cx, cy):
+    t0, t1 = curve.domain
+    t = t0 + where * (t1 - t0)
+    for k in range(4):
+        want = curve.point(t) if k == 0 else curve.derivative(t, k)
+        assert curve._at(t, k) == want.as_tuple()
+        assert repr(curve._at(t, k)) == repr(want.as_tuple())
+    center = Vec2(cx, cy)
+    assert_bit_identical(lambda: distance_kinematics(curve, center, t),
+                         lambda: vec_distance_kinematics(curve, center, t))
+    assert_bit_identical(lambda: local_limits(curve, t),
+                         lambda: vec_local_limits(curve, t))
+    if t < t1:
+        dt = step * (t1 - t)
+        assert_bit_identical(
+            lambda: chord_kinematics(curve, t, dt),
+            lambda: vec_distance_kinematics(curve, curve.point(t), t + dt))
+
+
+@pytest.mark.parametrize("call", [
+    lambda curve: distance_kinematics(curve, ORIGIN, 1.5),
+    lambda curve: local_limits(curve, 1.5),
+])
+def test_a_non_finite_component_raises_the_vec_check(call):
+    # y = 1e308 t^2 and y' = 2e308 t overflow at t = 1.5: the first
+    # component read, r for the frame and r' for the local limits, raises
+    # the finite check a Vec2 of it would run
+    curve = make_catalog_curve("parabola", {"a": 1e308})
+    with pytest.raises(KinematicsError) as exc:
+        call(curve)
+    assert type(exc.value) is KinematicsError
+    assert str(exc.value) == "non-finite vector component: inf"

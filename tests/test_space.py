@@ -3,24 +3,28 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from rotorkin.curves import SpaceCurve, make_catalog_curve, reparametrize, \
     transform_curve
 from rotorkin.curves import curve_from_spec
 from rotorkin.errors import (AxisProjectionDegenerate, CenterOnCurve,
-                             CurvesIntersect, DegenerateFrame, KinematicsError,
-                             NonFiniteData)
-from rotorkin.numerics import extrapolate_to_zero, fd_derivative
+                             CurvesIntersect, DegenerateFrame,
+                             DegenerateProjection, KinematicsError,
+                             NonFiniteData, SingularPoint)
+from rotorkin.numerics import extrapolate_to_zero, fd1_wide, fd_derivative
 from rotorkin.plane import uniform_grid
-from rotorkin.space import (derivative_plane_limits,
+from rotorkin.space import (DerivativePlaneLimits, InvariantTuple,
+                            SpaceKinematics, _chain_direct,
+                            _chain_from_invariants, derivative_plane_limits,
                             derivative_plane_speeds, invariants,
                             pair_kinematics, space_congruent,
                             space_distance_kinematics,
                             space_distance_kinematics_array,
                             verify_invariant_chain)
-from rotorkin.vec import Vec3
+from rotorkin.surface import composed_space_curve, make_surface
+from rotorkin.vec import Vec3, triple_product
 
 RNG = np.random.default_rng(733)
 
@@ -428,3 +432,174 @@ def test_curves_without_closed_forms_run_the_scalar_api_per_sample(
         monkeypatch.undo()
         assert calls == ts.tolist()
         assert got.tolist() == scalar_columns(curve, ts)[0].tolist()
+
+
+# -- the float-tuple formulas against the Vec arithmetic they replaced -------
+# The scalar formulas keep their vectors as float tuples and build a Vec3
+# only for a result.  These references are the Vec3 arithmetic they had
+# before; the two must agree bit for bit.
+
+def vec_space_kinematics(rel, rp, rpp):
+    def speed(u, v, du, dv):
+        return abs(u * dv - du * v) / (u * u + v * v)
+    d = rel.norm()
+    radial = rel.dot(rp)
+    return SpaceKinematics(
+        D=d, dD=radial / d,
+        d2D=-radial * radial / d ** 3 + (rp.dot(rp) + rel.dot(rpp)) / d,
+        speed_a=speed(rel.x, rel.y, rp.x, rp.y),
+        speed_b=speed(rel.x, rel.z, rp.x, rp.z),
+        speed_c=speed(rel.y, rel.z, rp.y, rp.z))
+
+
+def vec_derivative_plane_limits(curve, t):
+    r1, r2, r3 = (curve.derivative(t, k) for k in (1, 2, 3))
+    n1, n2 = r1.norm(), r2.norm()
+    return DerivativePlaneLimits(
+        phi=n1,
+        psi12=(r2 * (n1 * n1) - r1 * r1.dot(r2)) * (1.0 / (2.0 * n1 ** 3)),
+        psi13=Vec3(0.0, 0.0, 0.0),
+        psi23=(r3 * (n2 * n2) - r2 * r2.dot(r3)) * (1.0 / (3.0 * n2 ** 3)),
+        epsilon=1 if triple_product(r1, r2, r3) > 0 else -1)
+
+
+def vec_invariants(curve, t):
+    lim = vec_derivative_plane_limits(curve, t)
+    return InvariantTuple(phi=lim.phi, s12=lim.psi12.norm(), s13=0.0,
+                          s23=lim.psi23.norm(), epsilon=lim.epsilon)
+
+
+def vec_chain_direct(curve, t):
+    r1, r2, r3 = (curve.derivative(t, k) for k in (1, 2, 3))
+    cross = r1.cross(r2)
+    return (r1.dot(r1), r1.dot(r2), r2.dot(r2), r2.dot(r3), r3.dot(r3),
+            r1.dot(r3), cross.norm(), cross.dot(r3) ** 2)
+
+
+def uncached_chain_from_invariants(curve, t):
+    """_chain_from_invariants as it was before it kept the invariants it
+    reads by parameter."""
+    def phi2(s):
+        return invariants(curve, s).phi ** 2
+
+    def dot12(s):
+        return 0.5 * fd1_wide(phi2, s)
+
+    def norm2sq(s):
+        inv = invariants(curve, s)
+        return 4.0 * inv.s12 ** 2 * inv.phi ** 2 + dot12(s) ** 2 / inv.phi ** 2
+
+    inv = invariants(curve, t)
+    p2 = inv.phi ** 2
+    d12 = dot12(t)
+    r2sq = norm2sq(t)
+    d23 = 0.5 * fd1_wide(norm2sq, t)
+    r3sq = 9.0 * inv.s23 ** 2 * r2sq + d23 ** 2 / r2sq
+    d13 = fd1_wide(dot12, t) - r2sq
+    cross_sq = p2 * r2sq - d12 ** 2
+    trip_sq = (cross_sq * r3sq
+               - (d13 ** 2 * r2sq - 2.0 * d13 * d23 * d12 + d23 ** 2 * p2))
+    return (p2, d12, r2sq, d23, r3sq, d13, math.sqrt(max(cross_sq, 0.0)),
+            trip_sq)
+
+
+SPACE_TEXT = {"x": "cos(t) + 0.2*t^2", "y": "sin(t)/(1.5 + t)",
+              "z": "0.5*t + exp(0.1*t)"}
+
+
+def torus_curve():
+    """A chart curve on a torus, built as the surface command builds it,
+    composed with the chart."""
+    chart = curve_from_spec({"kind": "expr", "domain": [0.2, 5.8],
+                             "expr": {"x": "t", "y": "sin(t) + 2"}})
+    return composed_space_curve(make_surface("torus", {"cz": 3.0}), chart)
+
+
+@st.composite
+def space_curves(draw):
+    """A catalog curve, its image under a rigid motion, an expression
+    curve, a torus chart curve, or a catalog curve's position with
+    differenced derivatives."""
+    kind = draw(st.sampled_from(("catalog", "moved", "expr", "torus", "fd")))
+    if kind == "expr":
+        return curve_from_spec({"kind": "expr", "domain": [0.2, 2.0],
+                                "expr": SPACE_TEXT})
+    if kind == "torus":
+        return torus_curve()
+    name = draw(st.sampled_from(sorted(SPACE_PARAMS)))
+    curve = make_catalog_curve(name, draw(SPACE_PARAMS[name]))
+    if kind == "moved":
+        return moved_image(draw, curve)
+    if kind == "fd":
+        return SpaceCurve(position=curve.position, domain=curve.domain)
+    return curve
+
+
+def moved_image(draw, curve):
+    rotation = random_rotation3(np.random.default_rng(draw(st.integers(0, 99))))
+    return transform_curve(curve, rotation, Vec3(
+        draw(coordinate), draw(coordinate), draw(coordinate)))
+
+
+def assert_bit_identical(got, want):
+    """got() equals want(), and so does its repr, which tells -0.0 from
+    0.0; a sample where got() finds a degenerate frame is rejected."""
+    try:
+        result = got()
+    except (AxisProjectionDegenerate, CenterOnCurve, CurvesIntersect,
+            DegenerateFrame, DegenerateProjection, SingularPoint):
+        reject()
+    reference = want()
+    assert result == reference
+    assert repr(result) == repr(reference)
+
+
+@settings(max_examples=100, deadline=None)
+@given(curve=space_curves(), where=st.floats(0.01, 0.99), data=st.data())
+def test_scalar_formulas_are_the_vec_arithmetic_bit_for_bit(curve, where,
+                                                            data):
+    t0, t1 = curve.domain
+    t = t0 + where * (t1 - t0)
+    for k in range(4):
+        want = curve.point(t) if k == 0 else curve.derivative(t, k)
+        assert curve._at(t, k) == want.as_tuple()
+        assert repr(curve._at(t, k)) == repr(want.as_tuple())
+    assert_bit_identical(
+        lambda: space_distance_kinematics(curve, t),
+        lambda: vec_space_kinematics(curve.point(t), curve.derivative(t, 1),
+                                     curve.derivative(t, 2)))
+    other = moved_image(data.draw, curve)
+    assert_bit_identical(
+        lambda: pair_kinematics(curve, other, t),
+        lambda: vec_space_kinematics(
+            *(other.point(t) - curve.point(t) if k == 0 else
+              other.derivative(t, k) - curve.derivative(t, k)
+              for k in (0, 1, 2))))
+    assert_bit_identical(lambda: derivative_plane_limits(curve, t),
+                         lambda: vec_derivative_plane_limits(curve, t))
+    assert_bit_identical(lambda: invariants(curve, t),
+                         lambda: vec_invariants(curve, t))
+
+
+@settings(max_examples=15, deadline=None)
+@given(curve=space_curves().filter(lambda c: c.d1 is not None),
+       where=st.floats(0.05, 0.95))
+def test_gram_chains_are_their_vec_arithmetic_bit_for_bit(curve, where):
+    t0, t1 = curve.domain
+    t = t0 + where * (t1 - t0)
+    assert_bit_identical(lambda: _chain_direct(curve, t),
+                         lambda: vec_chain_direct(curve, t))
+    assert_bit_identical(lambda: _chain_from_invariants(curve, t),
+                         lambda: uncached_chain_from_invariants(curve, t))
+
+
+@pytest.mark.parametrize("call", [space_distance_kinematics, invariants])
+def test_a_non_finite_component_raises_the_vec_check(call):
+    # z = 1e308 t^3 and z' = 3e308 t^2 overflow at t = 1.5: the first
+    # component read, r for the frame and r' for the invariants, raises
+    # the finite check a Vec3 of it would run
+    curve = make_catalog_curve("cubic", {"c": 1e308})
+    with pytest.raises(KinematicsError) as exc:
+        call(curve, 1.5)
+    assert type(exc.value) is KinematicsError
+    assert str(exc.value) == "non-finite vector component: inf"
