@@ -23,7 +23,7 @@ from .curves import (CATALOG, _spec_domain, curve_from_spec,
                      make_catalog_curve)
 from .errors import (BadParameters, ExprSyntaxError, KinematicsError,
                      UnknownCurve, UnknownIdentifier)
-from .plane import (_scalar_rows, distance_kinematics_array,
+from .plane import (_rows_into, distance_kinematics_array,
                     local_limits_array, uniform_grid)
 from .vec import Vec2
 
@@ -306,15 +306,16 @@ def cmd_surface(args) -> int:
     headers = ["t", "D", "dD", "d2D", "speed_A", "speed_B", "speed_C"]
     names = ["D", "dD", "d2D", "speed_a", "speed_b", "speed_c"]
 
-    ts = uniform_grid(curve.domain, samples).tolist()
+    ts = uniform_grid(curve.domain, samples)
+    columns = [np.empty(samples) for _ in names]
     try:
         # a non-finite row raises NonFiniteData instead of printing inf
-        rows = _scalar_rows(
-            lambda t: surface.surface_distance_kinematics(surf, curve, t),
-            ts, names)
+        _rows_into(columns, range(samples), lambda t:
+                   surface.surface_distance_kinematics(surf, curve, t),
+                   ts, names)
     except KinematicsError as exc:
         return _numeric_failure(exc)
-    _emit(headers, (ts, *np.array(rows).T), out, fmt)
+    _emit(headers, (ts, *columns), out, fmt)
     return EXIT_OK
 
 

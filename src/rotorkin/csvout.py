@@ -1,12 +1,13 @@
-"""The CSV writer of every command and of `Trajectory.write_csv`; a leaf
-module, so the CLI loads it without the reconstruction code."""
+"""The CSV writer of every command and of `Trajectory.write_csv`, and its
+fork code, which the per-sample row loop shares; a leaf module, so the
+CLI loads it without the reconstruction code."""
 
 import os
 import shutil
 import tempfile
 from contextlib import ExitStack
 
-_BLOCK = 1024  # rows per "%" call; bounds the memory of each block's text
+_BLOCK = 1024  # rows per "%" call or per block of rows; bounds their memory
 
 
 def _usable_cpus() -> int:
@@ -17,53 +18,62 @@ def _usable_cpus() -> int:
             else os.cpu_count() or 1)
 
 
-def _write_csv(fh, header, table) -> None:
-    """Write `header` and the rows of the (n, k) float array `table` to
-    the text stream `fh`, every cell as "%.17g" (the bytes of
-    f"{cell:.17g}"), one "%" per _BLOCK rows.  The blocks are cut into one
-    contiguous run per usable CPU; a forked child formats each run after
-    the first into its own temporary file, which the parent appends in
-    order."""
-    line = ",".join(["%.17g"] * len(header)) + "\n"
-    starts = range(0, len(table), _BLOCK)
-    n = max(1, min(len(starts), _usable_cpus()))
-    runs = [starts[len(starts) * k // n:len(starts) * (k + 1) // n]
-            for k in range(n)]
-
-    def write(out, run):
-        for start in run:
-            block = table[start:start + _BLOCK]
-            out.write(line * len(block) % tuple(block.ravel().tolist()))
-
-    fh.flush()  # a child must not inherit unwritten output
+def _forked_runs(count, work, take, mode) -> None:
+    """Do blocks 0 to count - 1 in one contiguous run (a range of block
+    numbers) per usable CPU: a forked child does each later run as
+    work(run, tmp) into an unlinked temporary file opened with `mode`,
+    while this process does run 0 as work(run, None), into the
+    destination.  It then takes the children's files in order with
+    take(run, tmp), and redoes a failed child's run as work(run, None), so
+    that run's error is raised here.  A failure here kills and reaps the
+    children first.  Children leave through os._exit (no exit handler)."""
+    n = max(1, min(count, _usable_cpus()))
+    runs = [range(count * k // n, count * (k + 1) // n) for k in range(n)]
     children = []
     with ExitStack() as files:
         try:
             for run in runs[1:]:
-                tmp = files.enter_context(tempfile.TemporaryFile("w+"))
+                tmp = files.enter_context(tempfile.TemporaryFile(mode))
                 if (pid := os.fork()) == 0:
-                    # the child formats its run and leaves through _exit
-                    # (status 1 on an error), so no atexit handler runs
                     try:
-                        write(tmp, run)
+                        work(run, tmp)
                         tmp.flush()
                         os._exit(0)
                     finally:
                         os._exit(1)
-                children.append((pid, tmp))
-            fh.write(",".join(header) + "\n")
-            write(fh, runs[0])
+                children.append((pid, run, tmp))
+            work(runs[0], None)
             while children:
-                pid, tmp = children[0]
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                pid, run, tmp = children[0]
+                failed = os.waitpid(pid, 0)[1]
                 del children[0]
-                if status:
-                    raise ChildProcessError(
-                        f"CSV writer process {pid} exited with {status}")
-                tmp.seek(0)
-                shutil.copyfileobj(tmp, fh)
+                if failed:
+                    work(run, None)
+                else:
+                    tmp.seek(0)
+                    take(run, tmp)
         finally:
-            for pid, _ in children:  # left only when the write failed
+            for pid, _, _ in children:  # left only when this process failed
                 import signal  # lazily: 1 ms a CLI start would pay
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+
+
+def _write_csv(fh, header, table) -> None:
+    """Write `header` and the rows of the (n, k) float array `table` to
+    the text stream `fh`, every cell as "%.17g" (the bytes of
+    f"{cell:.17g}"), one "%" per _BLOCK rows, in `_forked_runs`."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+
+    def write(run, out):
+        if out is None:
+            out = fh
+            if run.start == 0:  # run 0, always this process's, heads the file
+                fh.write(",".join(header) + "\n")
+        for k in run:
+            block = table[k * _BLOCK:(k + 1) * _BLOCK]
+            out.write(line * len(block) % tuple(block.ravel().tolist()))
+
+    fh.flush()  # a child must not inherit unwritten output
+    _forked_runs(-(-len(table) // _BLOCK), write,
+                 lambda run, tmp: shutil.copyfileobj(tmp, fh), "w+")

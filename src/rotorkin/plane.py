@@ -17,6 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .csvout import _BLOCK, _forked_runs
 from .errors import (CenterOnCurve, DegenerateChord, KinematicsError,
                      NonFiniteData, OutOfDomain, SingularPoint)
 from .vec import EPS_NORM, Vec2, _sub
@@ -126,11 +127,6 @@ def local_limits(curve, t: float) -> LocalLimits2:
 
 # -- the same frames over arrays of parameters ----------------------------
 
-# rows the scalar API redoes before they are written to the result arrays;
-# bounds the Python rows held at once
-_REDO_BLOCK = 1024
-
-
 def _over_samples(curve, ts, kernel, scalar, sample=True):
     """`kernel(r, r', r'')` over the curve's samples at ts; it returns the
     result dataclass with array fields and the mask of its good rows.
@@ -153,13 +149,35 @@ def _over_samples(curve, ts, kernel, scalar, sample=True):
     with np.errstate(all="ignore"):
         out, good = kernel(*samples)
     names = [f.name for f in fields(out)]
-    redo = np.flatnonzero(~good)
-    for start in range(0, len(redo), _REDO_BLOCK):
-        block = redo[start:start + _REDO_BLOCK]
-        rows = _scalar_rows(scalar, ts[block].tolist(), names)
-        for name, column in zip(names, zip(*rows)):
-            getattr(out, name)[block] = column
+    _rows_into([getattr(out, name) for name in names], np.flatnonzero(~good),
+               scalar, ts, names)
     return out
+
+
+def _rows_into(columns, rows, scalar, ts, names):
+    """Set row rows[i] of the arrays `columns` to the fields `names` of
+    scalar(ts[rows[i]]) (`_scalar_rows`), per block of _BLOCK rows, in
+    `csvout._forked_runs`; a worker's fields cross as float64 bytes."""
+    def blocks(run):
+        return (rows[k * _BLOCK:(k + 1) * _BLOCK] for k in run)
+
+    def work(run, out):
+        for at in blocks(run):
+            rows_at = _scalar_rows(scalar, ts[at].tolist(), names)
+            for column, values in zip(columns, zip(*rows_at)):
+                if out is None:
+                    column[at] = values
+                else:
+                    out.write(np.array(values, dtype=float).tobytes())
+
+    def take(run, tmp):
+        for at in blocks(run):
+            for column in columns:
+                like = column[:len(at)]  # a view of the block's shape
+                column[at] = np.frombuffer(
+                    tmp.read(like.nbytes)).reshape(like.shape)
+
+    _forked_runs(-(-len(rows) // _BLOCK), work, take, "w+b")
 
 
 def _scalar_rows(scalar, ts, names):

@@ -140,11 +140,11 @@ def space_distance_kinematics_array(curve, ts) -> SpaceKinematics:
     space_distance_kinematics raises at the first of them.
 
     Only closed-form curves are sampled on arrays; any other curve runs
-    space_distance_kinematics once per sample.  Expression curves could
-    be sampled on arrays too, but `perfbench/tests` pins 400
-    `space.space_distance_kinematics` spans on a 400-sample
-    `kin_expr_space` job, so they stay per sample until that pin is
-    re-based (ROADMAP item 1, step 1).
+    space_distance_kinematics once per sample (`plane._rows_into`, on
+    forked workers past one block of rows).  Expression curves could be
+    sampled on arrays too, but `perfbench/tests` pins 400
+    `space.space_distance_kinematics` spans on a 400-sample (one-block)
+    `kin_expr_space` job until ROADMAP item 1 re-bases that pin.
     """
     def kernel(r, rp, rpp):
         d, dD, d2D = _distance_rates(r, rp, rpp)

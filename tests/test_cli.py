@@ -865,7 +865,14 @@ def test_surface_and_ellipse_csv_are_the_same_on_any_number_of_cpus(
         "chart_curve": {"u": "0.5 + t", "v": "1.3 + 0.3*sin(2*t)",
                         "domain": [0.2, 5.2]}}))
     params = ell.EllipseParams(2.3, 1.4)
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"curve": {
+        "kind": "expr", "domain": [0.1, 2.0],
+        "expr": {"x": "1.5 + cos(t)", "y": "2 + sin(2*t)", "z": "t"}}}))
     commands = {
+        # an expression space curve: every row runs the scalar API
+        "kinematics": (["kinematics", "--config", str(space),
+                        "--samples", str(n)], None),
         "surface": (["surface", "--config", str(path), "--samples", str(n)],
                     None),
         "ellipse": (["ellipse", "--a", "2.3", "--b", "1.4",
@@ -878,7 +885,7 @@ def test_surface_and_ellipse_csv_are_the_same_on_any_number_of_cpus(
             on_cpus(monkeypatch, cpus)
             code, out, err = run(capsys, argv)
             assert (code, err) == (0, "")
-            want = want or out  # the surface: the first run's bytes
+            want = want or out  # on one CPU, nothing forks
             assert out == want
 
 
@@ -921,17 +928,90 @@ def test_a_failed_parent_write_kills_and_reaps_the_children(monkeypatch,
     assert_no_child_left()
 
 
-def test_a_failed_child_fails_the_write(monkeypatch):
-    # each child formats into a file it cannot write; the parent raises on
-    # the first, then kills and reaps the second
+def test_a_failed_child_s_run_is_redone_by_the_parent(monkeypatch):
+    # each child formats into a file it cannot write and exits 1; the
+    # parent formats their runs itself
+    table = np.random.default_rng(1).standard_normal((3 * _BLOCK, 2))
+    want = written_csv(["a", "b"], table)
     on_cpus(monkeypatch, 3)
     monkeypatch.setattr(tempfile, "TemporaryFile",
                         lambda *args, **kwargs: open(os.devnull))
-    fh = io.StringIO()
-    with pytest.raises(ChildProcessError, match="exited with 1"):
-        _write_csv(fh, ["a", "b"], np.ones((3 * _BLOCK, 2)))
+    assert written_csv(["a", "b"], table) == want
     assert_no_child_left()
-    assert fh.getvalue().count("\n") == _BLOCK + 1  # the header and run 0
+
+
+# errors in the rows of a forked worker's run: the parent redoes the run,
+# so the first failing t in order is reported, as on one CPU
+RUN_ERRORS = {
+    # 3,072 samples at t = 0, 1, ..., 3071; the projection vanishes in the
+    # last block
+    "last-run": (["kinematics"], {"curve": {
+        "kind": "expr", "domain": [0, 3071],
+        "expr": {"x": "t - 3000", "y": "2*(t - 3000)", "z": "1 + t/1000"}}},
+        "AxisProjectionDegenerate at t=3000: "
+        "xOy-plane projection vanishes at t=3000"),
+    "chart-exit": (["surface"], {
+        "surface": {"kind": "torus", "params": {"R": 2.0, "r": 0.5}},
+        "chart_curve": {"u": "t", "v": "1.3 + 0.3*sin(2*t)",
+                        "domain": [0.2, 6.5]}},
+        "OutOfDomain at t=6.2846: (u, v)=(6.2846, 1.30085) outside the "
+        "chart domain"),
+    # the projection vanishes in block 1, the curve meets the origin in
+    # block 2
+    "runs-1-and-2": (["kinematics"], {"curve": {
+        "kind": "expr", "domain": [0, 3071],
+        "expr": {"x": "(t - 1500)*(t - 2500)", "y": "2*(t - 1500)*(t - 2500)",
+                 "z": "t - 2500"}}},
+        "AxisProjectionDegenerate at t=1500: "
+        "xOy-plane projection vanishes at t=1500"),
+}
+
+
+@pytest.mark.parametrize("argv, config, line", RUN_ERRORS.values(),
+                         ids=RUN_ERRORS)
+def test_an_error_in_a_forked_run_is_the_one_cpu_error(monkeypatch, capsys,
+                                                       tmp_path, argv,
+                                                       config, line):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**config, "samples": 3 * _BLOCK}))
+    for cpus in (1, 2, 3):
+        on_cpus(monkeypatch, cpus)
+        assert run(capsys, argv + ["--config", str(path)]) == (3, "",
+                                                               line + "\n")
+        assert_no_child_left()
+
+
+def test_the_origin_fails_run_2_of_runs_1_and_2(capsys, tmp_path):
+    # block 2 alone, t = 2048, ..., 3071
+    curve = {**RUN_ERRORS["runs-1-and-2"][1]["curve"], "domain": [2048, 3071]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"curve": curve, "samples": _BLOCK}))
+    code, out, err = run(capsys, ["kinematics", "--config", str(path)])
+    assert (code, out) == (3, "")
+    assert err.startswith("CenterOnCurve at t=2500: ")
+
+
+@pytest.mark.parametrize("command", ["kinematics", "surface"])
+def test_a_worker_that_cannot_write_has_its_rows_redone(monkeypatch, capsys,
+                                                        tmp_path, command):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "curve": {"kind": "expr", "domain": [0.1, 2.0],
+                  "expr": {"x": "1.5 + cos(t)", "y": "2 + sin(2*t)",
+                           "z": "t"}},
+        "surface": {"kind": "torus", "params": {"R": 2.0, "r": 0.5}},
+        "chart_curve": {"u": "0.5 + t", "v": "1.3 + 0.3*sin(2*t)",
+                        "domain": [0.2, 5.2]},
+        "samples": 3 * _BLOCK}))
+    argv = [command, "--config", str(path)]
+    on_cpus(monkeypatch, 1)
+    want = run(capsys, argv)
+    assert want[0] == 0
+    on_cpus(monkeypatch, 3)
+    monkeypatch.setattr(tempfile, "TemporaryFile",
+                        lambda *args, **kwargs: open(os.devnull))
+    assert run(capsys, argv) == want
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("unbuffered", [True, False])

@@ -1,19 +1,21 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from rotorkin.csvout import _BLOCK
 from rotorkin.curves import (PlaneCurve, curve_from_spec, make_catalog_curve,
                              reparametrize, transform_curve)
 from rotorkin.errors import (CenterOnCurve, DegenerateChord, KinematicsError,
                              NonFiniteData, SingularPoint)
 from rotorkin.numerics import extrapolate_to_zero, fd_derivative
-from rotorkin.plane import (LocalLimits2, PlaneKinematics, chord_kinematics,
-                            distance_kinematics, distance_kinematics_array,
-                            local_limits, local_limits_array, plane_congruent,
-                            uniform_grid)
+from rotorkin.plane import (LocalLimits2, PlaneKinematics, _rows_into,
+                            chord_kinematics, distance_kinematics,
+                            distance_kinematics_array, local_limits,
+                            local_limits_array, plane_congruent, uniform_grid)
 from rotorkin.vec import Vec2
 
 RNG = np.random.default_rng(522)
@@ -487,6 +489,30 @@ def test_overflowing_kinematics_raise_instead_of_leaking_inf():
     with pytest.raises(NonFiniteData) as exc:
         distance_kinematics_array(curve, ORIGIN, np.linspace(0.0, 1.0, 3))
     assert exc.value.t == 0.0
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_redone_rows_are_the_scalar_bits_on_any_number_of_cpus(monkeypatch,
+                                                               cpus):
+    # every other row of three blocks and more, vectors included, on one
+    # forked worker per CPU
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    curve = ellipse()
+    ts = np.linspace(0.0, 6.0, 6 * _BLOCK + 7)
+    rows = np.arange(0, len(ts), 2)
+    names = ["D", "dD", "d2D", "rot_velocity", "rot_speed"]
+    columns = [np.zeros(len(ts)) for _ in names]
+    columns[3] = np.zeros((len(ts), 2))
+    _rows_into(columns, rows, lambda t: distance_kinematics(curve, ORIGIN, t),
+               ts, names)
+    for name, column in zip(names, columns):
+        want = [getattr(distance_kinematics(curve, ORIGIN, t), name)
+                for t in ts[rows].tolist()]
+        if name == "rot_velocity":
+            want = [v.as_tuple() for v in want]
+        assert column[rows].tobytes() == np.array(want).tobytes(), name
+        assert not column[1::2].any(), name
 
 
 # -- the float-tuple formulas against the Vec arithmetic they replaced -------
