@@ -195,24 +195,27 @@ def origin_zero_closed_form(params: EllipseParams) -> list[float]:
 # -- reconstruction data ------------------------------------------------------
 
 def reconstruction_problem(params: EllipseParams, frame: str,
-                           step: float | None = None):
+                           step: float | None = None,
+                           domain: tuple[float, float] = (0.0, _TWO_PI)):
     """The PlaneReconstructionProblem of second-order distance data about
     the frame's center plus the signed angular speed of the center-to-point
-    direction; integrating it regenerates the ellipse."""
-    from .reconstruct import PlaneReconstructionProblem, _pointwise
+    direction on `domain`, started from the frame's closed forms at its
+    first angle; integrating it regenerates the ellipse."""
+    from .reconstruct import PlaneReconstructionProblem
     forms, center, _ = _frame(frame)
-    cx, cy = center(params)
+    c = np.array(center(params))
+    theta0 = domain[0]
+    d0, dd0 = forms(params, theta0)[:2]
+    point = np.array([params.a * math.cos(theta0),
+                      params.b * math.sin(theta0)])
 
     def data(theta):
         values = forms(params, theta, np)
         return values[2], values[-1][:, None]
 
-    rhs_D, (rhs_e,) = _pointwise(data)
     return PlaneReconstructionProblem(
-        rhs_D=rhs_D, rhs_e=rhs_e, D0=params.a - cx, e0=np.array([1.0, 0.0]),
-        domain=(0.0, _TWO_PI),
-        step=step if step is not None else _TWO_PI / 1e4,
-        order=2, dD0=0.0, center=np.array([cx, cy]), data=data)
+        D0=d0, e0=(point - c) / d0, domain=domain, step=step, order=2,
+        dD0=dd0, center=c, data=data)
 
 
 # -- CSV export -------------------------------------------------------------------

@@ -16,16 +16,16 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .csvout import _write_csv
 from .curves import make_catalog_curve
-from .errors import (BadParameters, InconsistentDirections, NonFiniteData,
-                     NonTangentField, ProjectionCollapse, StepTooLarge)
+from .errors import (BadParameters, CenterOnCurve, InconsistentDirections,
+                     NonFiniteData, NonTangentField, ProjectionCollapse,
+                     StepTooLarge)
 from .plane import _frame_terms
 from .space import _PLANES, _distance_rates, _pair_terms
 from .vec import Vec2, Vec3
@@ -37,6 +37,8 @@ _TANGENCY_TOL = 1e-8
 _COLLAPSE_TOL = 1e-3
 _TRIANGULATION_TOL = 1e-6
 _MAX_STEPS = 10 ** 6
+# the steps a problem takes when its step is None
+_DEFAULT_STEPS = 10 ** 4
 # steps per block of the time-only path (and points per block of
 # max_error_vs); bounds the memory of its per-block arrays
 _BLOCK = 1024
@@ -56,15 +58,20 @@ class Trajectory:
 
     def max_error_vs(self, curve) -> float:
         """Largest distance from the trajectory to `curve` at the same
-        parameter; a non-finite point raises NonFiniteData."""
+        parameter; a non-finite point raises NonFiniteData.  A block whose
+        norms overflow is redone by math.dist, which scales each row."""
         worst = 0.0
         for start in range(0, len(self.ts), _BLOCK):
             points = self.points[start:start + _BLOCK]
             if not np.isfinite(points).all():
                 raise NonFiniteData("trajectory has a non-finite point")
             ref = curve.sample(self.ts[start:start + _BLOCK], 0)[0]
-            worst = max(worst,
-                        float(np.linalg.norm(points - ref, axis=1).max()))
+            with np.errstate(over="ignore"):
+                dists = np.linalg.norm(points - ref, axis=1)
+            if not np.isfinite(dists).all():
+                dists = np.array([math.dist(p, q) for p, q in
+                                  zip(points.tolist(), ref.tolist())])
+            worst = max(worst, float(dists.max()))
         return worst
 
     @property
@@ -90,15 +97,23 @@ def _as_array(v) -> np.ndarray:
     return np.asarray(v, dtype=float)
 
 
-def _check_problem(problem, directions) -> None:
+def _step(problem) -> float:
+    """The problem's step; None takes span / _DEFAULT_STEPS."""
+    t0, t1 = problem.domain
+    return (t1 - t0) / _DEFAULT_STEPS if problem.step is None else problem.step
+
+
+def _check_problem(problem, fields, directions) -> None:
     """Checks shared by both problem kinds; NaN fails every one of them."""
+    if problem.data is None and None in fields:
+        raise BadParameters("a problem needs data or all its rhs fields")
     if not problem.D0 > 0:
         raise BadParameters("D0 must be positive")
     if problem.order not in (1, 2):
         raise BadParameters("distance ODE order must be 1 or 2")
-    step = problem.step
-    if not (isinstance(step, numbers.Real) and math.isfinite(step)
-            and step > 0):
+    step = _step(problem)
+    if not (isinstance(step, numbers.Real) and not isinstance(step, bool)
+            and math.isfinite(step) and step > 0):
         raise BadParameters(f"step must be finite and positive, got {step!r}")
     t0, t1 = problem.domain
     if not abs(t1 - t0) / step <= _MAX_STEPS:
@@ -112,35 +127,13 @@ def _check_problem(problem, directions) -> None:
 
 def _step_count(problem) -> tuple[int, float]:
     t0, t1 = problem.domain
-    n_steps = max(1, int(round((t1 - t0) / problem.step)))
+    n_steps = max(1, int(round((t1 - t0) / _step(problem))))
     return n_steps, (t1 - t0) / n_steps
 
 
 def _non_positive(step: int, t: float) -> StepTooLarge:
     return StepTooLarge(
         f"distance became non-positive at step {step} (t={t:g})")
-
-
-def _pointwise(data, planes=_PLANE):
-    """rhs_D and the direction fields e' = omega(t) J e, one per plane
-    (i, j) of `planes`, of time-only `data`, as one-element calls of it."""
-    # RK4 stages and fields share abscissae; callers only read the results
-    @lru_cache(maxsize=4)
-    def at(t):
-        return data(np.array([float(t)]))
-
-    def rhs_D(t):
-        return float(at(t)[0][0])
-
-    def direction(n, i, j):
-        def rhs_e(t, e):
-            e = _as_array(e)
-            turned = np.zeros_like(e)
-            turned[i], turned[j] = -e[j], e[i]
-            return float(at(t)[1][0, n]) * turned
-        return rhs_e
-
-    return rhs_D, [direction(n, i, j) for n, (i, j) in enumerate(planes)]
 
 
 def _general_path(problem, fields, e0s, assemble) -> Trajectory:
@@ -261,30 +254,31 @@ def _time_only_path(problem, e0s, planes, assemble) -> Trajectory:
     return Trajectory(ts=ts, points=points, max_drift=0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PlaneReconstructionProblem:
     """Distance ODE + direction ODE for a plane trajectory.
 
     `order` selects the distance form: 1 takes rhs_D = dD/dt, 2 takes
-    rhs_D = d^2D/dt^2 with the initial rate dD0.  `data`, when given,
-    declares both right-hand sides time-only: data(ts) for a 1-D array
-    returns (rhs_D values (n,), signed angular speeds omega (n, 1)), with
-    rhs_e = omega J e, and reconstruction sums it instead of calling the
-    rhs fields.
+    rhs_D = d^2D/dt^2 with the initial rate dD0.  The motion is given
+    either as `data`, which declares both right-hand sides time-only:
+    data(ts) for a 1-D array returns (rhs_D values (n,), signed angular
+    speeds omega (n, 1)), with rhs_e = omega J e, and reconstruction sums
+    it; or, without `data`, as both rhs fields.  A step of None takes
+    span / 10^4.
     """
-    rhs_D: Callable[[float], float]
-    rhs_e: Callable  # (t, e: ndarray(2)) -> ndarray(2)
+    rhs_D: Optional[Callable[[float], float]] = None
+    rhs_e: Optional[Callable] = None  # (t, e: ndarray(2)) -> ndarray(2)
     D0: float
     e0: np.ndarray
     domain: tuple[float, float]
-    step: float
+    step: Optional[float]
     order: int = 1
     dD0: float = 0.0
     center: np.ndarray = field(default_factory=lambda: np.zeros(2))
     data: Optional[Callable] = None
 
     def __post_init__(self):
-        _check_problem(self, (("e0", self.e0),))
+        _check_problem(self, (self.rhs_D, self.rhs_e), (("e0", self.e0),))
 
 
 def reconstruct_plane(problem: PlaneReconstructionProblem) -> Trajectory:
@@ -314,33 +308,36 @@ def integrate_unit_direction(rhs_e: Callable, e0, domain: tuple[float, float],
     return trajectory.ts, trajectory.points, trajectory.max_drift
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SpaceReconstructionProblem:
     """Distance ODE + three projected-direction ODEs for a space trajectory.
 
     The projected directions live in the xOy, xOz, and yOz planes (stored
     as 3-vectors with the fixed zero slot); together with D they must be
-    realizable by one point, which is checked at construction.  `data`,
-    when given, returns (rhs_D values (n,), signed angular speeds (n, 3) in
-    the order eA, eB, eC), as for the plane problem.
+    realizable by one point, which is checked at construction.  `data`
+    returns (rhs_D values (n,), signed angular speeds (n, 3) in the order
+    eA, eB, eC); without it, all four rhs fields are needed, as for the
+    plane problem.
     """
-    rhs_D: Callable[[float], float]
-    rhs_eA: Callable
-    rhs_eB: Callable
-    rhs_eC: Callable
+    rhs_D: Optional[Callable[[float], float]] = None
+    rhs_eA: Optional[Callable] = None
+    rhs_eB: Optional[Callable] = None
+    rhs_eC: Optional[Callable] = None
     D0: float
     eA0: np.ndarray
     eB0: np.ndarray
     eC0: np.ndarray
     domain: tuple[float, float]
-    step: float
+    step: Optional[float]
     order: int = 1
     dD0: float = 0.0
     data: Optional[Callable] = None
 
     def __post_init__(self):
-        _check_problem(self, (("eA0", self.eA0), ("eB0", self.eB0),
-                              ("eC0", self.eC0)))
+        _check_problem(self, (self.rhs_D, self.rhs_eA, self.rhs_eB,
+                              self.rhs_eC),
+                       (("eA0", self.eA0), ("eB0", self.eB0),
+                        ("eC0", self.eC0)))
         _triangulate(_as_array(self.eA0), _as_array(self.eB0),
                      _as_array(self.eC0), None)
 
@@ -418,15 +415,27 @@ def reconstruct_space(problem: SpaceReconstructionProblem) -> Trajectory:
 
 # -- analytic data generators ---------------------------------------------------
 
-def _start_distance(norm, r0, t0: float) -> float:
-    """norm(r0), the distance at the start t0; one that overflows raises
-    NonFiniteData (the builders keep their own norms, so that every finite
-    start distance keeps its bits)."""
+def _derivatives(curve, ts, order):
+    """r, r' and r'' of `curve` at ts (r'' is zero at order 1)."""
+    r, rp, *rpp = curve.sample(ts, order)
+    return r, rp, rpp[0] if rpp else np.zeros_like(rp)
+
+
+def _start(curve, center, norm, order):
+    """rel0 = r(t0) - center, D0 = norm(rel0) (each builder keeps its own
+    norm, so that D0 keeps its bits) and dD0 = rel0 . r'(t0) / D0 at order
+    2, else 0, at the curve's start t0.  A D0 that overflows raises
+    NonFiniteData, one that is not positive CenterOnCurve."""
+    t0 = curve.domain[0]
+    r0, rp0 = (a[0] for a in curve.sample([t0], 1))
+    rel0 = r0 - center
     with np.errstate(over="ignore"):  # an overflow raises below
-        d0 = float(norm(r0))
+        d0 = float(norm(rel0))
     if not math.isfinite(d0):
         raise NonFiniteData(f"start distance overflows at t={t0:g}")
-    return d0
+    if not d0 > 0.0:
+        raise CenterOnCurve(f"start distance vanishes at t={t0:g}")
+    return rel0, d0, float(rel0 @ rp0) / d0 if order == 2 else 0.0
 
 
 def plane_data_from_curve(curve, center: Vec2 = Vec2(0.0, 0.0),
@@ -435,29 +444,19 @@ def plane_data_from_curve(curve, center: Vec2 = Vec2(0.0, 0.0),
     """Build the plane reconstruction data a curve induces about `center`:
     the distance rate (or its derivative) and the signed angular speed
     (rel x r') / |rel|^2 of the center-to-point direction."""
-    t0, t1 = curve.domain
     c = np.array(center.as_tuple())
 
     def data(ts):
-        r, rp, *rpp = curve.sample(ts, order)
-        rpp = rpp[0] if rpp else np.zeros_like(rp)  # order 1 needs no r''
+        r, rp, rpp = _derivatives(curve, ts, order)
         rel = r - c
         d = np.hypot(rel[:, 0], rel[:, 1])
         dD, d2D, _, omega = _frame_terms(rel.T, rp.T, rpp.T, d)
         return (dD, d2D)[order - 1], omega[:, None]
 
-    rhs_D, (rhs_e,) = _pointwise(data)
-    r0, rp0 = (a[0] for a in curve.sample([t0], 1))
-    r0 = r0 - c
-    d0 = _start_distance(lambda r: np.hypot(*r), r0, t0)
+    rel0, d0, dd0 = _start(curve, c, lambda r: np.hypot(*r), order)
     return PlaneReconstructionProblem(
-        rhs_D=rhs_D, rhs_e=rhs_e, D0=d0,
-        e0=r0 / d0,
-        domain=curve.domain,
-        step=step if step is not None else (t1 - t0) / 1e4,
-        order=order,
-        dD0=float(r0 @ rp0) / d0 if order == 2 else 0.0,
-        center=c, data=data)
+        D0=d0, e0=rel0 / d0, domain=curve.domain, step=step, order=order,
+        dD0=dd0, center=c, data=data)
 
 
 def space_data_from_curve(curve, order: int = 1,
@@ -465,19 +464,15 @@ def space_data_from_curve(curve, order: int = 1,
     """Build the space reconstruction data a curve induces about the origin:
     distance ODE plus the signed angular speeds cross / denom of the three
     projected directions."""
-    t0, t1 = curve.domain
-
     def data(ts):
-        r, rp, *rpp = curve.sample(ts, order)
-        rpp = rpp[0] if rpp else np.zeros_like(rp)  # order 1 needs no r''
+        r, rp, rpp = _derivatives(curve, ts, order)
         omega = np.column_stack([
             np.divide(*_pair_terms(r[:, i], r[:, j], rp[:, i], rp[:, j]))
             for i, j in _PLANES])
         _, dD, d2D = _distance_rates(r, rp, rpp)
         return (dD, d2D)[order - 1], omega
 
-    r0, rp0 = (a[0] for a in curve.sample([t0], 1))
-    d0 = _start_distance(np.linalg.norm, r0, t0)
+    r0, d0, dd0 = _start(curve, 0.0, np.linalg.norm, order)
     if np.abs(r0).min() < _COLLAPSE_TOL * d0:
         raise ProjectionCollapse(
             f"start point {tuple(r0.tolist())} lies on a coordinate plane; "
@@ -488,16 +483,9 @@ def space_data_from_curve(curve, order: int = 1,
         p[[i, j]] = r0[[i, j]]
         return p / np.linalg.norm(p)
 
-    rhs_D, (rhs_eA, rhs_eB, rhs_eC) = _pointwise(data, _PLANES)
     return SpaceReconstructionProblem(
-        rhs_D=rhs_D, rhs_eA=rhs_eA, rhs_eB=rhs_eB, rhs_eC=rhs_eC,
-        D0=d0,
-        eA0=unit_proj(0, 1), eB0=unit_proj(0, 2), eC0=unit_proj(1, 2),
-        domain=curve.domain,
-        step=step if step is not None else (t1 - t0) / 1e4,
-        order=order,
-        dD0=float(r0 @ rp0) / d0 if order == 2 else 0.0,
-        data=data)
+        D0=d0, eA0=unit_proj(0, 1), eB0=unit_proj(0, 2), eC0=unit_proj(1, 2),
+        domain=curve.domain, step=step, order=order, dD0=dd0, data=data)
 
 
 # -- presets ----------------------------------------------------------------------
@@ -524,12 +512,11 @@ def _preset_helix(step, domain):
 
 def _preset_ellipse(step, domain, frame: str):
     from . import ellipse
+    curve = make_catalog_curve("ellipse", {"a": 2.0, "b": 1.0}, domain=domain)
     problem = ellipse.reconstruction_problem(ellipse.EllipseParams(2.0, 1.0),
-                                             frame, step=step)
-    if domain is not None:
-        problem = replace(problem, domain=tuple(domain))
-    return problem, make_catalog_curve("ellipse", {"a": 2.0, "b": 1.0},
-                                       domain=domain)
+                                             frame, step=step,
+                                             domain=curve.domain)
+    return problem, curve
 
 
 PRESETS = {

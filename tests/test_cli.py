@@ -232,6 +232,33 @@ def test_reconstruct_bad_steps_are_config_errors(capsys, tmp_path):
         assert code == 2, step
         assert out == "" and err.startswith("config error: step"), step
         assert not out_path.exists()
+    # a boolean config step, which ran as a step of 1.0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"preset": "circle", "step": True}))
+    code, out, err = run(capsys, ["reconstruct", "--config", str(path),
+                                  "--out", str(out_path)])
+    assert (code, out) == (2, "")
+    assert err == "config error: step must be finite and positive, got True\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("preset", ["ellipse-origin", "ellipse-focus"])
+@pytest.mark.parametrize("domain", [[0.1, 1], [0, 1], [2, 6]])
+def test_ellipse_presets_start_and_step_on_the_config_domain(capsys, tmp_path,
+                                                            preset, domain):
+    # the problem started at theta = 0 with a step of 2 pi / 10^4 on any
+    # domain: on [0.1, 1] the presets exited 1 (max_error 0.159 and 0.395),
+    # and on [0, 1] they wrote 1,593 rows
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"preset": preset, "domain": domain}))
+    out_path = tmp_path / "trajectory.csv"
+    code, out, err = run(capsys, ["reconstruct", "--config", str(path),
+                                  "--out", str(out_path)])
+    assert (code, err) == (0, "")
+    assert float(out.removeprefix("max_error=")) <= 1e-14
+    rows = out_path.read_text().splitlines()[1:]
+    assert len(rows) == 10001
+    assert [float(row.split(",")[0]) for row in (rows[0], rows[-1])] == domain
 
 
 def test_reconstruct_start_on_coordinate_plane_exits_3(capsys, tmp_path):
@@ -270,6 +297,39 @@ def test_reconstruct_start_distance_overflow_exits_3(capsys, tmp_path, expr):
     assert (code, out) == (3, "")
     assert err == ("NonFiniteData: start distance overflows at t=-1e+300 "
                    "(step=None)\n")
+
+
+@pytest.mark.parametrize("record", [
+    {"kind": "expr", "expr": {"x": "t", "y": "2*t"}, "domain": [0, 1]},
+    {"kind": "expr", "expr": {"x": "t", "y": "2*t", "z": "3*t"},
+     "domain": [0, 1]},
+    # the start is 1e-200 from the origin in each coordinate: its norm
+    # underflows to 0
+    {"kind": "helix", "params": dict.fromkeys(
+        ("radius", "pitch", "cx", "cy", "cz"), 1e-200)},
+])
+def test_reconstruct_start_on_the_center_exits_3(capsys, tmp_path, record):
+    # numpy warned dividing by the zero start distance, and the run exited 2
+    # with "D0 must be positive"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"curve": record}))
+    code, out, err = run(capsys, ["reconstruct", "--config", str(path)])
+    assert (code, out) == (3, "")
+    assert err == ("CenterOnCurve: start distance vanishes at t=0 "
+                   "(step=None)\n")
+
+
+def test_reconstruct_max_error_does_not_overflow(capsys, tmp_path):
+    # the trajectory ends about 1e285 off a line near 1e300: numpy's norm
+    # squared past the largest float, warned, and printed max_error=inf
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"curve": {
+        "kind": "expr", "expr": {"x": "t", "y": "2*t"},
+        "domain": [1e300, 1.5e300]}}))
+    code, out, err = run(capsys, ["reconstruct", "--config", str(path)])
+    assert (code, err) == (1, "")
+    assert float(out.removeprefix("max_error=")) == pytest.approx(
+        1.2262255561466659e+285, rel=1e-9)
 
 
 @pytest.mark.parametrize("args", [
@@ -889,43 +949,59 @@ def test_surface_and_ellipse_csv_are_the_same_on_any_number_of_cpus(
             assert out == want
 
 
-class BrokenPipe(io.StringIO):
-    """A stream whose reader has gone away."""
-
-    def write(self, text):
-        raise BrokenPipeError(32, "Broken pipe")
-
-
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def timed_out(signum, frame):
-    raise TimeoutError("the write did not return")
+# each child formats into a pipe that nobody reads, so it blocks until it
+# is killed; the parent's first write fails
+KILL_AND_REAP = """
+import io, os, sys, tempfile
+import numpy as np
+from rotorkin.csvout import _BLOCK, _write_csv
+
+class BrokenPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+cpus = int(sys.argv[1])
+read_end, write_end = os.pipe()
+tempfile.TemporaryFile = lambda *args, **kwargs: open(write_end, "w",
+                                                      closefd=False)
+os.sched_getaffinity = lambda pid: set(range(cpus))
+table = np.random.default_rng(0).standard_normal((16 * cpus * _BLOCK, 2))
+try:
+    _write_csv(BrokenPipe(), ["a", "b"], table)
+except BrokenPipeError:
+    pass
+else:
+    sys.exit("the write did not fail")
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    sys.exit(0)
+sys.exit("a child was left")
+"""
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
-def test_a_failed_parent_write_kills_and_reaps_the_children(monkeypatch,
-                                                            cpus):
-    # each child formats into a pipe that nobody reads, so it blocks until
-    # it is killed; the alarm turns a write that waits for it into a failure
-    read_end, write_end = os.pipe()
-    monkeypatch.setattr(tempfile, "TemporaryFile", lambda *args, **kwargs:
-                        open(write_end, "w", closefd=False))
-    on_cpus(monkeypatch, cpus)
-    table = np.random.default_rng(0).standard_normal((16 * cpus * _BLOCK, 2))
-    previous = signal.signal(signal.SIGALRM, timed_out)
-    signal.alarm(60)
+def test_a_failed_parent_write_kills_and_reaps_the_children(cpus):
+    # the scenario runs in its own interpreter and session: if the kill is
+    # lost, the write never returns, and the timeout kills the session's
+    # process group, blocked children included, and fails the test
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    child = subprocess.Popen([sys.executable, "-c", KILL_AND_REAP, str(cpus)],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             text=True, env=env, start_new_session=True)
     try:
-        with pytest.raises(BrokenPipeError):
-            _write_csv(BrokenPipe(), ["a", "b"], table)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-        os.close(read_end)
-        os.close(write_end)
-    assert_no_child_left()
+        _, err = child.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail("the write did not return: a blocked child was not killed")
+    assert (child.returncode, err) == (0, "")
 
 
 def test_a_failed_child_s_run_is_redone_by_the_parent(monkeypatch):

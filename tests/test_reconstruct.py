@@ -2,6 +2,7 @@ import collections
 import csv
 import math
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from rotorkin.curves import _Curve, curve_from_spec, make_catalog_curve
 from rotorkin.errors import (BadParameters, NonFiniteData, NonTangentField,
                              ProjectionCollapse, StepTooLarge)
 from rotorkin.reconstruct import (_BLOCK, PlaneReconstructionProblem,
-                                  Trajectory, integrate_unit_direction,
+                                  SpaceReconstructionProblem, Trajectory,
+                                  integrate_unit_direction,
                                   plane_data_from_curve, reconstruct_plane,
                                   reconstruct_space, run_preset,
                                   space_data_from_curve)
+from rotorkin.space import _PLANES
 
 TWO_PI = 2.0 * math.pi
 
@@ -146,10 +149,9 @@ def test_uniqueness_probe():
     problem = plane_data_from_curve(curve, step=0.1)
     with pytest.raises(BadParameters):
         PlaneReconstructionProblem(
-            rhs_D=problem.rhs_D, rhs_e=problem.rhs_e, D0=problem.D0,
-            e0=np.array([2.0, 0.0]), domain=problem.domain, step=problem.step)
+            D0=problem.D0, e0=np.array([2.0, 0.0]), domain=problem.domain,
+            step=problem.step, data=problem.data)
     delta = 1e-3
-    from dataclasses import replace
     bumped = replace(problem, D0=problem.D0 + delta)
     p0 = reconstruct_plane(problem).points[0]
     p1 = reconstruct_plane(bumped).points[0]
@@ -192,7 +194,6 @@ def test_constant_data_stationary():
     # zero data keeps the point fixed, on the general path (the problem's
     # time-only data dropped) and on the time-only path
     problem = space_data_from_curve(shifted_helix(), step=1e-2)
-    from dataclasses import replace
     frozen = replace(problem,
                      rhs_D=lambda t: 0.0,
                      rhs_eA=lambda t, e: np.zeros(3),
@@ -289,9 +290,31 @@ def test_trajectory_csv_round_trip(tmp_path):
 # -- time-only data against the general (t, e) path -----------------------------------
 
 def general(problem):
-    """The same problem without its time-only data: the general path."""
-    from dataclasses import replace
-    return replace(problem, data=None)
+    """The same motion on the general path: the problem's time-only data
+    as rhs fields, rhs_D and e' = omega(t) J e in each plane (i, j), which
+    make one-element `data` calls, one per abscissa (RK4 stages and fields
+    share abscissae, and only read the results)."""
+    plane = isinstance(problem, PlaneReconstructionProblem)
+
+    @lru_cache(maxsize=4)
+    def at(t):
+        return problem.data(np.array([float(t)]))
+
+    def rhs_D(t):
+        return float(at(t)[0][0])
+
+    def direction(n, i, j):
+        def rhs_e(t, e):
+            e = np.asarray(e, dtype=float)
+            turned = np.zeros_like(e)
+            turned[i], turned[j] = -e[j], e[i]
+            return float(at(t)[1][0, n]) * turned
+        return rhs_e
+
+    names = ("rhs_e",) if plane else ("rhs_eA", "rhs_eB", "rhs_eC")
+    fields = (direction(n, i, j)
+              for n, (i, j) in enumerate(((0, 1),) if plane else _PLANES))
+    return replace(problem, data=None, rhs_D=rhs_D, **dict(zip(names, fields)))
 
 
 def test_time_only_path_matches_general_path():
@@ -375,6 +398,18 @@ def test_max_error_rejects_non_finite_points():
     trajectory.points[3, 1] = np.nan
     with pytest.raises(NonFiniteData):
         trajectory.max_error_vs(make_catalog_curve("circle"))
+
+
+def test_a_problem_needs_data_or_all_its_fields():
+    start = {"D0": 1.0, "domain": (0.0, 1.0), "step": 1e-2}
+    with pytest.raises(BadParameters, match="needs data or all its rhs"):
+        PlaneReconstructionProblem(e0=np.array([1.0, 0.0]),
+                                   rhs_D=lambda t: 0.0, **start)
+    s = math.sqrt(0.5)
+    with pytest.raises(BadParameters, match="needs data or all its rhs"):
+        SpaceReconstructionProblem(
+            eA0=np.array([s, s, 0.0]), eB0=np.array([s, 0.0, s]),
+            eC0=np.array([0.0, s, s]), **start)
 
 
 def test_nan_directions_are_not_unit_vectors():
@@ -624,7 +659,7 @@ def test_general_path_shares_data_calls_between_stages(curve_calls, expr,
         {"kind": "expr", "expr": expr, "domain": [0.0, 1.0]}), curve_calls)
     problem = builder(curve, order=1, step=1e-2)
     curve_calls.clear()
-    run(replace(problem, data=None))
+    run(general(problem))
     assert 2 * 100 < curve_calls["point"] <= 3 * 100 + 1
 
 
