@@ -9,6 +9,7 @@ Each cmd_ function imports the modules that only its command runs.
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import json
 import math
@@ -378,7 +379,20 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
 
+def run() -> None:
+    """The program's entry point: SystemExit with main's code; at exit, the
+    output is flushed and os._exit skips the interpreter's teardown."""
+    code = main()
+
+    def exit_now():  # a flush that raises leaves the normal exit to run
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(code)
+    atexit.register(exit_now)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
     # under -m this file is __main__: verify's `from . import cli` reuses it
     sys.modules.setdefault("rotorkin.cli", sys.modules[__name__])
-    sys.exit(main())
+    run()

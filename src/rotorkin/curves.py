@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (BadParameters, KinematicsError, NonMonotonic,
                      OrderUnsupported, OutOfDomain, UnknownCurve)
-from .numerics import fd_derivative
 from .vec import Vec2, Vec3, _checked
 
 
@@ -77,6 +76,7 @@ class _Curve:
         analytic = (self.d1, self.d2, self.d3)[order - 1]
         if analytic is not None:
             return analytic(t)
+        from .numerics import fd_derivative
         return fd_derivative(self.position, t, order, domain=self.domain)
 
     def _at(self, t: float, order: int) -> tuple:
@@ -91,6 +91,7 @@ class _Curve:
         fn = (self.position, self.d1, self.d2, self.d3)[order]
         if fn is not None:
             return fn(t).as_tuple()
+        from .numerics import fd_derivative
         return fd_derivative(self.position, t, order,
                              domain=self.domain).as_tuple()
 
@@ -178,6 +179,7 @@ def reparametrize(curve, g: Callable[[float], float],
 
     derivs = list(g_derivatives) if g_derivatives else []
     while len(derivs) < 3:
+        from .numerics import fd_derivative
         order = len(derivs) + 1
         derivs.append(lambda h, _k=order: fd_derivative(
             g, h, _k, domain=(h0, h1)))

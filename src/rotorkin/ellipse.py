@@ -16,7 +16,6 @@ import numpy as np
 
 from .curves import _finite_real
 from .errors import BadParameters, NonFiniteData
-from .numerics import adaptive_simpson, find_roots
 from .plane import uniform_grid
 
 
@@ -167,6 +166,7 @@ def average_rotational_speed(params: EllipseParams, frame: str,
                              interval: tuple[float, float]) -> float:
     """Mean rotational speed about the frame's center over the interval by
     adaptive Simpson."""
+    from .numerics import adaptive_simpson
     lo, hi = interval
     if not (0.0 <= lo < hi <= _TWO_PI + 1e-12):
         raise BadParameters("interval must lie within [0, 2*pi]")
@@ -182,6 +182,7 @@ def accel_zero_locations(params: EllipseParams,
     The origin frame has four (at arctan sqrt(a/b) and its reflections),
     the focus frame two (at pi/2 and 3*pi/2); a different count raises.
     """
+    from .numerics import find_roots
     forms, _, zeros = _frame(frame)
     return find_roots(lambda th: forms(params, th)[2], 0.0, _TWO_PI,
                       expected=zeros)

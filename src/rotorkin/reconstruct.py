@@ -27,8 +27,7 @@ from .errors import (BadParameters, CenterOnCurve, InconsistentDirections,
                      NonFiniteData, NonTangentField, ProjectionCollapse,
                      StepTooLarge)
 from .plane import _frame_terms
-from .space import _PLANES, _distance_rates, _pair_terms
-from .vec import Vec2, Vec3
+from .vec import _PLANES, Vec2, Vec3
 
 _TANGENCY_TOL = 1e-8
 # a trajectory is considered to have hit a coordinate plane when the
@@ -98,9 +97,13 @@ def _as_array(v) -> np.ndarray:
 
 
 def _step(problem) -> float:
-    """The problem's step; None takes span / _DEFAULT_STEPS."""
+    """The problem's step; None takes span / _DEFAULT_STEPS, if not 0."""
     t0, t1 = problem.domain
-    return (t1 - t0) / _DEFAULT_STEPS if problem.step is None else problem.step
+    step = (t1 - t0) / _DEFAULT_STEPS if problem.step is None else problem.step
+    if problem.step is None and step == 0:
+        raise BadParameters(f"domain [{t0:g}, {t1:g}] is too short for the "
+                            "default step: span / 10^4 rounds to 0")
+    return step
 
 
 def _check_problem(problem, fields, directions) -> None:
@@ -465,6 +468,7 @@ def space_data_from_curve(curve, order: int = 1,
     distance ODE plus the signed angular speeds cross / denom of the three
     projected directions."""
     def data(ts):
+        from .space import _distance_rates, _pair_terms
         r, rp, rpp = _derivatives(curve, ts, order)
         omega = np.column_stack([
             np.divide(*_pair_terms(r[:, i], r[:, j], rp[:, i], rp[:, j]))

@@ -24,11 +24,8 @@ from .errors import (AxisProjectionDegenerate, CenterOnCurve, CurvesIntersect,
 from .numerics import fd1_wide
 from .plane import (_CONGRUENT_TOL, _finite_rows, _over_samples,
                     _radial_rates)
-from .vec import EPS_NORM, Vec3, _checked, _norm, _sub, triple_product
-
-# coordinate planes of the projected speeds A, B, C (xOy, xOz, yOz), and
-# the basis planes 1-2, 1-3, 2-3 of the chord speeds
-_PLANES = ((0, 1), (0, 2), (1, 2))
+from .vec import (_PLANES, EPS_NORM, Vec3, _checked, _norm, _sub,
+                  triple_product)
 
 
 @dataclass(frozen=True)

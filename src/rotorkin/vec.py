@@ -16,6 +16,8 @@ from typing import Union
 from .errors import DegenerateVector, KinematicsError
 
 EPS_NORM = 1e-12
+# the coordinate planes xOy, xOz, yOz (or basis planes 1-2, 1-3, 2-3)
+_PLANES = ((0, 1), (0, 2), (1, 2))
 
 
 def _check_finite(*components: float) -> None:

@@ -223,6 +223,22 @@ def test_reconstruct_unknown_preset(capsys):
     assert code == 2
 
 
+def test_a_default_step_that_rounds_to_0_names_the_domain(capsys, tmp_path):
+    # span / 10^4 of a subnormal span is 0: the step error blamed a step
+    # the config never gave
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"curve": {
+        "kind": "expr", "expr": {"x": "1+t", "y": "1"}, "domain": [0, 1e-320]}}))
+    assert run(capsys, ["reconstruct", "--config", str(path)]) == (
+        2, "", "config error: domain [0, 9.99989e-321] is too short for the "
+        "default step: span / 10^4 rounds to 0\n")
+    # a step the config gives keeps its own error
+    code, out, err = run(capsys, ["reconstruct", "--config", str(path),
+                                  "--step", "0"])
+    assert (code, out) == (2, "")
+    assert err == "config error: step must be finite and positive, got 0.0\n"
+
+
 def test_reconstruct_bad_steps_are_config_errors(capsys, tmp_path):
     # zero, NaN, a step count past the cap, and a negative step
     out_path = tmp_path / "trajectory.csv"
@@ -1194,10 +1210,12 @@ def run_python(*args):
 
 @pytest.mark.parametrize("argv, unused", [
     (["kinematics", "--curve", "ellipse", "--samples", "2"],
-     {"surface", "verify", "reconstruct", "expr", "ellipse", "space"}),
+     {"surface", "verify", "reconstruct", "expr", "ellipse", "space",
+      "numerics"}),
     (["kinematics", "--curve", "cubic", "--samples", "2"],
      {"surface", "verify", "reconstruct", "expr", "ellipse"}),
-    (["reconstruct", "--preset", "circle"], {"surface", "verify", "expr"}),
+    (["reconstruct", "--preset", "circle"],
+     {"surface", "verify", "expr", "space", "numerics"}),
     (["ellipse", "--samples", "2"], {"reconstruct", "surface"}),
     (["surface", "--config", "{torus}", "--samples", "2"],
      {"verify", "reconstruct"}),
@@ -1214,6 +1232,93 @@ def test_a_command_imports_only_the_modules_it_runs(tmp_path, argv, unused):
     assert code == 0, done.stderr
     assert "rotorkin.curves" in loaded
     assert not {f"rotorkin.{name}" for name in unused} & set(loaded)
+
+
+# -- the program's exit -------------------------------------------------------
+
+def run_program(*args):
+    """`python ARGS` in a new process that imports this rotorkin, with its
+    output buffered as by default and returned as bytes."""
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env=env)
+
+
+def test_a_csv_on_a_pipe_is_the_out_file(tmp_path):
+    # the program ends by os._exit: every row must be flushed before it
+    argv = ["kinematics", "--curve", "cubic", "--samples", "100000"]
+    out = tmp_path / "cubic.csv"
+    piped = run_program("-m", "rotorkin.cli", *argv)
+    written = run_program("-m", "rotorkin.cli", *argv, "--out", str(out))
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+    assert piped.stdout.count(b"\n") == 100001
+    assert piped.stdout == out.read_bytes()
+
+
+CENTER_ON_CURVE = {"curve": {"kind": "expr", "expr": {"x": "t", "y": "2*t"},
+                             "domain": [0, 1]}}
+EXITS = {
+    "tolerance": (["reconstruct", "--preset", "ellipse-origin",
+                   "--step", str(2.0 * math.pi / 50.0)], {}, 1),
+    "config": (["reconstruct"], {"preset": "circle", "step": True}, 2),
+    "numeric": (["reconstruct"], CENTER_ON_CURVE, 3),
+}
+
+
+@pytest.mark.parametrize("argv, config, code", EXITS.values(), ids=EXITS)
+def test_the_program_exits_as_main_returns(capsys, tmp_path, argv, config,
+                                           code):
+    # the same exit code, stdout and stderr as main's in-process run, so
+    # no traceback and no lost line
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = [*argv, "--config", str(path)]
+    want = run(capsys, argv)
+    assert want[0] == code
+    done = run_program("-m", "rotorkin.cli", *argv)
+    assert (done.returncode, done.stdout.decode(),
+            done.stderr.decode()) == want
+
+
+def test_a_reader_that_stops_early_is_a_config_error():
+    # the reader closes the pipe after the first bytes, as `| head` does
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "rotorkin.cli", "kinematics", "--curve",
+         "cubic", "--samples", "100000"], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env=env)
+    assert child.stdout.read(64).startswith(b"t,D,dD,")
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait() == 2
+    assert err == b"config error: cannot write the output: Broken pipe\n"
+
+
+# a caller that runs the program the way -m does, with an exit handler
+# registered first
+EXIT_HANDLERS = """
+import atexit, runpy, sys
+atexit.register(print, "an exit handler registered before the run")
+sys.argv = ["rotorkin", *sys.argv[1:]]
+try:
+    runpy.run_module("rotorkin.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print("SystemExit", exc.code)
+    raise
+"""
+
+
+def test_the_program_ends_without_the_teardown():
+    # the SystemExit reaches the caller, whose buffered output is still
+    # flushed; the exit handlers registered before the run are skipped
+    done = run_program("-c", EXIT_HANDLERS, "reconstruct", "--preset",
+                       "circle")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.splitlines()[1:] == [b"SystemExit 0"]
 
 
 def test_package_names_resolve_to_their_home_modules():
