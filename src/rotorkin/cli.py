@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .csvout import _write_csv
+from .csvout import _write_csv, _write_json
 from .curves import (CATALOG, _spec_domain, curve_from_spec,
                      make_catalog_curve)
 from .errors import (BadParameters, ExprSyntaxError, KinematicsError,
@@ -136,9 +136,9 @@ def _format(args, config) -> str:
 
 
 def _emit(headers, columns, out_path: Optional[str], fmt: str) -> None:
-    """Write the equal-length float columns, stacked once into a table, to
-    out_path or stdout; a path that cannot be opened is a config error."""
-    table = np.column_stack(columns)
+    """Write the equal-length float columns to out_path or stdout, one
+    block of rows at a time; a path that cannot be opened is a config
+    error."""
     try:
         stream = (open(out_path, "w", newline="") if out_path
                   else contextlib.nullcontext(sys.stdout))
@@ -146,11 +146,7 @@ def _emit(headers, columns, out_path: Optional[str], fmt: str) -> None:
         reason = getattr(exc, "strerror", None) or exc
         raise ConfigError(f"cannot write {out_path}: {reason}")
     with stream as fh:
-        if fmt == "json":
-            payload = [dict(zip(headers, row)) for row in table.tolist()]
-            fh.write(json.dumps(payload, indent=2) + "\n")
-        else:
-            _write_csv(fh, headers, table)
+        (_write_json if fmt == "json" else _write_csv)(fh, headers, columns)
 
 
 def _resolve_curve(args, config):
@@ -227,8 +223,8 @@ def cmd_kinematics(args) -> int:
             headers = ["t", "D", "dD", "d2D", "rot_speed", "phi", "psi_speed"]
             lim = local_limits_array(curve, ts)
             # chord-limit values: D -> 0, dD -> phi, d2D -> phi'
-            columns = (ts, np.zeros_like(ts), lim.phi, lim.phi_prime,
-                       lim.psi_speed, lim.phi, lim.psi_speed)
+            columns = (ts, np.broadcast_to(0.0, ts.shape), lim.phi,
+                       lim.phi_prime, lim.psi_speed, lim.phi, lim.psi_speed)
         else:
             center = point if point is not None else Vec2(0.0, 0.0)
             headers = ["t", "D", "dD", "d2D", "rot_speed"]

@@ -1,13 +1,18 @@
-"""The CSV writer of every command and of `Trajectory.write_csv`, and its
-fork code, which the per-sample row loop shares; a leaf module, so the
-CLI loads it without the reconstruction code."""
+"""The writers of every command and of `Trajectory.write_csv`, the fork
+code that the per-sample row loop shares, and the row block of the array
+paths; a leaf module, so the CLI loads it without the reconstruction code."""
 
+import json
 import os
 import shutil
 import tempfile
 from contextlib import ExitStack
 
-_BLOCK = 1024  # rows per "%" call or per block of rows; bounds their memory
+import numpy as np
+
+# rows per block of work, from sampling and the kernels to one "%" of the
+# CSV writer; bounds the memory of each block's arrays
+_BLOCK = 1024
 
 
 def _usable_cpus() -> int:
@@ -59,10 +64,10 @@ def _forked_runs(count, work, take, mode) -> None:
                 os.waitpid(pid, 0)
 
 
-def _write_csv(fh, header, table) -> None:
-    """Write `header` and the rows of the (n, k) float array `table` to
-    the text stream `fh`, every cell as "%.17g" (the bytes of
-    f"{cell:.17g}"), one "%" per _BLOCK rows, in `_forked_runs`."""
+def _write_csv(fh, header, columns) -> None:
+    """Write `header` and the rows of the equal-length float `columns` to
+    the text stream `fh`, every cell as "%.17g" (the bytes of f"{cell:.17g}"),
+    one "%" per block of _BLOCK rows (`_block_rows`), in `_forked_runs`."""
     line = ",".join(["%.17g"] * len(header)) + "\n"
 
     def write(run, out):
@@ -71,9 +76,26 @@ def _write_csv(fh, header, table) -> None:
             if run.start == 0:  # run 0, always this process's, heads the file
                 fh.write(",".join(header) + "\n")
         for k in run:
-            block = table[k * _BLOCK:(k + 1) * _BLOCK]
+            block = _block_rows(columns, k)
             out.write(line * len(block) % tuple(block.ravel().tolist()))
 
     fh.flush()  # a child must not inherit unwritten output
-    _forked_runs(-(-len(table) // _BLOCK), write,
+    _forked_runs(-(-len(columns[0]) // _BLOCK), write,
                  lambda run, tmp: shutil.copyfileobj(tmp, fh), "w+")
+
+
+def _write_json(fh, header, columns) -> None:
+    """Write the rows of `columns` as the bytes of json.dumps(rows, indent=2)
+    + "\n", each row an object keyed by `header`, one block at a time."""
+    fh.write("[")
+    for k in range(-(-len(columns[0]) // _BLOCK)):
+        rows = [dict(zip(header, row))
+                for row in _block_rows(columns, k).tolist()]
+        # the block's list without its brackets: the items at the same indent
+        fh.write(("," if k else "") + json.dumps(rows, indent=2)[1:-2])
+    fh.write("\n]\n" if len(columns[0]) else "]\n")
+
+
+def _block_rows(columns, k):
+    """Block k of the rows of `columns`, stacked into a table."""
+    return np.column_stack([c[k * _BLOCK:(k + 1) * _BLOCK] for c in columns])

@@ -16,7 +16,7 @@ import numpy as np
 
 from .curves import _finite_real
 from .errors import BadParameters, NonFiniteData
-from .plane import uniform_grid
+from .plane import _finite_rows, uniform_grid
 
 
 @dataclass(frozen=True)
@@ -235,7 +235,7 @@ def profile_columns(params: EllipseParams,
         xi1, d1, d2, d3, speed_focus = _focus_forms(params, theta, np)
         speed_origin = _origin_forms(params, theta, np)[-1]
     columns = (theta, xi1, d1, d2, d3, speed_origin, speed_focus)
-    finite = np.isfinite(columns).all(axis=0)
+    finite = _finite_rows(*columns)
     if not finite.all():
         exc = NonFiniteData(f"ellipse profile of a={params.a}, b={params.b} "
                             "is not finite")

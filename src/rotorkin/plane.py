@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import reduce
 from typing import Iterable
 
 import numpy as np
@@ -128,30 +129,36 @@ def local_limits(curve, t: float) -> LocalLimits2:
 # -- the same frames over arrays of parameters ----------------------------
 
 def _over_samples(curve, ts, kernel, scalar, sample=True):
-    """`kernel(r, r', r'')` over the curve's samples at ts; it returns the
+    """`kernel(r, r', r'')` over the curve's samples at ts, one block of
+    _BLOCK rows at a time, into columns of the full length; it returns the
     result dataclass with array fields and the mask of its good rows.
 
     Every other row is redone by `scalar(t)` in the order of ts, so the
     first failing one raises the scalar API's typed error, with its `t`
-    set; when sampling fails, or `sample` is false, every row is.  A row
-    that stays non-finite raises NonFiniteData, so no NaN or Inf leaves
-    the array path.
+    set; when sampling any block fails, or `sample` is false, every row
+    is.  A row that stays non-finite raises NonFiniteData, so no NaN or
+    Inf leaves the array path.
     """
     ts = np.asarray(ts, dtype=float)
-    samples = None
-    if sample:
-        try:
-            samples = curve.sample(ts)
-        except KinematicsError:
-            pass
-    if samples is None:
-        samples = np.full((3, len(ts), curve.dim), np.nan)
-    with np.errstate(all="ignore"):
-        out, good = kernel(*samples)
-    names = [f.name for f in fields(out)]
-    _rows_into([getattr(out, name) for name in names], np.flatnonzero(~good),
-               scalar, ts, names)
-    return out
+    with np.errstate(all="ignore"):  # one NaN row gives the field shapes
+        like, _ = kernel(*np.full((3, 1, curve.dim), np.nan))
+    names = [f.name for f in fields(like)]
+    columns = [np.empty(ts.shape + getattr(like, name).shape[1:])
+               for name in names]
+    bad = []
+    try:
+        for start in range(0, len(ts) if sample else 0, _BLOCK):
+            samples = curve.sample(ts[start:start + _BLOCK])
+            with np.errstate(all="ignore"):
+                out, good = kernel(*samples)
+            for column, name in zip(columns, names):
+                column[start:start + len(good)] = getattr(out, name)
+            bad.append(start + np.flatnonzero(~good))
+    except KinematicsError:
+        sample = False  # every row, from the first block on
+    rows = np.concatenate(bad) if sample and bad else np.arange(len(ts))
+    _rows_into(columns, rows, scalar, ts, names)
+    return type(like)(*columns)
 
 
 def _rows_into(columns, rows, scalar, ts, names):
@@ -205,7 +212,8 @@ def _scalar_rows(scalar, ts, names):
 
 
 def _finite_rows(*columns):
-    return np.isfinite(np.column_stack(columns)).all(axis=1)
+    """The mask of the rows where every column is finite; stacks none."""
+    return reduce(np.logical_and, map(np.isfinite, columns))
 
 
 def distance_kinematics_array(curve, center: Vec2, ts) -> PlaneKinematics:

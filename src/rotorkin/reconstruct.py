@@ -79,7 +79,7 @@ class Trajectory:
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            _write_csv(fh, self.header, np.column_stack((self.ts, self.points)))
+            _write_csv(fh, self.header, (self.ts, *self.points.T))
 
 
 def _rk4_step(f, t, y, h):

@@ -878,9 +878,9 @@ def test_space_curve_json_matches_csv(capsys):
 
 # -- CSV formatting ----------------------------------------------------------
 
-def written_csv(header, table):
+def written_csv(header, columns):
     fh = io.StringIO()
-    _write_csv(fh, header, table)
+    _write_csv(fh, header, columns)
     return fh.getvalue()
 
 
@@ -890,8 +890,8 @@ def test_csv_formatter_matches_per_cell_formatting():
             (1.0 / 3.0, np.float64(2.0) ** 0.5, True)]
     want = "a,b,c\n" + "".join(
         ",".join(f"{float(v):.17g}" for v in row) + "\n" for row in rows)
-    assert written_csv(["a", "b", "c"], np.array(rows, dtype=float)) == want
-    assert written_csv(["a"], np.empty((0, 1))) == "a\n"
+    assert written_csv(["a", "b", "c"], np.array(rows, dtype=float).T) == want
+    assert written_csv(["a"], np.empty((1, 0))) == "a\n"
 
 
 # -- CSV on forked writers ---------------------------------------------------
@@ -988,7 +988,7 @@ tempfile.TemporaryFile = lambda *args, **kwargs: open(write_end, "w",
 os.sched_getaffinity = lambda pid: set(range(cpus))
 table = np.random.default_rng(0).standard_normal((16 * cpus * _BLOCK, 2))
 try:
-    _write_csv(BrokenPipe(), ["a", "b"], table)
+    _write_csv(BrokenPipe(), ["a", "b"], table.T)
 except BrokenPipeError:
     pass
 else:
@@ -1023,12 +1023,12 @@ def test_a_failed_parent_write_kills_and_reaps_the_children(cpus):
 def test_a_failed_child_s_run_is_redone_by_the_parent(monkeypatch):
     # each child formats into a file it cannot write and exits 1; the
     # parent formats their runs itself
-    table = np.random.default_rng(1).standard_normal((3 * _BLOCK, 2))
-    want = written_csv(["a", "b"], table)
+    columns = np.random.default_rng(1).standard_normal((3 * _BLOCK, 2)).T
+    want = written_csv(["a", "b"], columns)
     on_cpus(monkeypatch, 3)
     monkeypatch.setattr(tempfile, "TemporaryFile",
                         lambda *args, **kwargs: open(os.devnull))
-    assert written_csv(["a", "b"], table) == want
+    assert written_csv(["a", "b"], columns) == want
     assert_no_child_left()
 
 
