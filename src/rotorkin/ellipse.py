@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvout import _BLOCK
 from .curves import _finite_real
 from .errors import BadParameters, NonFiniteData
 from .plane import _finite_rows, uniform_grid
@@ -91,20 +92,6 @@ def _frame(frame: str):
     except (KeyError, TypeError):
         raise BadParameters(
             f"frame must be 'origin' or 'focus', got {frame!r}") from None
-
-
-# -- local rotating-frame values (chord-limit forms) ---------------------------
-
-def local_phi_prime(params: EllipseParams, theta: float) -> float:
-    a, b, c = params.a, params.b, params.c
-    st, ct = math.sin(theta), math.cos(theta)
-    return c * c * st * ct / math.sqrt(a * a * st * st + b * b * ct * ct)
-
-
-def local_psi_speed(params: EllipseParams, theta: float) -> float:
-    a, b = params.a, params.b
-    st, ct = math.sin(theta), math.cos(theta)
-    return a * b / (2.0 * (a * a * st * st + b * b * ct * ct))
 
 
 # -- focal-profile endpoint values and sign table ------------------------------------------------------------------
@@ -206,7 +193,12 @@ def reconstruction_problem(params: EllipseParams, frame: str,
     forms, center, _ = _frame(frame)
     c = np.array(center(params))
     theta0 = domain[0]
-    d0, dd0 = forms(params, theta0)[:2]
+    try:
+        d0, dd0 = forms(params, theta0)[:2]
+    except ValueError:  # math.cos of an infinite 2 theta0
+        d0 = dd0 = math.inf
+    if not (math.isfinite(d0) and math.isfinite(dd0)):
+        raise NonFiniteData(f"start values are not finite at t={theta0:g}")
     point = np.array([params.a * math.cos(theta0),
                       params.b * math.sin(theta0)])
 
@@ -227,18 +219,23 @@ PROFILE_HEADER = "theta,xi1,d1,d2,d3,rot_speed_origin,rot_speed_focus"
 def profile_columns(params: EllipseParams,
                     n_samples: int) -> tuple[np.ndarray, ...]:
     """The PROFILE_HEADER columns at n_samples angles evenly spaced over
-    [0, 2 pi].  A row with a non-finite cell raises NonFiniteData, its `t`
-    the first such theta."""
+    [0, 2 pi], computed one block of angles at a time.  A row with a
+    non-finite cell raises NonFiniteData, its `t` the first such theta."""
     theta = (uniform_grid((0.0, _TWO_PI), n_samples) if n_samples > 1
              else np.zeros(n_samples))
-    with np.errstate(all="ignore"):  # non-finite rows raise below
-        xi1, d1, d2, d3, speed_focus = _focus_forms(params, theta, np)
-        speed_origin = _origin_forms(params, theta, np)[-1]
-    columns = (theta, xi1, d1, d2, d3, speed_origin, speed_focus)
-    finite = _finite_rows(*columns)
-    if not finite.all():
-        exc = NonFiniteData(f"ellipse profile of a={params.a}, b={params.b} "
-                            "is not finite")
-        exc.t = float(theta[np.argmin(finite)])
-        raise exc
+    columns = (theta, *(np.empty(n_samples) for _ in range(6)))
+    for start in range(0, n_samples, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        with np.errstate(all="ignore"):  # non-finite rows raise below
+            *focus, speed_focus = _focus_forms(params, theta[rows], np)
+            speed_origin = _origin_forms(params, theta[rows], np)[-1]
+        for column, value in zip(columns[1:],
+                                 (*focus, speed_origin, speed_focus)):
+            column[rows] = value
+        finite = _finite_rows(*(column[rows] for column in columns))
+        if not finite.all():
+            exc = NonFiniteData(f"ellipse profile of a={params.a}, "
+                                f"b={params.b} is not finite")
+            exc.t = float(theta[start + np.argmin(finite)])
+            raise exc
     return columns

@@ -286,10 +286,16 @@ def plane_congruent(curve_a, curve_b,
 def uniform_grid(domain: tuple[float, float], n: int,
                  shrink: float = 0.0) -> np.ndarray:
     """n evenly spaced parameters over the domain (n = 1: its midpoint),
-    optionally pulled in from both ends by a fraction `shrink` of the span."""
+    optionally pulled in from both ends by a fraction `shrink` of the span;
+    a row whose product with the span overflows takes its fraction first."""
     t0, t1 = domain
     pad = shrink * (t1 - t0)
     t0, t1 = t0 + pad, t1 - pad
     if n == 1:
         return np.array([0.5 * (t0 + t1)])
-    return t0 + (t1 - t0) * np.arange(n) / (n - 1)
+    k = np.arange(n)
+    with np.errstate(over="ignore"):  # (t1 - t0) * k can pass the largest float
+        ts = t0 + (t1 - t0) * k / (n - 1)
+    over = np.isinf(ts)
+    ts[over] = t0 + (t1 - t0) * (k[over] / (n - 1))
+    return ts

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .csvout import _write_csv
+from .csvout import _BLOCK, _write_csv
 from .curves import make_catalog_curve
 from .errors import (BadParameters, CenterOnCurve, InconsistentDirections,
                      NonFiniteData, NonTangentField, ProjectionCollapse,
@@ -38,9 +38,6 @@ _TRIANGULATION_TOL = 1e-6
 _MAX_STEPS = 10 ** 6
 # the steps a problem takes when its step is None
 _DEFAULT_STEPS = 10 ** 4
-# steps per block of the time-only path (and points per block of
-# max_error_vs); bounds the memory of its per-block arrays
-_BLOCK = 1024
 # the plane problem's one direction turns in the plane of its slots (0, 1)
 _PLANE = ((0, 1),)
 

@@ -348,6 +348,37 @@ def test_reconstruct_max_error_does_not_overflow(capsys, tmp_path):
         1.2262255561466659e+285, rel=1e-9)
 
 
+def test_ellipse_preset_start_whose_double_overflows_exits_3(capsys,
+                                                             tmp_path):
+    # math.cos(2 theta0) of 2 theta0 = -inf raised ValueError: a traceback
+    # and exit 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"preset": "ellipse-focus",
+                                "domain": [-1.7e308, 6.283185307179586]}))
+    code, out, err = run(capsys, ["reconstruct", "--config", str(path)])
+    assert (code, out) == (3, "")
+    assert err == ("NonFiniteData: start values are not finite at "
+                   "t=-1.7e+308 (step=None)\n")
+
+
+def test_kinematics_grid_whose_span_times_its_index_overflows(capsys,
+                                                              tmp_path):
+    # numpy warned "overflow encountered in multiply", the grid ended in
+    # inf, and the run exited 3 with OutOfDomain at t=inf
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"curve": {
+        "kind": "expr", "expr": {"x": "t", "y": "1"},
+        "domain": [0.2, 1.7e308]}, "samples": 64}))
+    code, out, err = run(capsys, ["kinematics", "--frame", "local",
+                                  "--config", str(path)])
+    assert (code, err) == (0, "")
+    rows = [[float(cell) for cell in row.split(",")]
+            for row in out.splitlines()[1:]]
+    assert len(rows) == 64
+    assert (rows[0][0], rows[-1][0]) == (0.2, 1.7e308)
+    assert all(row[1:] == [0.0, 1.0, 0.0, 0.0, 1.0, 0.0] for row in rows)
+
+
 @pytest.mark.parametrize("args", [
     ["--preset", "circle", "--step", "0.01"],
     ["--preset", "helix", "--step", "0.01"],

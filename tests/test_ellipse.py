@@ -231,19 +231,34 @@ def test_root_count_mismatch_detected():
 
 # -- local rotating frame values -------------------------------------------------------
 
+def local_phi_prime(params, theta):
+    """The ellipse's chord-limit phi', in closed form: the oracle of
+    local_limits."""
+    a, b, c = params.a, params.b, params.c
+    st, ct = math.sin(theta), math.cos(theta)
+    return c * c * st * ct / math.sqrt(a * a * st * st + b * b * ct * ct)
+
+
+def local_psi_speed(params, theta):
+    """The ellipse's local rotational speed, in closed form."""
+    a, b = params.a, params.b
+    st, ct = math.sin(theta), math.cos(theta)
+    return a * b / (2.0 * (a * a * st * st + b * b * ct * ct))
+
+
 def test_remark_values_match_local_limits():
     curve = make_catalog_curve("ellipse", {"a": A, "b": B})
     for theta in RNG.uniform(0.0, TWO_PI, size=300):
         theta = float(theta)
         lim = local_limits(curve, theta)
-        pp = ell.local_phi_prime(PARAMS, theta)
-        ps = ell.local_psi_speed(PARAMS, theta)
+        pp = local_phi_prime(PARAMS, theta)
+        ps = local_psi_speed(PARAMS, theta)
         assert abs(lim.phi_prime - pp) <= 1e-12 * max(abs(pp), 1.0)
         assert abs(lim.psi_speed - ps) <= 1e-12 * max(abs(ps), 1.0)
 
 
 def test_local_psi_speed_at_zero():
-    assert ell.local_psi_speed(PARAMS, 0.0) == pytest.approx(1.0, abs=1e-15)
+    assert local_psi_speed(PARAMS, 0.0) == pytest.approx(1.0, abs=1e-15)
 
 
 # -- CSV export ------------------------------------------------------------------------

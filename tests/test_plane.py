@@ -276,6 +276,28 @@ def test_uniform_grid_is_the_list_formula_bit_for_bit(n, shrink):
     assert [t.hex() for t in grid.tolist()] == [t.hex() for t in expected]
 
 
+def test_uniform_grid_keeps_the_bits_of_every_grid_that_does_not_overflow():
+    rng = np.random.default_rng(14)
+    for _ in range(2000):
+        t0, t1 = np.sort(rng.standard_normal(2) * 10.0 ** rng.integers(-5, 300))
+        n = int(rng.integers(2, 5000))
+        with np.errstate(over="ignore"):
+            want = t0 + (t1 - t0) * np.arange(n) / (n - 1)
+        if np.isfinite(want).all():
+            assert uniform_grid((t0, t1), n).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("domain", [(0.2, 1.7e308), (-8e307, 8e307),
+                                    (1e308, 1.7e308)])
+def test_uniform_grid_whose_span_times_its_index_overflows(domain):
+    # (t1 - t0) * k passed the largest float: numpy warned and the tail of
+    # the grid was inf
+    grid = uniform_grid(domain, 64)
+    assert np.isfinite(grid).all()
+    assert (grid[0], grid[-1]) == domain
+    assert (np.diff(grid) > 0).all()
+
+
 # -- congruence ----------------------------------------------------------------------
 
 def test_congruent_to_itself():
