@@ -12,20 +12,20 @@ import argparse
 import atexit
 import contextlib
 import json
-import math
 import os
 import sys
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .csvout import _write_csv, _write_json
+from .csvout import _column_blocks, _write_csv, _write_json
 from .curves import (CATALOG, _spec_domain, curve_from_spec,
                      make_catalog_curve)
 from .errors import (BadParameters, ExprSyntaxError, KinematicsError,
                      UnknownCurve, UnknownIdentifier)
-from .plane import (_rows_into, distance_kinematics_array,
-                    local_limits_array, uniform_grid)
+from .plane import (_distance_frame, _grid_blocks, _local_frame,
+                    _over_samples, _rows_into, uniform_grid)
 from .vec import Vec2
 
 EXIT_OK = 0
@@ -135,18 +135,35 @@ def _format(args, config) -> str:
     return fmt
 
 
-def _emit(headers, columns, out_path: Optional[str], fmt: str) -> None:
-    """Write the equal-length float columns to out_path or stdout, one
-    block of rows at a time; a path that cannot be opened is a config
-    error."""
+def _emit(headers, rows, out_path: Optional[str], fmt: str) -> None:
+    """Write the rows of the block source `rows` (`csvout`) to out_path or
+    stdout.  The destination is opened once every row is formatted, so a
+    block that raises writes nothing; a path that cannot be opened is then
+    a config error."""
+    def destination():
+        try:
+            return (open(out_path, "w", newline="") if out_path
+                    else contextlib.nullcontext(sys.stdout))
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigError(f"cannot write {out_path}: {reason}")
+    (_write_json if fmt == "json" else _write_csv)(destination, headers, rows)
+
+
+def _stream(headers, rows, columns, out_path: Optional[str],
+            fmt: str) -> int:
+    """Emit the block source `rows` and return the exit code.  When one of
+    its blocks raises KinematicsError, the full-length columns() instead
+    decide the error line (exit 3) or every byte written."""
     try:
-        stream = (open(out_path, "w", newline="") if out_path
-                  else contextlib.nullcontext(sys.stdout))
-    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        reason = getattr(exc, "strerror", None) or exc
-        raise ConfigError(f"cannot write {out_path}: {reason}")
-    with stream as fh:
-        (_write_json if fmt == "json" else _write_csv)(fh, headers, columns)
+        _emit(headers, rows, out_path, fmt)
+    except KinematicsError:
+        try:
+            table = columns()
+        except KinematicsError as exc:
+            return _numeric_failure(exc)
+        _emit(headers, _column_blocks(table), out_path, fmt)
+    return EXIT_OK
 
 
 def _resolve_curve(args, config):
@@ -200,40 +217,46 @@ def cmd_kinematics(args) -> int:
             raise ConfigError("focus frame is only valid for the ellipse")
         # the axes the curve was built with
         axes = {**CATALOG["ellipse"].__kwdefaults__, **(params or {})}
-        a, b = axes["a"], axes["b"]
         from .ellipse import EllipseParams
-        EllipseParams(a, b)  # raises if a is too large to square
-        # not EllipseParams.c: a ** 2 rounds differently from a * a
-        point = Vec2(math.sqrt(a * a - b * b), 0.0)
+        # raises if a is too large to square
+        point = Vec2(EllipseParams(axes["a"], axes["b"]).c, 0.0)
         frame = "point"
     if curve.dim == 3 and frame != "origin":
         raise ConfigError("space curves support only the origin frame")
     if frame == "local" and curve.dim != 2:
         raise ConfigError("the local frame sampler applies to plane curves")
 
-    ts = uniform_grid(curve.domain, samples)
-    try:
-        if curve.dim == 3:
-            from .space import space_distance_kinematics_array
-            headers = ["t", "D", "dD", "d2D", "speed_A", "speed_B", "speed_C"]
-            kin = space_distance_kinematics_array(curve, ts)
-            columns = (ts, kin.D, kin.dD, kin.d2D,
-                       kin.speed_a, kin.speed_b, kin.speed_c)
-        elif frame == "local":
-            headers = ["t", "D", "dD", "d2D", "rot_speed", "phi", "psi_speed"]
-            lim = local_limits_array(curve, ts)
-            # chord-limit values: D -> 0, dD -> phi, d2D -> phi'
-            columns = (ts, np.broadcast_to(0.0, ts.shape), lim.phi,
-                       lim.phi_prime, lim.psi_speed, lim.phi, lim.psi_speed)
-        else:
-            center = point if point is not None else Vec2(0.0, 0.0)
-            headers = ["t", "D", "dD", "d2D", "rot_speed"]
-            kin = distance_kinematics_array(curve, center, ts)
-            columns = (ts, kin.D, kin.dD, kin.d2D, kin.rot_speed)
-    except KinematicsError as exc:
-        return _numeric_failure(exc)
-    _emit(headers, columns, out, fmt)
-    return EXIT_OK
+    if curve.dim == 3:
+        from .space import _origin_frame
+        headers = ["t", "D", "dD", "d2D", "speed_A", "speed_B", "speed_C"]
+        names = ("D", "dD", "d2D", "speed_a", "speed_b", "speed_c")
+        kinematics = _origin_frame(curve)
+    elif frame == "local":
+        headers = ["t", "D", "dD", "d2D", "rot_speed", "phi", "psi_speed"]
+        names = ("phi", "phi_prime", "psi_speed")
+        kinematics = _local_frame(curve)
+    else:
+        headers = ["t", "D", "dD", "d2D", "rot_speed"]
+        names = ("D", "dD", "d2D", "rot_speed")
+        kinematics = _distance_frame(
+            curve, point if point is not None else Vec2(0.0, 0.0))
+    count, block = _grid_blocks(curve, samples, names, *kinematics)
+
+    def columns():  # what the *_array function computes
+        ts = uniform_grid(curve.domain, samples)
+        result = _over_samples(curve, ts, *kinematics)
+        return (ts, *(getattr(result, name) for name in names))
+    if frame == "local":
+        return _stream(headers, (count, lambda k: _local_columns(*block(k))),
+                       lambda: _local_columns(*columns()), out, fmt)
+    return _stream(headers, (count, block), columns, out, fmt)
+
+
+def _local_columns(ts, phi, phi_prime, psi_speed):
+    """The local frame's output columns, with the chord-limit values
+    D -> 0, dD -> phi, d2D -> phi'."""
+    return (ts, np.broadcast_to(0.0, ts.shape), phi, phi_prime, psi_speed,
+            phi, psi_speed)
 
 
 def cmd_reconstruct(args) -> int:
@@ -270,8 +293,8 @@ def cmd_reconstruct(args) -> int:
         print(f"{type(exc).__name__}: {exc} (step={step})", file=sys.stderr)
         return EXIT_NUMERIC
     if out:
-        _emit(trajectory.header, (trajectory.ts, *trajectory.points.T), out,
-              fmt)
+        _emit(trajectory.header,
+              _column_blocks((trajectory.ts, *trajectory.points.T)), out, fmt)
     print(f"max_error={max_error:.17g}")
     return EXIT_OK if max_error < tolerance else EXIT_TOLERANCE
 
@@ -303,17 +326,17 @@ def cmd_surface(args) -> int:
     headers = ["t", "D", "dD", "d2D", "speed_A", "speed_B", "speed_C"]
     names = ["D", "dD", "d2D", "speed_a", "speed_b", "speed_c"]
 
-    ts = uniform_grid(curve.domain, samples)
-    columns = [np.empty(samples) for _ in names]
-    try:
+    def scalar(t):
         # a non-finite row raises NonFiniteData instead of printing inf
-        _rows_into(columns, range(samples), lambda t:
-                   surface.surface_distance_kinematics(surf, curve, t),
-                   ts, names)
-    except KinematicsError as exc:
-        return _numeric_failure(exc)
-    _emit(headers, (ts, *columns), out, fmt)
-    return EXIT_OK
+        return surface.surface_distance_kinematics(surf, curve, t)
+
+    def columns():
+        ts = uniform_grid(curve.domain, samples)
+        columns = [np.empty(samples) for _ in names]
+        _rows_into(columns, range(samples), scalar, ts, names)
+        return (ts, *columns)
+    return _stream(headers, _grid_blocks(curve, samples, names, None, scalar,
+                                         sample=False), columns, out, fmt)
 
 
 def cmd_ellipse(args) -> int:
@@ -325,12 +348,9 @@ def cmd_ellipse(args) -> int:
     fmt = _format(args, config)
     out = _out_path(args, config)
     params = ell.EllipseParams(a, b)  # bad axes are config errors
-    try:
-        columns = ell.profile_columns(params, samples)
-    except KinematicsError as exc:
-        return _numeric_failure(exc)
-    _emit(ell.PROFILE_HEADER.split(","), columns, out, fmt)
-    return EXIT_OK
+    return _stream(ell.PROFILE_HEADER.split(","),
+                   (samples, partial(ell._profile_block, params, samples)),
+                   lambda: ell.profile_columns(params, samples), out, fmt)
 
 
 def cmd_verify(args) -> int:

@@ -1,7 +1,10 @@
 """The writers of every command and of `Trajectory.write_csv`, their
-"%.17g" formatter, the fork code that the per-sample row loop shares, and
-the row block of the array paths; a leaf module, so the CLI loads it without
-the reconstruction code."""
+"%.17g" formatter, and the fork code that the per-sample row loop shares; a
+leaf module, so the CLI loads it without the reconstruction code.
+
+The writers read a *block source*: a pair (rows, block) whose block(k)
+gives the columns of rows k * _BLOCK to (k + 1) * _BLOCK, equal-length
+float sequences, so that no row is computed before its block is written."""
 
 import functools
 import json
@@ -26,80 +29,99 @@ def _usable_cpus() -> int:
             else os.cpu_count() or 1)
 
 
-def _forked_runs(count, work, take, mode) -> None:
+def _forked_runs(count, work, files, mode) -> list:
     """Do blocks 0 to count - 1 in one contiguous run (a range of block
-    numbers) per usable CPU: a forked child does each later run as
-    work(run, tmp) into an unlinked temporary file opened with `mode`,
-    while this process does run 0 as work(run, None), into the
-    destination.  It then takes the children's files in order with
-    take(run, tmp), and redoes a failed child's run as work(run, None), so
-    that run's error is raised here.  A failure here kills and reaps the
-    children first.  Children leave through os._exit (no exit handler)."""
+    numbers) per usable CPU, each as work(run, tmp) into its own unlinked
+    temporary file opened with `mode` and entered in the ExitStack `files`:
+    a forked child does each later run, this process run 0.  A failed
+    child's run is redone here, so that its error is raised here.  Returns
+    the (run, file) pairs in order, each file rewound.  A failure here
+    kills and reaps the children first.  Children leave through os._exit
+    (no exit handler)."""
     n = max(1, min(count, _usable_cpus()))
-    runs = [range(count * k // n, count * (k + 1) // n) for k in range(n)]
+    runs = [(range(count * k // n, count * (k + 1) // n),
+             files.enter_context(tempfile.TemporaryFile(mode)))
+            for k in range(n)]
     children = []
-    with ExitStack() as files:
-        try:
-            for run in runs[1:]:
-                tmp = files.enter_context(tempfile.TemporaryFile(mode))
-                if (pid := os.fork()) == 0:
-                    try:
-                        work(run, tmp)
-                        tmp.flush()
-                        os._exit(0)
-                    finally:
-                        os._exit(1)
-                children.append((pid, run, tmp))
-            work(runs[0], None)
-            while children:
-                pid, run, tmp = children[0]
-                failed = os.waitpid(pid, 0)[1]
-                del children[0]
-                if failed:
-                    work(run, None)
-                else:
-                    tmp.seek(0)
-                    take(run, tmp)
-        finally:
-            for pid, _, _ in children:  # left only when this process failed
-                import signal  # lazily: 1 ms a CLI start would pay
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+    try:
+        for run, tmp in runs[1:]:
+            if (pid := os.fork()) == 0:
+                try:
+                    work(run, tmp)
+                    tmp.flush()
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            children.append((pid, run, tmp))
+        work(*runs[0])
+        while children:
+            pid, run, tmp = children[0]
+            failed = os.waitpid(pid, 0)[1]
+            del children[0]
+            if failed:
+                tmp.seek(0)
+                tmp.truncate()
+                work(run, tmp)
+    finally:
+        for pid, _, _ in children:  # left only when this process failed
+            import signal  # lazily: 1 ms a CLI start would pay
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for _, tmp in runs:
+        tmp.flush()
+        tmp.seek(0)
+    return runs
 
 
-def _write_csv(fh, header, columns) -> None:
-    """Write `header` and the rows of the equal-length float `columns` to
-    the text stream `fh`, every cell as "%.17g" (the bytes of f"{cell:.17g}"),
-    one block of _BLOCK rows (`_block_rows`) at a time, in `_forked_runs`."""
-    def write(run, out):
-        if out is None:
-            out = fh
-            if run.start == 0:  # run 0, always this process's, heads the file
-                fh.write(",".join(header) + "\n")
+def _column_blocks(columns):
+    """The block source of the rows of the equal-length `columns`."""
+    return len(columns[0]), lambda k: [c[k * _BLOCK:(k + 1) * _BLOCK]
+                                       for c in columns]
+
+
+def _write_csv(out, header, rows) -> None:
+    """Write `header` and the rows of the block source `rows` as CSV, every
+    cell as "%.17g" (the bytes of f"{cell:.17g}"), to the text stream that
+    out() opens (a context manager); see `_write_runs`."""
+    count, block = rows
+
+    def write(run, tmp):
         for k in run:
-            out.writelines(_format_rows(_block_rows(columns, k)))
+            tmp.writelines(_format_rows(np.column_stack(block(k))))
 
-    fh.flush()  # a child must not inherit unwritten output
     _tables()  # built once, before the children fork
-    _forked_runs(-(-len(columns[0]) // _BLOCK), write,
-                 lambda run, tmp: shutil.copyfileobj(tmp, fh), "w+")
+    _write_runs(out, ",".join(header) + "\n", count, write, "")
 
 
-def _write_json(fh, header, columns) -> None:
-    """Write the rows of `columns` as the bytes of json.dumps(rows, indent=2)
-    + "\n", each row an object keyed by `header`, one block at a time."""
-    fh.write("[")
-    for k in range(-(-len(columns[0]) // _BLOCK)):
-        rows = [dict(zip(header, row))
-                for row in _block_rows(columns, k).tolist()]
-        # the block's list without its brackets: the items at the same indent
-        fh.write(("," if k else "") + json.dumps(rows, indent=2)[1:-2])
-    fh.write("\n]\n" if len(columns[0]) else "]\n")
+def _write_json(out, header, rows) -> None:
+    """Write the rows of the block source `rows` as the bytes of
+    json.dumps(rows, indent=2) + "\n", each row an object keyed by
+    `header`, to the text stream that out() opens; see `_write_runs`."""
+    count, block = rows
+
+    def write(run, tmp):
+        for k in run:
+            items = [dict(zip(header, row))
+                     for row in np.column_stack(block(k)).tolist()]
+            # the block's list without its brackets: the items at the same
+            # indent
+            tmp.write(("," if k else "") + json.dumps(items, indent=2)[1:-2])
+
+    _write_runs(out, "[", count, write, "\n]\n" if count else "]\n")
 
 
-def _block_rows(columns, k):
-    """Block k of the rows of `columns`, stacked into a table."""
-    return np.column_stack([c[k * _BLOCK:(k + 1) * _BLOCK] for c in columns])
+def _write_runs(out, head, count, write, tail) -> None:
+    """Format the `count` rows a block at a time, write(run, tmp) in
+    `_forked_runs`, every run into a temporary file; only once every run
+    has succeeded, open out() and copy `head`, the runs and `tail` into it.
+    So an error raised by a block leaves the destination unopened."""
+    with ExitStack() as files:
+        runs = _forked_runs(-(-count // _BLOCK), write, files, "w+")
+        with out() as fh:
+            fh.write(head)
+            for _, tmp in runs:
+                shutil.copyfileobj(tmp, fh)
+            fh.write(tail)
 
 
 # -- "%.17g" of float64 cells, in numpy ---------------------------------------

@@ -31,6 +31,7 @@ def _widened(domain: tuple[float, float]) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class _Curve:
+    """A parametric curve on its domain, with derivatives to order 3."""
     position: Callable[[float], object]
     domain: tuple[float, float]
     d1: Optional[Callable[[float], object]] = None
@@ -151,11 +152,13 @@ class _Curve:
 
 @dataclass(frozen=True)
 class PlaneCurve(_Curve):
+    """A curve in the plane."""
     dim = 2
 
 
 @dataclass(frozen=True)
 class SpaceCurve(_Curve):
+    """A curve in space."""
     dim = 3
 
 

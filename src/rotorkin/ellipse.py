@@ -17,11 +17,12 @@ import numpy as np
 from .csvout import _BLOCK
 from .curves import _finite_real
 from .errors import BadParameters, NonFiniteData
-from .plane import _finite_rows, uniform_grid
+from .plane import _finite_rows, _grid_rows
 
 
 @dataclass(frozen=True)
 class EllipseParams:
+    """The semi-axes a > b > 0 of an ellipse and its focal distance c."""
     a: float
     b: float
     c: float = field(init=False)
@@ -42,6 +43,7 @@ class EllipseParams:
 
 @dataclass(frozen=True)
 class FocalTableReport:
+    """The violations and endpoint error of verify_focal_table."""
     violations: list
     endpoint_max_err: float
     ok: bool
@@ -219,23 +221,33 @@ PROFILE_HEADER = "theta,xi1,d1,d2,d3,rot_speed_origin,rot_speed_focus"
 def profile_columns(params: EllipseParams,
                     n_samples: int) -> tuple[np.ndarray, ...]:
     """The PROFILE_HEADER columns at n_samples angles evenly spaced over
-    [0, 2 pi], computed one block of angles at a time.  A row with a
-    non-finite cell raises NonFiniteData, its `t` the first such theta."""
-    theta = (uniform_grid((0.0, _TWO_PI), n_samples) if n_samples > 1
-             else np.zeros(n_samples))
-    columns = (theta, *(np.empty(n_samples) for _ in range(6)))
-    for start in range(0, n_samples, _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        with np.errstate(all="ignore"):  # non-finite rows raise below
-            *focus, speed_focus = _focus_forms(params, theta[rows], np)
-            speed_origin = _origin_forms(params, theta[rows], np)[-1]
-        for column, value in zip(columns[1:],
-                                 (*focus, speed_origin, speed_focus)):
-            column[rows] = value
-        finite = _finite_rows(*(column[rows] for column in columns))
-        if not finite.all():
-            exc = NonFiniteData(f"ellipse profile of a={params.a}, "
-                                f"b={params.b} is not finite")
-            exc.t = float(theta[start + np.argmin(finite)])
-            raise exc
+    [0, 2 pi], computed one block of angles at a time (`_profile_block`).
+    A row with a non-finite cell raises NonFiniteData, its `t` the first
+    such theta."""
+    columns = tuple(np.empty(n_samples) for _ in range(7))
+    for k in range(-(-n_samples // _BLOCK)):
+        for column, value in zip(columns,
+                                 _profile_block(params, n_samples, k)):
+            column[k * _BLOCK:(k + 1) * _BLOCK] = value
+    return columns
+
+
+def _profile_block(params: EllipseParams, n_samples: int, k: int) -> tuple:
+    """The PROFILE_HEADER columns of rows k * _BLOCK to (k + 1) * _BLOCK
+    of profile_columns(params, n_samples), with their bits: block k of its
+    block source (`csvout`).  A row with a non-finite cell raises
+    NonFiniteData, its `t` the first such theta."""
+    rows = np.arange(k * _BLOCK, min(n_samples, (k + 1) * _BLOCK))
+    theta = (_grid_rows((0.0, _TWO_PI), n_samples, rows) if n_samples > 1
+             else np.zeros(len(rows)))
+    with np.errstate(all="ignore"):  # non-finite rows raise below
+        *focus, speed_focus = _focus_forms(params, theta, np)
+        speed_origin = _origin_forms(params, theta, np)[-1]
+    columns = (theta, *focus, speed_origin, speed_focus)
+    finite = _finite_rows(*columns)
+    if not finite.all():
+        exc = NonFiniteData(f"ellipse profile of a={params.a}, "
+                            f"b={params.b} is not finite")
+        exc.t = float(theta[np.argmin(finite)])
+        raise exc
     return columns

@@ -47,16 +47,18 @@ _MAX_CHAIN_NODES = 20_000
 
 @dataclass(frozen=True)
 class Const:
+    """A numeric constant."""
     value: float
 
 
 @dataclass(frozen=True)
 class Var:
-    pass  # the single variable t
+    """The single variable t."""
 
 
 @dataclass(frozen=True)
 class BinOp:
+    """A binary operation."""
     op: str  # '+', '-', '*', '/'
     left: "Node"
     right: "Node"
@@ -64,17 +66,20 @@ class BinOp:
 
 @dataclass(frozen=True)
 class Pow:
+    """A power with a rational exponent."""
     base: "Node"
     exponent: Fraction
 
 
 @dataclass(frozen=True)
 class Neg:
+    """A negation."""
     child: "Node"
 
 
 @dataclass(frozen=True)
 class Func:
+    """A named function of one argument."""
     name: str
     child: "Node"
 

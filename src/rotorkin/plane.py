@@ -12,6 +12,7 @@ to position.
 from __future__ import annotations
 
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from functools import reduce
 from typing import Iterable
@@ -25,6 +26,7 @@ from .vec import EPS_NORM, Vec2, _sub
 
 @dataclass(frozen=True)
 class PlaneKinematics:
+    """Distance rates and rotation of the frame at a fixed center."""
     D: float
     dD: float
     d2D: float
@@ -34,6 +36,7 @@ class PlaneKinematics:
 
 @dataclass(frozen=True)
 class LocalLimits2:
+    """The dt -> 0+ limits of a plane curve's local rotating frame."""
     phi: float
     phi_prime: float
     psi: Vec2
@@ -42,6 +45,7 @@ class LocalLimits2:
 
 @dataclass(frozen=True)
 class CongruenceReport:
+    """The verdict and largest deviation of plane_congruent."""
     congruent: bool
     max_deviation: float
     argmax_t: float
@@ -128,6 +132,15 @@ def local_limits(curve, t: float) -> LocalLimits2:
 
 # -- the same frames over arrays of parameters ----------------------------
 
+def _sampled(curve, ts, kernel):
+    """kernel(r, r', r'') over the curve's samples at ts: the result
+    dataclass with array fields and the mask of its good rows.  Sampling
+    may raise KinematicsError."""
+    samples = curve.sample(ts)
+    with np.errstate(all="ignore"):  # bad rows are masked
+        return kernel(*samples)
+
+
 def _over_samples(curve, ts, kernel, scalar, sample=True):
     """`kernel(r, r', r'')` over the curve's samples at ts, one block of
     _BLOCK rows at a time, into columns of the full length; it returns the
@@ -148,9 +161,7 @@ def _over_samples(curve, ts, kernel, scalar, sample=True):
     bad = []
     try:
         for start in range(0, len(ts) if sample else 0, _BLOCK):
-            samples = curve.sample(ts[start:start + _BLOCK])
-            with np.errstate(all="ignore"):
-                out, good = kernel(*samples)
+            out, good = _sampled(curve, ts[start:start + _BLOCK], kernel)
             for column, name in zip(columns, names):
                 column[start:start + len(good)] = getattr(out, name)
             bad.append(start + np.flatnonzero(~good))
@@ -161,30 +172,50 @@ def _over_samples(curve, ts, kernel, scalar, sample=True):
     return type(like)(*columns)
 
 
+def _grid_blocks(curve, n, names, kernel, scalar, sample=True):
+    """The block source (`csvout`) of the fields `names` over
+    uniform_grid(curve.domain, n): block k holds the grid's rows k * _BLOCK
+    to (k + 1) * _BLOCK, with the same bits, then the fields there, the
+    kernel's over the curve's samples or, when `sample` is false,
+    scalar(t)'s row by row (`_scalar_rows`).
+
+    A block whose sampling raises, whose kernel marks a row bad, or whose
+    scalar rows raise raises KinematicsError: `_over_samples` over the
+    whole grid decides what such rows print, or which error they raise.
+    """
+    def block(k):
+        ts = _grid_rows(curve.domain, n,
+                        np.arange(k * _BLOCK, min(n, (k + 1) * _BLOCK)))
+        if not sample:
+            return (ts, *zip(*_scalar_rows(scalar, ts.tolist(), names)))
+        out, good = _sampled(curve, ts, kernel)
+        if not good.all():
+            raise KinematicsError("a row needs its scalar API")
+        return (ts, *(getattr(out, name) for name in names))
+    return n, block
+
+
 def _rows_into(columns, rows, scalar, ts, names):
     """Set row rows[i] of the arrays `columns` to the fields `names` of
     scalar(ts[rows[i]]) (`_scalar_rows`), per block of _BLOCK rows, in
-    `csvout._forked_runs`; a worker's fields cross as float64 bytes."""
+    `csvout._forked_runs`; each run's fields cross as float64 bytes."""
     def blocks(run):
         return (rows[k * _BLOCK:(k + 1) * _BLOCK] for k in run)
 
     def work(run, out):
         for at in blocks(run):
             rows_at = _scalar_rows(scalar, ts[at].tolist(), names)
-            for column, values in zip(columns, zip(*rows_at)):
-                if out is None:
-                    column[at] = values
-                else:
-                    out.write(np.array(values, dtype=float).tobytes())
+            for values in zip(*rows_at):
+                out.write(np.array(values, dtype=float).tobytes())
 
-    def take(run, tmp):
-        for at in blocks(run):
-            for column in columns:
-                like = column[:len(at)]  # a view of the block's shape
-                column[at] = np.frombuffer(
-                    tmp.read(like.nbytes)).reshape(like.shape)
-
-    _forked_runs(-(-len(rows) // _BLOCK), work, take, "w+b")
+    with ExitStack() as files:
+        for run, tmp in _forked_runs(-(-len(rows) // _BLOCK), work, files,
+                                     "w+b"):
+            for at in blocks(run):
+                for column in columns:
+                    like = column[:len(at)]  # a view of the block's shape
+                    column[at] = np.frombuffer(
+                        tmp.read(like.nbytes)).reshape(like.shape)
 
 
 def _scalar_rows(scalar, ts, names):
@@ -216,10 +247,9 @@ def _finite_rows(*columns):
     return reduce(np.logical_and, map(np.isfinite, columns))
 
 
-def distance_kinematics_array(curve, center: Vec2, ts) -> PlaneKinematics:
-    """distance_kinematics at every parameter of `ts`, as one
-    PlaneKinematics of arrays (rot_velocity of shape (n, 2)).  Degenerate
-    samples raise what distance_kinematics raises at the first of them."""
+def _distance_frame(curve, center: Vec2):
+    """distance_kinematics about `center` as `_over_samples` takes it: the
+    kernel over rows of samples, the scalar API, and True (sampled)."""
     c = np.array(center.as_tuple())
 
     def kernel(r, rp, rpp):
@@ -232,24 +262,36 @@ def distance_kinematics_array(curve, center: Vec2, ts) -> PlaneKinematics:
                               rot_speed=speed)
         return out, (d > EPS_NORM) & _finite_rows(d, dD, d2D, *velocity, speed)
 
-    return _over_samples(curve, ts, kernel,
-                         lambda t: distance_kinematics(curve, center, t))
+    return kernel, lambda t: distance_kinematics(curve, center, t), True
+
+
+def distance_kinematics_array(curve, center: Vec2, ts) -> PlaneKinematics:
+    """distance_kinematics at every parameter of `ts`, as one
+    PlaneKinematics of arrays (rot_velocity of shape (n, 2)).  Degenerate
+    samples raise what distance_kinematics raises at the first of them."""
+    return _over_samples(curve, ts, *_distance_frame(curve, center))
+
+
+def _local_kernel(r, rp, rpp):
+    """local_limits over rows of samples, and the mask of its good rows."""
+    phi = np.hypot(rp[:, 0], rp[:, 1])
+    phi_prime, psi, psi_speed = _local_terms(rp.T, rpp.T, phi)
+    out = LocalLimits2(phi=phi, phi_prime=phi_prime,
+                       psi=np.column_stack(psi), psi_speed=psi_speed)
+    return out, ((phi > EPS_NORM)
+                 & _finite_rows(phi, phi_prime, *psi, psi_speed))
+
+
+def _local_frame(curve):
+    """local_limits as `_over_samples` takes it (see `_distance_frame`)."""
+    return _local_kernel, lambda t: local_limits(curve, t), True
 
 
 def local_limits_array(curve, ts) -> LocalLimits2:
     """local_limits at every parameter of `ts`, as one LocalLimits2 of
     arrays (psi of shape (n, 2)).  Singular samples raise what
     local_limits raises at the first of them."""
-    def kernel(r, rp, rpp):
-        phi = np.hypot(rp[:, 0], rp[:, 1])
-        phi_prime, psi, psi_speed = _local_terms(rp.T, rpp.T, phi)
-        out = LocalLimits2(phi=phi, phi_prime=phi_prime,
-                           psi=np.column_stack(psi), psi_speed=psi_speed)
-        return out, ((phi > EPS_NORM)
-                     & _finite_rows(phi, phi_prime, *psi, psi_speed))
-
-    return _over_samples(curve, ts, kernel,
-                         lambda t: local_limits(curve, t))
+    return _over_samples(curve, ts, *_local_frame(curve))
 
 
 # plane_congruent and space_congruent fail a sample whose deviation exceeds
@@ -288,12 +330,17 @@ def uniform_grid(domain: tuple[float, float], n: int,
     """n evenly spaced parameters over the domain (n = 1: its midpoint),
     optionally pulled in from both ends by a fraction `shrink` of the span;
     a row whose product with the span overflows takes its fraction first."""
+    return _grid_rows(domain, n, np.arange(n), shrink)
+
+
+def _grid_rows(domain, n, k, shrink=0.0) -> np.ndarray:
+    """Rows k (an int array) of uniform_grid(domain, n, shrink), with its
+    bits."""
     t0, t1 = domain
     pad = shrink * (t1 - t0)
     t0, t1 = t0 + pad, t1 - pad
     if n == 1:
-        return np.array([0.5 * (t0 + t1)])
-    k = np.arange(n)
+        return np.full(len(k), 0.5 * (t0 + t1))
     with np.errstate(over="ignore"):  # (t1 - t0) * k can pass the largest float
         ts = t0 + (t1 - t0) * k / (n - 1)
     over = np.isinf(ts)

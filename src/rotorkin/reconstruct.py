@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .csvout import _BLOCK, _write_csv
+from .csvout import _BLOCK, _column_blocks, _write_csv
 from .curves import make_catalog_curve
 from .errors import (BadParameters, CenterOnCurve, InconsistentDirections,
                      NonFiniteData, NonTangentField, ProjectionCollapse,
@@ -44,6 +44,7 @@ _PLANE = ((0, 1),)
 
 @dataclass(frozen=True)
 class Trajectory:
+    """A rebuilt trajectory: parameters, points and direction drift."""
     ts: np.ndarray
     points: np.ndarray  # (n, 2) or (n, 3)
     max_drift: float
@@ -75,8 +76,8 @@ class Trajectory:
         return ["t", "x", "y", "z"][:self.dim + 1]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            _write_csv(fh, self.header, (self.ts, *self.points.T))
+        _write_csv(lambda: open(path, "w", newline=""), self.header,
+                   _column_blocks((self.ts, *self.points.T)))
 
 
 def _rk4_step(f, t, y, h):
@@ -493,6 +494,7 @@ def space_data_from_curve(curve, order: int = 1,
 
 @dataclass(frozen=True)
 class ReconstructionPreset:
+    """A named reconstruction: its builder and error tolerance."""
     build: Callable  # (step, domain) -> (problem, reference curve)
     tolerance: float
 

@@ -30,6 +30,7 @@ from .vec import (_PLANES, EPS_NORM, Vec3, _checked, _norm, _sub,
 
 @dataclass(frozen=True)
 class SpaceKinematics:
+    """Distance rates about the origin and projected rotational speeds."""
     D: float
     dD: float
     d2D: float
@@ -40,6 +41,7 @@ class SpaceKinematics:
 
 @dataclass(frozen=True)
 class DerivativePlaneLimits:
+    """The dt -> 0+ limits of the derivative-plane rotations."""
     phi: float
     psi12: Vec3
     psi13: Vec3  # the limit is the zero vector; stored for symmetry
@@ -61,6 +63,7 @@ class InvariantTuple:
 
 @dataclass(frozen=True)
 class SpaceCongruenceReport:
+    """The verdict, deviation and Gram chain error of space_congruent."""
     congruent: bool
     max_deviation: float
     argmax_t: float
@@ -131,6 +134,28 @@ def _distance_rates(r, rp, rpp):
                               x * xpp + y * ypp + z * zpp))
 
 
+def _space_kernel(r, rp, rpp):
+    """space_distance_kinematics over rows of samples, and the mask of its
+    good rows."""
+    d, dD, d2D = _distance_rates(r, rp, rpp)
+    good = d > EPS_NORM
+    speeds = []
+    for i, j in _PLANES:
+        cross, denom = _pair_terms(r[:, i], r[:, j], rp[:, i], rp[:, j])
+        good &= denom > EPS_NORM ** 2
+        speeds.append(np.abs(cross) / denom)
+    out = SpaceKinematics(d, dD, d2D, *speeds)
+    return out, good & _finite_rows(d, dD, d2D, *speeds)
+
+
+def _origin_frame(curve):
+    """space_distance_kinematics as `plane._over_samples` takes it: the
+    kernel, the scalar API, and whether the curve is sampled on arrays
+    (see space_distance_kinematics_array)."""
+    return (_space_kernel, lambda t: space_distance_kinematics(curve, t),
+            curve.forms is not None)
+
+
 def space_distance_kinematics_array(curve, ts) -> SpaceKinematics:
     """space_distance_kinematics at every parameter of `ts`, as one
     SpaceKinematics of arrays.  Degenerate samples raise what
@@ -143,20 +168,7 @@ def space_distance_kinematics_array(curve, ts) -> SpaceKinematics:
     `space.space_distance_kinematics` spans on a 400-sample (one-block)
     `kin_expr_space` job until ROADMAP item 1 re-bases that pin.
     """
-    def kernel(r, rp, rpp):
-        d, dD, d2D = _distance_rates(r, rp, rpp)
-        good = d > EPS_NORM
-        speeds = []
-        for i, j in _PLANES:
-            cross, denom = _pair_terms(r[:, i], r[:, j], rp[:, i], rp[:, j])
-            good &= denom > EPS_NORM ** 2
-            speeds.append(np.abs(cross) / denom)
-        out = SpaceKinematics(d, dD, d2D, *speeds)
-        return out, good & _finite_rows(d, dD, d2D, *speeds)
-
-    return _over_samples(curve, ts, kernel,
-                         lambda t: space_distance_kinematics(curve, t),
-                         sample=curve.forms is not None)
+    return _over_samples(curve, ts, *_origin_frame(curve))
 
 
 def pair_kinematics(curve_a, curve_b, t: float) -> SpaceKinematics:

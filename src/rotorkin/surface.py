@@ -140,12 +140,7 @@ def surface_geometry(surface: Surface, u: float, v: float) -> SurfaceGeometry:
 
 def _jet(curve: PlaneCurve, t: float, order: int) -> list:
     """(u, v) and its first `order` derivatives at t, as float pairs."""
-    w = curve.point(t)
-    pairs = [(w.x, w.y)]
-    for k in range(1, order + 1):
-        w = curve.derivative(t, k)
-        pairs.append((w.x, w.y))
-    return pairs
+    return [curve._at(t, k) for k in range(order + 1)]
 
 
 def chart_curve_derivatives(surface: Surface, curve: PlaneCurve,
@@ -193,28 +188,34 @@ def composed_space_curve(surface: Surface, curve: PlaneCurve) -> SpaceCurve:
     p = surface.partials
 
     def pos(t):
-        return surface.point(*curve.point(t).as_tuple())
+        return surface.point(*curve._at(t, 0))
+
+    def chain(u, v, keys, weights):
+        # the sum of the partials `keys` at (u, v) times `weights`, with the
+        # float operations, in the order, of the Vec3 sum it replaces
+        (x, y, z), w = p[keys[0]](u, v).as_tuple(), weights[0]
+        x, y, z = x * w, y * w, z * w
+        for key, w in zip(keys[1:], weights[1:]):
+            a, b, c = p[key](u, v).as_tuple()
+            x, y, z = x + a * w, y + b * w, z + c * w
+        return Vec3(x, y, z)
 
     def d1(t):
         (u, v), (up, vp) = _jet(curve, t, 1)
-        return p["u"](u, v) * up + p["v"](u, v) * vp
+        return chain(u, v, ("u", "v"), (up, vp))
 
     def d2(t):
         (u, v), (up, vp), (upp, vpp) = _jet(curve, t, 2)
-        return (p["uu"](u, v) * (up * up) + p["uv"](u, v) * (2.0 * up * vp)
-                + p["vv"](u, v) * (vp * vp)
-                + p["u"](u, v) * upp + p["v"](u, v) * vpp)
+        return chain(u, v, ("uu", "uv", "vv", "u", "v"),
+                     (up * up, 2.0 * up * vp, vp * vp, upp, vpp))
 
     def d3(t):
         (u, v), (up, vp), (upp, vpp), (uppp, vppp) = _jet(curve, t, 3)
-        return (p["uuu"](u, v) * up ** 3
-                + p["uuv"](u, v) * (3.0 * up * up * vp)
-                + p["uvv"](u, v) * (3.0 * up * vp * vp)
-                + p["vvv"](u, v) * vp ** 3
-                + p["uu"](u, v) * (3.0 * up * upp)
-                + p["uv"](u, v) * (3.0 * (upp * vp + up * vpp))
-                + p["vv"](u, v) * (3.0 * vp * vpp)
-                + p["u"](u, v) * uppp + p["v"](u, v) * vppp)
+        return chain(u, v, ("uuu", "uuv", "uvv", "vvv", "uu", "uv", "vv",
+                            "u", "v"),
+                     (up ** 3, 3.0 * up * up * vp, 3.0 * up * vp * vp,
+                      vp ** 3, 3.0 * up * upp, 3.0 * (upp * vp + up * vpp),
+                      3.0 * vp * vpp, uppp, vppp))
 
     return SpaceCurve(position=pos, domain=curve.domain,
                       d1=d1, d2=d2, d3=d3,

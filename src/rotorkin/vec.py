@@ -32,6 +32,7 @@ def _check_finite(*components: float) -> None:
 
 @dataclass(frozen=True, slots=True, init=False)
 class Vec2:
+    """A finite plane vector."""
     x: float
     y: float
 
@@ -80,6 +81,7 @@ _set_x2, _set_y2 = Vec2.x.__set__, Vec2.y.__set__
 
 @dataclass(frozen=True, slots=True, init=False)
 class Vec3:
+    """A finite space vector."""
     x: float
     y: float
     z: float

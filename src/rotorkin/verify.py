@@ -34,6 +34,7 @@ _LADDER_WIDE = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 
 @dataclass(frozen=True)
 class CriterionResult:
+    """One acceptance criterion's measured value against its bound."""
     cid: str
     passed: bool
     measured: float

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+from contextlib import nullcontext
 from dataclasses import astuple
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import pytest
 
 from rotorkin import cli
 from rotorkin import ellipse as ell
-from rotorkin.csvout import _BLOCK, _write_csv
+from rotorkin.csvout import _BLOCK, _column_blocks, _write_csv
 from rotorkin.curves import curve_from_spec, make_catalog_curve
 from rotorkin.plane import uniform_grid
 from rotorkin.reconstruct import Trajectory
@@ -104,6 +105,11 @@ def test_kinematics_point_frame(capsys):
     # the flags build the curve; the record is not read
     (["--curve", "ellipse"], {"kind": "ellipse", "params": {"a": 3}}, {}),
     ([], {"kind": "ellipse", "params": None}, {}),
+    # sqrt(a * a - b * b) is an ulp off EllipseParams.c here: the command
+    # takes the focus the profile and the presets use
+    (["--curve", "ellipse", "--a", "64.46506555880927",
+      "--b", "31.615863867821915"], None,
+     {"a": 64.46506555880927, "b": 31.615863867821915}),
 ])
 def test_focus_frame_uses_the_axes_of_the_curve(capsys, tmp_path, flags,
                                                 record, axes):
@@ -111,7 +117,7 @@ def test_focus_frame_uses_the_axes_of_the_curve(capsys, tmp_path, flags,
     path.write_text(json.dumps({"curve": record} if record else {}))
     curve = make_catalog_curve("ellipse", axes)
     a, b = curve.point(0.0).x, curve.point(0.5 * math.pi).y
-    c = math.sqrt(a * a - b * b)
+    c = ell.EllipseParams(a, b).c
     argv = ["kinematics", "--config", str(path), "--samples", "7"] + flags
     code, focus, _ = run(capsys, argv + ["--frame", "focus"])
     assert code == 0
@@ -911,7 +917,7 @@ def test_space_curve_json_matches_csv(capsys):
 
 def written_csv(header, columns):
     fh = io.StringIO()
-    _write_csv(fh, header, columns)
+    _write_csv(lambda: nullcontext(fh), header, _column_blocks(columns))
     return fh.getvalue()
 
 
@@ -1002,11 +1008,12 @@ def assert_no_child_left():
 
 
 # each child formats into a pipe that nobody reads, so it blocks until it
-# is killed; the parent's first write fails
+# is killed; the parent's first write, into its own run's file, fails
 KILL_AND_REAP = """
 import io, os, sys, tempfile
+from contextlib import nullcontext
 import numpy as np
-from rotorkin.csvout import _BLOCK, _write_csv
+from rotorkin.csvout import _BLOCK, _column_blocks, _write_csv
 
 class BrokenPipe(io.StringIO):
     def write(self, text):
@@ -1014,12 +1021,14 @@ class BrokenPipe(io.StringIO):
 
 cpus = int(sys.argv[1])
 read_end, write_end = os.pipe()
-tempfile.TemporaryFile = lambda *args, **kwargs: open(write_end, "w",
-                                                      closefd=False)
+files = [BrokenPipe()]  # the first file made is run 0's, this process's
+tempfile.TemporaryFile = lambda *args, **kwargs: (
+    files.pop() if files else open(write_end, "w", closefd=False))
 os.sched_getaffinity = lambda pid: set(range(cpus))
 table = np.random.default_rng(0).standard_normal((16 * cpus * _BLOCK, 2))
 try:
-    _write_csv(BrokenPipe(), ["a", "b"], table.T)
+    _write_csv(lambda: nullcontext(sys.stdout), ["a", "b"],
+               _column_blocks(table.T))
 except BrokenPipeError:
     pass
 else:
@@ -1052,14 +1061,21 @@ def test_a_failed_parent_write_kills_and_reaps_the_children(cpus):
 
 
 def test_a_failed_child_s_run_is_redone_by_the_parent(monkeypatch):
-    # each child formats into a file it cannot write and exits 1; the
-    # parent formats their runs itself
+    # each child's blocks raise, so it exits 1; the parent formats their
+    # runs itself
     columns = np.random.default_rng(1).standard_normal((3 * _BLOCK, 2)).T
     want = written_csv(["a", "b"], columns)
     on_cpus(monkeypatch, 3)
-    monkeypatch.setattr(tempfile, "TemporaryFile",
-                        lambda *args, **kwargs: open(os.devnull))
-    assert written_csv(["a", "b"], columns) == want
+    parent = os.getpid()
+    count, block = _column_blocks(columns)
+
+    def in_the_parent_only(k):
+        if os.getpid() != parent:
+            raise RuntimeError("a block in a child")
+        return block(k)
+    fh = io.StringIO()
+    _write_csv(lambda: nullcontext(fh), ["a", "b"], (count, in_the_parent_only))
+    assert fh.getvalue() == want
     assert_no_child_left()
 
 
@@ -1131,8 +1147,22 @@ def test_a_worker_that_cannot_write_has_its_rows_redone(monkeypatch, capsys,
     want = run(capsys, argv)
     assert want[0] == 0
     on_cpus(monkeypatch, 3)
-    monkeypatch.setattr(tempfile, "TemporaryFile",
-                        lambda *args, **kwargs: open(os.devnull))
+    # a forked child closes every temporary file made so far, its run's
+    # too, so its writes fail and it exits 1; the parent's stay open
+    made, make, fork = [], tempfile.TemporaryFile, os.fork
+
+    def temporary_file(*args, **kwargs):
+        made.append(make(*args, **kwargs))
+        return made[-1]
+
+    def fork_that_cannot_write():
+        pid = fork()
+        if pid == 0:
+            for file in made:
+                os.close(file.fileno())
+        return pid
+    monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+    monkeypatch.setattr(os, "fork", fork_that_cannot_write)
     assert run(capsys, argv) == want
     assert_no_child_left()
 

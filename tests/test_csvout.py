@@ -4,13 +4,14 @@ for byte, and the writer around it at block edges on one CPU and on many."""
 import io
 import os
 import random
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotorkin.csvout import _BLOCK, _format_rows, _write_csv
+from rotorkin.csvout import _BLOCK, _column_blocks, _format_rows, _write_csv
 
 
 def formatted(table):
@@ -149,5 +150,6 @@ def test_write_csv_at_block_edges(monkeypatch, rows, cpus):
     table = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(
         -30, 30, (rows, 3))
     fh = io.StringIO()
-    _write_csv(fh, ["a", "b", "c"], table.T)
+    _write_csv(lambda: nullcontext(fh), ["a", "b", "c"],
+               _column_blocks(table.T))
     assert fh.getvalue() == "a,b,c\n" + percent(table)
