@@ -25,7 +25,7 @@ from .curves import (CATALOG, _spec_domain, curve_from_spec,
 from .errors import (BadParameters, ExprSyntaxError, KinematicsError,
                      UnknownCurve, UnknownIdentifier)
 from .plane import (_distance_frame, _grid_blocks, _local_frame,
-                    _over_samples, _rows_into, uniform_grid)
+                    _over_samples, uniform_grid)
 from .vec import Vec2
 
 EXIT_OK = 0
@@ -154,10 +154,14 @@ def _stream(headers, rows, columns, out_path: Optional[str],
             fmt: str) -> int:
     """Emit the block source `rows` and return the exit code.  When one of
     its blocks raises KinematicsError, the full-length columns() instead
-    decide the error line (exit 3) or every byte written."""
+    decide the error line (exit 3) or every byte written; without
+    `columns` (a source whose first error in row order is already the
+    full-length path's), that error is the error line."""
     try:
         _emit(headers, rows, out_path, fmt)
-    except KinematicsError:
+    except KinematicsError as exc:
+        if columns is None:
+            return _numeric_failure(exc)
         try:
             table = columns()
         except KinematicsError as exc:
@@ -249,7 +253,10 @@ def cmd_kinematics(args) -> int:
     if frame == "local":
         return _stream(headers, (count, lambda k: _local_columns(*block(k))),
                        lambda: _local_columns(*columns()), out, fmt)
-    return _stream(headers, (count, block), columns, out, fmt)
+    # the per-sample rows of an unsampled space curve raise as the
+    # full-length loop would; a sampled block may be redone row by row
+    return _stream(headers, (count, block), columns if kinematics[2] else None,
+                   out, fmt)
 
 
 def _local_columns(ts, phi, phi_prime, psi_speed):
@@ -330,13 +337,8 @@ def cmd_surface(args) -> int:
         # a non-finite row raises NonFiniteData instead of printing inf
         return surface.surface_distance_kinematics(surf, curve, t)
 
-    def columns():
-        ts = uniform_grid(curve.domain, samples)
-        columns = [np.empty(samples) for _ in names]
-        _rows_into(columns, range(samples), scalar, ts, names)
-        return (ts, *columns)
     return _stream(headers, _grid_blocks(curve, samples, names, None, scalar,
-                                         sample=False), columns, out, fmt)
+                                         sample=False), None, out, fmt)
 
 
 def cmd_ellipse(args) -> int:
@@ -350,7 +352,7 @@ def cmd_ellipse(args) -> int:
     params = ell.EllipseParams(a, b)  # bad axes are config errors
     return _stream(ell.PROFILE_HEADER.split(","),
                    (samples, partial(ell._profile_block, params, samples)),
-                   lambda: ell.profile_columns(params, samples), out, fmt)
+                   None, out, fmt)
 
 
 def cmd_verify(args) -> int:

@@ -179,9 +179,11 @@ def _grid_blocks(curve, n, names, kernel, scalar, sample=True):
     kernel's over the curve's samples or, when `sample` is false,
     scalar(t)'s row by row (`_scalar_rows`).
 
-    A block whose sampling raises, whose kernel marks a row bad, or whose
-    scalar rows raise raises KinematicsError: `_over_samples` over the
-    whole grid decides what such rows print, or which error they raise.
+    A block whose sampling raises or whose kernel marks a row bad raises
+    KinematicsError: `_over_samples` over the whole grid decides what
+    such rows print, or which error they raise.  A block whose scalar
+    rows raise raises the error of its first failing row, which is
+    `_over_samples`'s when it is the first in row order.
     """
     def block(k):
         ts = _grid_rows(curve.domain, n,

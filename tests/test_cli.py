@@ -514,9 +514,12 @@ def test_ellipse_json_matches_csv(capsys):
         capsys, ["ellipse", "--a", "2", "--b", "1", "--samples", "5"], 5)
 
 
-def test_degenerate_ellipse_profile_exits_3_without_rows(capsys):
+def test_degenerate_ellipse_profile_exits_3_without_rows(monkeypatch,
+                                                        capsys):
     # c = sqrt(4 - 1e-18) rounds to a, so the focus sits on the curve at
-    # theta = 0, as kinematics --frame focus reports with CenterOnCurve
+    # theta = 0, as kinematics --frame focus reports with CenterOnCurve;
+    # the streamed profile's error is the line, without a full-length pass
+    monkeypatch.setattr(ell, "profile_columns", None)
     code, out, err = run(capsys, ["ellipse", "--a", "2", "--b", "1e-9",
                                   "--samples", "5"])
     assert (code, out) == (3, "")
@@ -1111,6 +1114,9 @@ RUN_ERRORS = {
 def test_an_error_in_a_forked_run_is_the_one_cpu_error(monkeypatch, capsys,
                                                        tmp_path, argv,
                                                        config, line):
+    # the first failing row of a per-sample source is already the
+    # full-length path's, so that path never runs
+    monkeypatch.setattr(cli, "uniform_grid", None)
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**config, "samples": 3 * _BLOCK}))
     for cpus in (1, 2, 3):
