@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import add, mul
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -39,11 +41,10 @@ class _Curve:
     d3: Optional[Callable[[float], object]] = None
     name: str = ""
     # closed forms of r and its first three derivatives: forms[k](t, m)
-    # gives the components, floats for m = math and arrays for m = numpy
+    # gives the components, floats for m = math and arrays for m = numpy;
+    # a form that cannot follow its float bits on arrays raises
+    # FloatingPointError there
     forms: Optional[tuple] = None
-    # expression curves: the array functions (expr.compile_tree) of the
-    # components of r and of its first three derivatives, one tuple per order
-    arrays: Optional[tuple] = None
 
     def __post_init__(self):
         t0, t1 = self.domain
@@ -83,7 +84,7 @@ class _Curve:
     def _at(self, t: float, order: int) -> tuple:
         """The components of r (order 0) or of its order 1-3 derivative at
         t: what `point` or `derivative` gives, with the same domain and
-        finite checks, as a tuple.  A catalog curve builds no Vec."""
+        finite checks, as a tuple.  A curve with forms builds no Vec."""
         lo, hi = self._bounds
         if not lo <= t <= hi:  # `contains`, without its call
             raise self._outside(t)
@@ -101,37 +102,33 @@ class _Curve:
         `ts`, each of shape (n, dim).  Raises OutOfDomain for the first
         parameter outside the domain.
 
-        Catalog curves evaluate their closed forms on arrays and raise
-        KinematicsError for the first row with a non-finite component.
-        Expression curves run their array functions under numpy's raising
-        errstate; on a FloatingPointError, or on any non-finite value, the
-        whole sample is redone by the stacked scalar calls that sample
-        every other curve, so the walker's EvalDomain is raised where it
-        would be.
+        A curve with forms evaluates them on arrays and raises
+        KinematicsError for the first row with a non-finite component.  A
+        form that raises FloatingPointError (an expression curve's, where
+        numpy flags a failure or makes a non-finite value, or a moved
+        curve's without forms under it) has the whole sample redone by
+        the stacked scalar calls that sample every other curve, so the
+        walker's EvalDomain is raised where it would be.
         """
+        if order not in (0, 1, 2):
+            raise OrderUnsupported(f"order {order} not supported")
         ts = np.asarray(ts, dtype=float)
         outside = ts[~self.contains(ts)]
         if outside.size:
             raise self._outside(float(outside[0]))
         if self.forms is not None:
-            with np.errstate(all="ignore"):  # non-finite values raise below
-                arrays = self._columns(ts, order, (form(ts, np)
-                                                   for form in self.forms))
-            finite = np.isfinite(arrays).all(axis=(0, 2))
-            if not finite.all():
-                raise KinematicsError("non-finite vector component at "
-                                      f"t={ts[np.argmin(finite)]:g}")
-            return arrays
-        if self.arrays is not None:
             try:
-                with np.errstate(divide="raise", over="raise",
-                                 invalid="raise", under="ignore"):
-                    arrays = self._columns(ts, order, ([f(ts) for f in fns]
-                                                       for fns in self.arrays))
-                if np.isfinite(arrays).all():
-                    return arrays
+                with np.errstate(all="ignore"):  # non-finite rows raise below
+                    arrays = self._columns(ts, order, (form(ts, np)
+                                                       for form in self.forms))
             except FloatingPointError:
                 pass
+            else:
+                finite = np.isfinite(arrays).all(axis=(0, 2))
+                if not finite.all():
+                    raise KinematicsError("non-finite vector component at "
+                                          f"t={ts[np.argmin(finite)]:g}")
+                return arrays
         calls = (self.point, lambda t: self.derivative(t, 1),
                  lambda t: self.derivative(t, 2))[:order + 1]
         return tuple(np.array([fn(t).as_tuple() for t in ts.tolist()],
@@ -214,51 +211,67 @@ def reparametrize(curve, g: Callable[[float], float],
                 + curve.derivative(t, 1) * g3(h))
 
     return replace(curve, position=pos, domain=(h0, h1),
-                   d1=dd1, d2=dd2, d3=dd3, forms=None, arrays=None,
+                   d1=dd1, d2=dd2, d3=dd3, forms=None,
                    name=f"{curve.name}@reparam" if curve.name else "reparam")
 
 
 def transform_curve(curve, matrix, offset=None):
-    """Image of the curve under p -> M p + b (M given as row tuples)."""
+    """Image of the curve under p -> M p + b (M given as row tuples): its
+    forms are M c + b on the components c of r and M c on those of each
+    derivative, the same float operations on floats and arrays.  With m =
+    math they check c (`curve._at`), M c, then the sum, as the image's Vec
+    arithmetic would; on arrays a curve without forms raises
+    FloatingPointError, so that `sample` stacks scalar calls."""
     rows = [tuple(row) for row in matrix]
-    if curve.dim == 2:
-        b = offset if offset is not None else Vec2(0.0, 0.0)
+    b = offset.as_tuple() if offset is not None else (0.0,) * curve.dim
 
-        def apply(c: tuple) -> Vec2:
-            x, y = c
-            return Vec2(rows[0][0] * x + rows[0][1] * y,
-                        rows[1][0] * x + rows[1][1] * y)
-    else:
-        b = offset if offset is not None else Vec3(0.0, 0.0, 0.0)
+    def moved(order):
+        def form(t, m):
+            if m is math:
+                c = curve._at(t, order)
+            elif curve.forms is None:
+                raise FloatingPointError(f"{curve.name!r} has no closed forms")
+            else:
+                c = curve.forms[order](t, m)
+            mc = tuple([reduce(add, map(mul, row, c)) for row in rows])
+            if m is math:
+                _checked(mc)
+            return tuple(map(add, mc, b)) if order == 0 else mc
+        return form
 
-        def apply(c: tuple) -> Vec3:
-            x, y, z = c
-            return Vec3(rows[0][0] * x + rows[0][1] * y + rows[0][2] * z,
-                        rows[1][0] * x + rows[1][1] * y + rows[1][2] * z,
-                        rows[2][0] * x + rows[2][1] * y + rows[2][2] * z)
-
-    def make_deriv(order):
-        def deriv(t):
-            return apply(curve._at(t, order))
-        return deriv
-
-    return replace(curve,
-                   position=lambda t: apply(curve._at(t, 0)) + b,
-                   d1=make_deriv(1), d2=make_deriv(2), d3=make_deriv(3),
-                   forms=None, arrays=None,
-                   name=f"{curve.name}@moved" if curve.name else "moved")
+    return _closed_form(type(curve), [moved(k) for k in range(4)],
+                        curve.domain,
+                        f"{curve.name}@moved" if curve.name else "moved")
 
 
 # -- catalog -------------------------------------------------------------------
 
 def _closed_form(cls, forms, domain, name):
-    """A catalog curve from its closed forms (see `_Curve.forms`); the
-    scalar calls evaluate them with `math`."""
+    """A catalog, expression or moved curve from its closed forms (see
+    `_Curve.forms`); the scalar calls evaluate them with `math`."""
     vec = Vec2 if cls.dim == 2 else Vec3
     position, d1, d2, d3 = (lambda t, form=form: vec(*form(t, math))
                             for form in forms)
     return cls(position=position, domain=domain, d1=d1, d2=d2, d3=d3,
                name=name, forms=tuple(forms))
+
+
+def _compiled_form(fns):
+    """The form (see `_Curve.forms`) of one order of an expression curve,
+    from the compiled functions of its components (`expr.compile_tree`):
+    their floats for m = math; for m = numpy their array functions, run
+    under numpy's raising errstate, where a flag or a non-finite value
+    raises FloatingPointError."""
+    def form(t, m):
+        if m is math:
+            return tuple([f(t) for f in fns])
+        with np.errstate(divide="raise", over="raise", invalid="raise",
+                         under="ignore"):
+            values = tuple([f.array(t) for f in fns])
+        if not all(np.isfinite(v).all() for v in values):
+            raise FloatingPointError("a non-finite component")
+        return values
+    return form
 
 
 def _line(*, x0=1.0, y0=2.0, a=3.0, b=4.0):
@@ -417,23 +430,8 @@ def curve_from_spec(record: dict):
         raise BadParameters("expr curve needs an explicit domain")
     domain = _spec_domain(domain)
     from .expr import compile_chain
-    fx, fy, fz = (compile_chain(exprs[axis]) if axis in exprs
-                  else None for axis in ("x", "y", "z"))
-    # per order, the array functions of the coordinates
-    arrays = tuple(tuple(f.array for f in fns)
-                   for fns in zip(*(c for c in (fx, fy, fz) if c is not None)))
-
-    if fz is not None:
-        def make3(order):
-            x, y, z = fx[order], fy[order], fz[order]
-            return lambda t: Vec3(x(t), y(t), z(t))
-        return SpaceCurve(position=make3(0), domain=domain,
-                          d1=make3(1), d2=make3(2), d3=make3(3), name="expr",
-                          arrays=arrays)
-
-    def make2(order):
-        x, y = fx[order], fy[order]
-        return lambda t: Vec2(x(t), y(t))
-    return PlaneCurve(position=make2(0), domain=domain,
-                      d1=make2(1), d2=make2(2), d3=make2(3), name="expr",
-                      arrays=arrays)
+    chains = [compile_chain(exprs[axis]) for axis in ("x", "y", "z")
+              if axis in exprs]
+    return _closed_form(SpaceCurve if len(chains) == 3 else PlaneCurve,
+                        [_compiled_form(fns) for fns in zip(*chains)],
+                        domain, "expr")

@@ -18,6 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .curves import CATALOG
 from .errors import (AxisProjectionDegenerate, CenterOnCurve, CurvesIntersect,
                      DegenerateFrame, DegenerateProjection, OutOfDomain,
                      SingularPoint)
@@ -153,7 +154,7 @@ def _origin_frame(curve):
     kernel, the scalar API, and whether the curve is sampled on arrays
     (see space_distance_kinematics_array)."""
     return (_space_kernel, lambda t: space_distance_kinematics(curve, t),
-            curve.forms is not None)
+            curve.name in CATALOG)
 
 
 def space_distance_kinematics_array(curve, ts) -> SpaceKinematics:
@@ -161,10 +162,10 @@ def space_distance_kinematics_array(curve, ts) -> SpaceKinematics:
     SpaceKinematics of arrays.  Degenerate samples raise what
     space_distance_kinematics raises at the first of them.
 
-    Only closed-form curves are sampled on arrays; any other curve runs
+    Only catalog curves are sampled on arrays; any other curve runs
     space_distance_kinematics once per sample (`plane._rows_into`, on
-    forked workers past one block of rows).  Expression curves could be
-    sampled on arrays too, but `perfbench/tests` pins 400
+    forked workers past one block of rows).  Expression and moved curves
+    could be sampled on arrays too, but `perfbench/tests` pins 400
     `space.space_distance_kinematics` spans on a 400-sample (one-block)
     `kin_expr_space` job until ROADMAP item 1 re-bases that pin.
     """

@@ -354,6 +354,18 @@ def test_reconstruct_max_error_does_not_overflow(capsys, tmp_path):
         1.2262255561466659e+285, rel=1e-9)
 
 
+def test_reconstruct_record_whose_samples_overflow_exits_3(capsys, tmp_path):
+    # z = t^3 overflows from about 5.6e102 on: the closed forms sample
+    # the grid on arrays and name its first non-finite row
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"curve": {"kind": "cubic",
+                                          "domain": [0.2, 1e150]}}))
+    code, out, err = run(capsys, ["reconstruct", "--config", str(path)])
+    assert (code, out) == (3, "")
+    assert err == ("KinematicsError: non-finite vector component at "
+                   "t=1e+146 (step=None)\n")
+
+
 def test_ellipse_preset_start_whose_double_overflows_exits_3(capsys,
                                                              tmp_path):
     # math.cos(2 theta0) of 2 theta0 = -inf raised ValueError: a traceback
@@ -852,7 +864,10 @@ HIDDEN = [({"x": "t + 1", "y": "1/(1/(t-0.5))"}, [0, 1],
           ({"x": "t + 1", "y": "exp(ln(t-0.5))"}, [0, 1],
            "0", "ln of non-positive value -0.5"),
           ({"x": "t", "y": "t^(1e17/3)"}, [-1, -0.5],
-           "-1", "negative base with fractional exponent")]
+           "-1", "negative base with fractional exponent"),
+          # r samples on arrays; only r' = 1/(2 sqrt(t)) fails
+          ({"x": "t + 1", "y": "sqrt(t)"}, [0, 1],
+           "0", "division by zero at t=0")]
 
 
 @pytest.mark.parametrize("exprs, domain, t, message", HIDDEN)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotorkin import expr
 from rotorkin.curves import (CATALOG, PlaneCurve, SpaceCurve, curve_from_spec,
                              make_catalog_curve, reparametrize,
                              transform_curve)
@@ -14,6 +13,7 @@ from rotorkin.errors import (BadParameters, EvalDomain, KinematicsError,
                              NonMonotonic, OrderUnsupported, OutOfDomain,
                              UnknownCurve)
 from rotorkin.numerics import FD_STEPS, fd_derivative
+from rotorkin.surface import chart_curve
 from rotorkin.vec import Vec2, Vec3
 
 RNG = np.random.default_rng(1203)
@@ -346,7 +346,7 @@ def test_sample_stacks_scalar_calls_without_closed_forms():
     spec = {"kind": "expr", "expr": {"x": "2*cos(t)", "y": "sin(t)"},
             "domain": [0.0, 6.0]}
     # without its array functions, as a curve built from callables
-    curve = replace(curve_from_spec(spec), arrays=None)
+    curve = replace(curve_from_spec(spec), forms=None)
     catalog = make_catalog_curve("ellipse")
     assert curve.forms is None
     ts = np.linspace(0.0, 6.0, 13)
@@ -378,7 +378,8 @@ def test_moved_and_reparametrized_curves_drop_the_closed_forms():
                          [lambda h: 0.5, lambda h: 0.0, lambda h: 0.0],
                          domain_h=(0.0, 4.0 * math.pi))
     for derived in (moved, slow):
-        assert derived.forms is None
+        # a moved curve has closed forms; a reparametrized one drops them
+        assert (derived.forms is None) == (derived is slow)
         ts = np.linspace(*derived.domain, 7)
         r, r1, r2 = derived.sample(ts)
         assert np.allclose(r, [derived.point(t).as_tuple() for t in ts])
@@ -400,8 +401,9 @@ def scalar_samples(curve, ts, order=2):
 def test_expression_sample_broadcasts_constants(exprs):
     curve = curve_from_spec({"kind": "expr", "expr": exprs,
                              "domain": [0.0, 6.0]})
-    assert expr._scalar_only not in sum(curve.arrays, ())  # on arrays
     ts = np.linspace(0.0, 6.0, 9)
+    for form in curve.forms:
+        form(ts, np)  # on arrays: raises no FloatingPointError
     sampled = curve.sample(ts)
     for got, want in zip(sampled, scalar_samples(curve, ts)):
         assert got.shape == (len(ts), len(exprs))
@@ -416,13 +418,94 @@ def test_moved_and_reparametrized_expression_curves_sample_their_points():
                          [lambda h: 0.5, lambda h: 0.0, lambda h: 0.0],
                          domain_h=(0.0, 12.0))
     for derived in (moved, slow):
-        assert derived.arrays is None
+        # a moved curve has closed forms; a reparametrized one drops them
+        assert (derived.forms is None) == (derived is slow)
         ts = np.linspace(*derived.domain, 7)
         for got, want in zip(derived.sample(ts),
                              scalar_samples(derived, ts)):
             assert np.array_equal(got, want)
     assert not np.allclose(moved.sample(np.linspace(0.0, 6.0, 7), 0)[0],
                            curve.sample(np.linspace(0.0, 6.0, 7), 0)[0])
+
+
+ROTATION2 = ((math.cos(0.7), -math.sin(0.7)), (math.sin(0.7), math.cos(0.7)))
+# no zero entry, so that every row's sum has three terms in its order
+ROTATION3 = tuple(tuple(k / 3.0 for k in row)
+                  for row in ((2, -1, 2), (2, 2, -1), (-1, 2, 2)))
+
+
+def moved_curves():
+    """A moved catalog curve and a moved expression curve, their bases,
+    matrices and offsets."""
+    ellipse = make_catalog_curve("ellipse")
+    helix = curve_from_spec({"kind": "expr", "domain": [0.1, 1.0], "expr": {
+        "x": "1 + cos(t)", "y": "2 + sin(t)", "z": "t*t/3"}})
+    return [(transform_curve(ellipse, ROTATION2, Vec2(3.0, -1.0)), ellipse,
+             ROTATION2, (3.0, -1.0)),
+            (transform_curve(helix, ROTATION3, Vec3(0.5, -2.0, 1.5)), helix,
+             ROTATION3, (0.5, -2.0, 1.5))]
+
+
+def test_moved_curves_are_the_matrix_times_their_base_bit_for_bit():
+    for moved, base, rows, b in moved_curves():
+        assert moved.forms is not None
+        for t in np.linspace(*base.domain, 7).tolist():
+            for k in range(4):
+                c = base._at(t, k)
+                want = [row[0] * c[0] + row[1] * c[1] for row in rows]
+                if len(c) == 3:
+                    want = [w + row[2] * c[2] for w, row in zip(want, rows)]
+                if k == 0:
+                    want = [w + o for w, o in zip(want, b)]
+                assert repr(moved._at(t, k)) == repr(tuple(want))
+
+
+def test_moved_curves_evaluate_without_building_a_vec(monkeypatch):
+    curves, built = moved_curves(), []
+    for cls in (Vec2, Vec3):
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self: built.append(self))
+    for moved, base, _, _ in curves:
+        for k in range(4):
+            moved._at(base.domain[0], k)
+    assert built == []
+
+
+def test_moved_curve_without_forms_samples_by_scalar_calls():
+    calls = []
+    u = (lambda t: calls.append(t) or math.cos(t), lambda t: -math.sin(t),
+         lambda t: -math.cos(t), math.sin)
+    v = (math.sin, math.cos, lambda t: -math.sin(t), lambda t: -math.cos(t))
+    chart = chart_curve(u[0], v[0], (0.0, 1.0), u[1:], v[1:])
+    assert chart.forms is None
+    moved = transform_curve(chart, ROTATION2, Vec2(3.0, -1.0))
+    ts = np.linspace(0.0, 1.0, 5)
+    sampled = moved.sample(ts)
+    assert calls == ts.tolist()  # one position call per sample
+    for got, want in zip(sampled, scalar_samples(moved, ts)):
+        assert np.array_equal(got, want)
+
+
+def test_moved_expression_curve_raises_the_walkers_error():
+    curve = curve_from_spec({"kind": "expr", "domain": [0.0, 1.0],
+                             "expr": {"x": "t", "y": "1/(1/(t - 0.5))"}})
+    moved = transform_curve(curve, ROTATION2, Vec2(3.0, -1.0))
+    moved.sample([0.0, 0.25], 0)
+    with pytest.raises(EvalDomain, match=r"^division by zero at t=0.5$"):
+        moved.sample([0.0, 0.5, 1.0], 0)
+
+
+@pytest.mark.parametrize("order", [-1, 3, 1.5])
+def test_sample_order_outside_0_to_2_is_unsupported(order):
+    catalog = make_catalog_curve("ellipse")
+    expression = curve_from_spec({"kind": "expr", "domain": [0.0, 6.0],
+                                  "expr": {"x": "2*cos(t)", "y": "sin(t)"}})
+    slow = reparametrize(catalog, lambda h: 0.5 * h,
+                         [lambda h: 0.5, lambda h: 0.0, lambda h: 0.0],
+                         domain_h=(0.0, 4.0 * math.pi))
+    for curve in (catalog, expression, slow):
+        with pytest.raises(OrderUnsupported, match=f"order {order} not"):
+            curve.sample([0.0, 1.0], order)
 
 
 def test_failing_expression_sample_raises_the_walkers_error():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotorkin import expr
-from rotorkin.curves import PlaneCurve
+from rotorkin.curves import PlaneCurve, _compiled_form
 from rotorkin.errors import (BadParameters, EvalDomain, ExprSyntaxError,
                              UnknownIdentifier)
 from rotorkin.vec import Vec2
@@ -398,7 +398,8 @@ def test_array_function_is_the_scalar_function(node, ts):
     # sample: the walker's error wherever the scalar calls raise one
     curve = PlaneCurve(position=lambda t: Vec2(fn(t), t),
                        domain=(-1e301, 1e301),  # holds every ARGUMENT
-                       arrays=((fn.array, expr.compile_tree(expr.Var()).array),))
+                       forms=(_compiled_form(
+                           (fn, expr.compile_tree(expr.Var()))),))
     want = _outcome(lambda: [list(curve.point(t).as_tuple()) for t in ts])
     got = _outcome(lambda: curve.sample(ts, 0)[0].tolist())
     assert got == want

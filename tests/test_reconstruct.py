@@ -595,18 +595,19 @@ def curve_calls(monkeypatch):
 
 
 def counting_arrays(curve, calls):
-    """The expression curve `curve` with array functions that add the
+    """The expression curve `curve` with array forms that add the
     parameters they evaluate to `calls` under the keys of the scalar calls
-    ("point" for r, the order for a derivative), counted on the first
-    coordinate only, so a sampled parameter counts as one scalar call."""
-    def counting(fn, key):
-        def counted(ts):
-            calls[key] += len(ts)
-            return fn(ts)
+    ("point" for r, the order for a derivative), counted once per form
+    call, so a sampled parameter counts as one scalar call."""
+    def counting(form, key):
+        def counted(ts, m):
+            if m is np:
+                calls[key] += len(ts)
+            return form(ts, m)
         return counted
-    return replace(curve, arrays=tuple(
-        (counting(fns[0], order or "point"), *fns[1:])
-        for order, fns in enumerate(curve.arrays)))
+    return replace(curve, forms=tuple(
+        counting(form, order or "point")
+        for order, form in enumerate(curve.forms)))
 
 
 @pytest.mark.parametrize("expr, builder, run", [
