@@ -24,8 +24,7 @@ from .curves import (CATALOG, _spec_domain, curve_from_spec,
                      make_catalog_curve)
 from .errors import (BadParameters, ExprSyntaxError, KinematicsError,
                      UnknownCurve, UnknownIdentifier)
-from .plane import (_distance_frame, _grid_blocks, _local_frame,
-                    _over_samples, uniform_grid)
+from .plane import _distance_frame, _grid_blocks, _local_frame
 from .vec import Vec2
 
 EXIT_OK = 0
@@ -150,23 +149,12 @@ def _emit(headers, rows, out_path: Optional[str], fmt: str) -> None:
     (_write_json if fmt == "json" else _write_csv)(destination, headers, rows)
 
 
-def _stream(headers, rows, columns, out_path: Optional[str],
-            fmt: str) -> int:
-    """Emit the block source `rows` and return the exit code.  When one of
-    its blocks raises KinematicsError, the full-length columns() instead
-    decide the error line (exit 3) or every byte written; without
-    `columns` (a source whose first error in row order is already the
-    full-length path's), that error is the error line."""
+def _stream(write) -> int:
+    """Run write(), which emits the rows; a KinematicsError is exit 3."""
     try:
-        _emit(headers, rows, out_path, fmt)
+        write()
     except KinematicsError as exc:
-        if columns is None:
-            return _numeric_failure(exc)
-        try:
-            table = columns()
-        except KinematicsError as exc:
-            return _numeric_failure(exc)
-        _emit(headers, _column_blocks(table), out_path, fmt)
+        return _numeric_failure(exc)
     return EXIT_OK
 
 
@@ -244,19 +232,13 @@ def cmd_kinematics(args) -> int:
         names = ("D", "dD", "d2D", "rot_speed")
         kinematics = _distance_frame(
             curve, point if point is not None else Vec2(0.0, 0.0))
-    count, block = _grid_blocks(curve, samples, names, *kinematics)
 
-    def columns():  # what the *_array function computes
-        ts = uniform_grid(curve.domain, samples)
-        result = _over_samples(curve, ts, *kinematics)
-        return (ts, *(getattr(result, name) for name in names))
-    if frame == "local":
-        return _stream(headers, (count, lambda k: _local_columns(*block(k))),
-                       lambda: _local_columns(*columns()), out, fmt)
-    # the per-sample rows of an unsampled space curve raise as the
-    # full-length loop would; a sampled block may be redone row by row
-    return _stream(headers, (count, block), columns if kinematics[2] else None,
-                   out, fmt)
+    def emit(rows):
+        count, block = rows
+        _emit(headers, (count, lambda k: _local_columns(*block(k)))
+              if frame == "local" else rows, out, fmt)
+    return _stream(partial(_grid_blocks, emit, curve, samples, names,
+                           *kinematics))
 
 
 def _local_columns(ts, phi, phi_prime, psi_speed):
@@ -337,8 +319,9 @@ def cmd_surface(args) -> int:
         # a non-finite row raises NonFiniteData instead of printing inf
         return surface.surface_distance_kinematics(surf, curve, t)
 
-    return _stream(headers, _grid_blocks(curve, samples, names, None, scalar,
-                                         sample=False), None, out, fmt)
+    emit = partial(_emit, headers, out_path=out, fmt=fmt)
+    return _stream(partial(_grid_blocks, emit, curve, samples, names, None,
+                           scalar, False))
 
 
 def cmd_ellipse(args) -> int:
@@ -350,9 +333,9 @@ def cmd_ellipse(args) -> int:
     fmt = _format(args, config)
     out = _out_path(args, config)
     params = ell.EllipseParams(a, b)  # bad axes are config errors
-    return _stream(ell.PROFILE_HEADER.split(","),
-                   (samples, partial(ell._profile_block, params, samples)),
-                   None, out, fmt)
+    return _stream(partial(
+        _emit, ell.PROFILE_HEADER.split(","),
+        (samples, partial(ell._profile_block, params, samples)), out, fmt))
 
 
 def cmd_verify(args) -> int:

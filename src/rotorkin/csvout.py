@@ -1,6 +1,6 @@
 """The writers of every command and of `Trajectory.write_csv`, their
-"%.17g" formatter, and the fork code that the per-sample row loop shares; a
-leaf module, so the CLI loads it without the reconstruction code.
+"%.17g" formatter, and the fork code that runs their blocks; a leaf
+module, so the CLI loads it without the reconstruction code.
 
 The writers read a *block source*: a pair (rows, block) whose block(k)
 gives the columns of rows k * _BLOCK to (k + 1) * _BLOCK, equal-length
@@ -29,10 +29,10 @@ def _usable_cpus() -> int:
             else os.cpu_count() or 1)
 
 
-def _forked_runs(count, work, files, mode) -> list:
+def _forked_runs(count, work, files) -> list:
     """Do blocks 0 to count - 1 in one contiguous run (a range of block
     numbers) per usable CPU, each as work(run, tmp) into its own unlinked
-    temporary file opened with `mode` and entered in the ExitStack `files`:
+    temporary text file entered in the ExitStack `files`:
     a forked child does each later run, this process run 0.  A failed
     child's run is redone here, so that its error is raised here.  Returns
     the (run, file) pairs in order, each file rewound.  A failure here
@@ -40,7 +40,7 @@ def _forked_runs(count, work, files, mode) -> list:
     (no exit handler)."""
     n = max(1, min(count, _usable_cpus()))
     runs = [(range(count * k // n, count * (k + 1) // n),
-             files.enter_context(tempfile.TemporaryFile(mode)))
+             files.enter_context(tempfile.TemporaryFile("w+")))
             for k in range(n)]
     children = []
     try:
@@ -116,7 +116,7 @@ def _write_runs(out, head, count, write, tail) -> None:
     has succeeded, open out() and copy `head`, the runs and `tail` into it.
     So an error raised by a block leaves the destination unopened."""
     with ExitStack() as files:
-        runs = _forked_runs(-(-count // _BLOCK), write, files, "w+")
+        runs = _forked_runs(-(-count // _BLOCK), write, files)
         with out() as fh:
             fh.write(head)
             for _, tmp in runs:

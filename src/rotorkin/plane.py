@@ -12,14 +12,13 @@ to position.
 from __future__ import annotations
 
 import math
-from contextlib import ExitStack
 from dataclasses import dataclass, fields
-from functools import reduce
+from functools import partial, reduce
 from typing import Iterable
 
 import numpy as np
 
-from .csvout import _BLOCK, _forked_runs
+from .csvout import _BLOCK
 from .errors import (CenterOnCurve, DegenerateChord, KinematicsError,
                      NonFiniteData, OutOfDomain, SingularPoint)
 from .vec import EPS_NORM, Vec2, _sub
@@ -101,10 +100,20 @@ def _plane_kinematics(curve, center: tuple, t: float,
                            rot_velocity=Vec2(*velocity), rot_speed=abs(omega))
 
 
+def _overflow(t: float) -> NonFiniteData:
+    """The error of a float ** past the largest float at t, `t` set."""
+    exc = NonFiniteData(f"kinematics overflow at t={t:g}")
+    exc.t = t
+    return exc
+
+
 def distance_kinematics(curve, center: Vec2, t: float) -> PlaneKinematics:
     """Distance rate, its derivative, and the rotational velocity of the
     center-to-point direction, all with respect to the curve parameter."""
-    return _plane_kinematics(curve, center.as_tuple(), t, CenterOnCurve)
+    try:
+        return _plane_kinematics(curve, center.as_tuple(), t, CenterOnCurve)
+    except OverflowError as exc:
+        raise _overflow(t) from exc
 
 
 def chord_kinematics(curve, t: float, dt: float) -> PlaneKinematics:
@@ -113,7 +122,11 @@ def chord_kinematics(curve, t: float, dt: float) -> PlaneKinematics:
     dt -> 0+ these converge to local_limits."""
     if dt <= 0.0:
         raise OutOfDomain("chord step dt must be positive")
-    return _plane_kinematics(curve, curve._at(t, 0), t + dt, DegenerateChord)
+    try:
+        return _plane_kinematics(curve, curve._at(t, 0), t + dt,
+                                 DegenerateChord)
+    except OverflowError as exc:
+        raise _overflow(t) from exc
 
 
 def local_limits(curve, t: float) -> LocalLimits2:
@@ -121,116 +134,114 @@ def local_limits(curve, t: float) -> LocalLimits2:
     phi (chord-rate limit), phi' (its derivative), and the local rotational
     velocity psi, which is half the curvature times the speed in magnitude
     and normal to the tangent."""
-    rp = curve._at(t, 1)
-    phi = math.hypot(*rp)
-    if phi <= EPS_NORM:
-        raise SingularPoint(f"curve is singular at t={t:g}")
-    phi_prime, psi, psi_speed = _local_terms(rp, curve._at(t, 2), phi)
+    try:
+        rp = curve._at(t, 1)
+        phi = math.hypot(*rp)
+        if phi <= EPS_NORM:
+            raise SingularPoint(f"curve is singular at t={t:g}")
+        phi_prime, psi, psi_speed = _local_terms(rp, curve._at(t, 2), phi)
+    except OverflowError as exc:
+        raise _overflow(t) from exc
     return LocalLimits2(phi=phi, phi_prime=phi_prime, psi=Vec2(*psi),
                         psi_speed=psi_speed)
 
 
 # -- the same frames over arrays of parameters ----------------------------
 
-def _sampled(curve, ts, kernel):
-    """kernel(r, r', r'') over the curve's samples at ts: the result
-    dataclass with array fields and the mask of its good rows.  Sampling
-    may raise KinematicsError."""
-    samples = curve.sample(ts)
-    with np.errstate(all="ignore"):  # bad rows are masked
-        return kernel(*samples)
+class _Unsampled(KinematicsError):
+    """Sampling a block raised: every row takes the scalar API."""
+
+
+def _block_fields(curve, ts, kernel, scalar, names, sample):
+    """The fields `names` at the parameters ts of one block, as arrays: the
+    kernel's over the curve's samples, each row that it marks bad redone by
+    scalar(t) in the order of ts (`_scalar_rows`); with `sample` false,
+    every row scalar(t)'s.  Sampling that raises raises _Unsampled."""
+    if not sample:
+        return [np.array(column, dtype=float)
+                for column in zip(*_scalar_rows(scalar, ts.tolist(), names))]
+    with np.errstate(all="ignore"):  # bad rows are redone
+        try:
+            samples = curve.sample(ts)
+        except KinematicsError as exc:
+            raise _Unsampled(str(exc)) from exc
+        out, good = kernel(*samples)
+    columns = [getattr(out, name) for name in names]
+    bad = np.flatnonzero(~good)
+    for i, row in zip(bad, _scalar_rows(scalar, ts[bad].tolist(), names)):
+        for column, value in zip(columns, row):
+            column[i] = value
+    return columns
+
+
+def _settled(emit, curve, n, ts_of, kernel, scalar, names, sample):
+    """emit((n, block)), the block source (`csvout`) of n rows whose block(k)
+    is ts_of(k) and the fields `names` there (`_block_fields`), under the
+    rule of every array path: when sampling any block raises, every row is
+    scalar(t)'s.  So emit runs again on the scalar rows when a block is
+    _Unsampled, or raises another KinematicsError while a pass that only
+    samples finds a block that does not sample; else the error propagates,
+    the first failing row's when emit takes the blocks in order."""
+    def block(sample, k):
+        ts = ts_of(k)
+        return (ts, *_block_fields(curve, ts, kernel, scalar, names, sample))
+
+    try:
+        return emit((n, partial(block, sample)))
+    except _Unsampled:
+        pass
+    except KinematicsError:
+        try:
+            with np.errstate(all="ignore"):
+                for k in range(-(-n // _BLOCK) if sample else 0):
+                    curve.sample(ts_of(k))
+        except KinematicsError:
+            pass
+        else:  # every block samples: the error stands
+            raise
+    return emit((n, partial(block, False)))
 
 
 def _over_samples(curve, ts, kernel, scalar, sample=True):
-    """`kernel(r, r', r'')` over the curve's samples at ts, one block of
-    _BLOCK rows at a time, into columns of the full length; it returns the
-    result dataclass with array fields and the mask of its good rows.
-
-    Every other row is redone by `scalar(t)` in the order of ts, so the
-    first failing one raises the scalar API's typed error, with its `t`
-    set; when sampling any block fails, or `sample` is false, every row
-    is.  A row that stays non-finite raises NonFiniteData, so no NaN or
-    Inf leaves the array path.
-    """
+    """`kernel(r, r', r'')` over the curve's samples at ts under the rule
+    of `_settled`, one block at a time into columns of the full length:
+    the result dataclass with array fields.  A bad row raises the scalar
+    API's typed error, with its `t` set, and a row that stays non-finite
+    raises NonFiniteData, so no NaN or Inf leaves the array path."""
     ts = np.asarray(ts, dtype=float)
     with np.errstate(all="ignore"):  # one NaN row gives the field shapes
         like, _ = kernel(*np.full((3, 1, curve.dim), np.nan))
     names = [f.name for f in fields(like)]
     columns = [np.empty(ts.shape + getattr(like, name).shape[1:])
                for name in names]
-    bad = []
-    try:
-        for start in range(0, len(ts) if sample else 0, _BLOCK):
-            out, good = _sampled(curve, ts[start:start + _BLOCK], kernel)
-            for column, name in zip(columns, names):
-                column[start:start + len(good)] = getattr(out, name)
-            bad.append(start + np.flatnonzero(~good))
-    except KinematicsError:
-        sample = False  # every row, from the first block on
-    rows = np.concatenate(bad) if sample and bad else np.arange(len(ts))
-    _rows_into(columns, rows, scalar, ts, names)
+
+    def fill(rows):
+        for k in range(-(-len(ts) // _BLOCK)):
+            for column, values in zip(columns, rows[1](k)[1:]):
+                column[k * _BLOCK:(k + 1) * _BLOCK] = values
+
+    _settled(fill, curve, len(ts), lambda k: ts[k * _BLOCK:(k + 1) * _BLOCK],
+             kernel, scalar, names, sample)
     return type(like)(*columns)
 
 
-def _grid_blocks(curve, n, names, kernel, scalar, sample=True):
-    """The block source (`csvout`) of the fields `names` over
-    uniform_grid(curve.domain, n): block k holds the grid's rows k * _BLOCK
-    to (k + 1) * _BLOCK, with the same bits, then the fields there, the
-    kernel's over the curve's samples or, when `sample` is false,
-    scalar(t)'s row by row (`_scalar_rows`).
-
-    A block whose sampling raises or whose kernel marks a row bad raises
-    KinematicsError: `_over_samples` over the whole grid decides what
-    such rows print, or which error they raise.  A block whose scalar
-    rows raise raises the error of its first failing row, which is
-    `_over_samples`'s when it is the first in row order.
-    """
-    def block(k):
-        ts = _grid_rows(curve.domain, n,
-                        np.arange(k * _BLOCK, min(n, (k + 1) * _BLOCK)))
-        if not sample:
-            return (ts, *zip(*_scalar_rows(scalar, ts.tolist(), names)))
-        out, good = _sampled(curve, ts, kernel)
-        if not good.all():
-            raise KinematicsError("a row needs its scalar API")
-        return (ts, *(getattr(out, name) for name in names))
-    return n, block
-
-
-def _rows_into(columns, rows, scalar, ts, names):
-    """Set row rows[i] of the arrays `columns` to the fields `names` of
-    scalar(ts[rows[i]]) (`_scalar_rows`), per block of _BLOCK rows, in
-    `csvout._forked_runs`; each run's fields cross as float64 bytes."""
-    def blocks(run):
-        return (rows[k * _BLOCK:(k + 1) * _BLOCK] for k in run)
-
-    def work(run, out):
-        for at in blocks(run):
-            rows_at = _scalar_rows(scalar, ts[at].tolist(), names)
-            for values in zip(*rows_at):
-                out.write(np.array(values, dtype=float).tobytes())
-
-    with ExitStack() as files:
-        for run, tmp in _forked_runs(-(-len(rows) // _BLOCK), work, files,
-                                     "w+b"):
-            for at in blocks(run):
-                for column in columns:
-                    like = column[:len(at)]  # a view of the block's shape
-                    column[at] = np.frombuffer(
-                        tmp.read(like.nbytes)).reshape(like.shape)
+def _grid_blocks(emit, curve, n, names, kernel, scalar, sample=True):
+    """`_settled` over uniform_grid(curve.domain, n), with its bits: block k
+    holds the grid's rows k * _BLOCK to (k + 1) * _BLOCK."""
+    _settled(emit, curve, n,
+             lambda k: _grid_rows(curve.domain, n, np.arange(
+                 k * _BLOCK, min(n, (k + 1) * _BLOCK))),
+             kernel, scalar, names, sample)
 
 
 def _scalar_rows(scalar, ts, names):
     """The fields `names` of scalar(t), one row per float t of ts, vectors
-    as component tuples.  An overflow or a non-finite field (a vector is
-    finite) raises NonFiniteData; any error's `t` is the failing t."""
+    as component tuples.  A non-finite field (a vector is finite) raises
+    NonFiniteData; any error's `t` is the failing t."""
     rows = []
     for t in ts:
         try:
-            try:
-                result = scalar(t)
-            except OverflowError as exc:
-                raise NonFiniteData(f"kinematics overflow at t={t:g}") from exc
+            result = scalar(t)
             row = [getattr(result, name) for name in names]
             for k, value in enumerate(row):
                 if isinstance(value, Vec2):

@@ -23,7 +23,7 @@ from .errors import (AxisProjectionDegenerate, CenterOnCurve, CurvesIntersect,
                      DegenerateFrame, DegenerateProjection, OutOfDomain,
                      SingularPoint)
 from .numerics import fd1_wide
-from .plane import (_CONGRUENT_TOL, _finite_rows, _over_samples,
+from .plane import (_CONGRUENT_TOL, _finite_rows, _over_samples, _overflow,
                     _radial_rates)
 from .vec import (_PLANES, EPS_NORM, Vec3, _checked, _norm, _sub,
                   triple_product)
@@ -98,16 +98,21 @@ def _cross(p: tuple, q: tuple) -> tuple:
                      p[0] * q[1] - p[1] * q[0]))
 
 
-def _space_kinematics(rel: tuple, rp: tuple, rpp: tuple, t: float,
-                      coincident, projection) -> SpaceKinematics:
+def _space_kinematics(at, t: float, coincident,
+                      projection) -> SpaceKinematics:
     """Distance rates and coordinate-plane projected rotational speeds of
-    the vector `rel` with derivatives rp, rpp (component triples); raises
-    `coincident` when rel vanishes and `projection` when one of its
-    projections does."""
-    d = _norm(rel)
-    if d <= EPS_NORM:
-        raise coincident(f"distance vanishes at t={t:g}")
-    dD, d2D = _radial_rates(d, _dot(rel, rp), _dot(rp, rp), _dot(rel, rpp))
+    the vector rel = at(t, 0) with derivatives at(t, 1), at(t, 2) (component
+    triples); raises `coincident` when rel vanishes, `projection` when one
+    of its projections does, and NonFiniteData at t on an overflow."""
+    try:
+        rel, rp, rpp = at(t, 0), at(t, 1), at(t, 2)
+        d = _norm(rel)
+        if d <= EPS_NORM:
+            raise coincident(f"distance vanishes at t={t:g}")
+        dD, d2D = _radial_rates(d, _dot(rel, rp), _dot(rp, rp),
+                                _dot(rel, rpp))
+    except OverflowError as exc:
+        raise _overflow(t) from exc
     (x, y, z), (xp, yp, zp) = rel, rp
     return SpaceKinematics(
         D=d, dD=dD, d2D=d2D,
@@ -120,8 +125,7 @@ def _space_kinematics(rel: tuple, rp: tuple, rpp: tuple, t: float,
 def space_distance_kinematics(curve, t: float) -> SpaceKinematics:
     """Distance rate/second derivative about the origin and the three
     coordinate-plane projected rotational speeds."""
-    return _space_kinematics(curve._at(t, 0), curve._at(t, 1),
-                             curve._at(t, 2), t, CenterOnCurve,
+    return _space_kinematics(curve._at, t, CenterOnCurve,
                              AxisProjectionDegenerate)
 
 
@@ -163,11 +167,11 @@ def space_distance_kinematics_array(curve, ts) -> SpaceKinematics:
     space_distance_kinematics raises at the first of them.
 
     Only catalog curves are sampled on arrays; any other curve runs
-    space_distance_kinematics once per sample (`plane._rows_into`, on
-    forked workers past one block of rows).  Expression and moved curves
-    could be sampled on arrays too, but `perfbench/tests` pins 400
-    `space.space_distance_kinematics` spans on a 400-sample (one-block)
-    `kin_expr_space` job until ROADMAP item 1 re-bases that pin.
+    space_distance_kinematics once per sample (`plane._block_fields`).
+    Expression and moved curves could be sampled on arrays too, but
+    `perfbench/tests` pins 400 `space.space_distance_kinematics` spans on
+    a 400-sample (one-block) `kin_expr_space` job until ROADMAP item 1
+    re-bases that pin.
     """
     return _over_samples(curve, ts, *_origin_frame(curve))
 
@@ -176,8 +180,8 @@ def pair_kinematics(curve_a, curve_b, t: float) -> SpaceKinematics:
     """Kinematics of the connecting vector from curve_a to curve_b at a
     shared parameter value."""
     return _space_kinematics(
-        *(_sub(curve_b._at(t, k), curve_a._at(t, k)) for k in (0, 1, 2)),
-        t, CurvesIntersect, DegenerateProjection)
+        lambda s, k: _sub(curve_b._at(s, k), curve_a._at(s, k)), t,
+        CurvesIntersect, DegenerateProjection)
 
 
 # -- derivative-plane (local) machinery ----------------------------------------

@@ -17,10 +17,11 @@ from rotorkin import cli
 from rotorkin import ellipse as ell
 from rotorkin.csvout import _BLOCK, _column_blocks, _write_csv, _write_json
 from rotorkin.curves import curve_from_spec, make_catalog_curve
-from rotorkin.errors import KinematicsError
-from rotorkin.plane import (_grid_blocks, _local_frame, _rows_into,
-                            distance_kinematics, distance_kinematics_array,
-                            local_limits, local_limits_array, uniform_grid)
+from rotorkin.errors import CenterOnCurve, KinematicsError, SingularPoint
+from rotorkin.plane import (PlaneKinematics, _grid_blocks, _local_frame,
+                            _over_samples, distance_kinematics,
+                            distance_kinematics_array, local_limits,
+                            local_limits_array, uniform_grid)
 from rotorkin.space import (_origin_frame, space_distance_kinematics,
                             space_distance_kinematics_array)
 from rotorkin.vec import Vec2
@@ -144,6 +145,32 @@ def test_sampling_that_fails_in_the_third_block_redoes_every_row():
     assert_scalar_bits(local_limits_array(LN, ts), local_limits, LN, ts)
 
 
+@pytest.mark.parametrize("tail, want", [((-1.0, -0.5), (CenterOnCurve, 3)),
+                                        ((2.5, 3.0), (SingularPoint, 5))])
+def test_a_later_block_that_fails_to_sample_decides_the_error(tail, want):
+    # the kernel marks row 5 bad; the scalar API fails at rows 3 and 5.
+    # When the third block does not sample (ln of t < 0), every row is
+    # the scalar API's, and row 3 fails first; else only row 5 is
+    ts = np.concatenate([np.linspace(1.0, 2.0, _BLOCK),
+                         np.linspace(2.1, 2.4, _BLOCK),
+                         np.linspace(*tail, _BLOCK)])
+
+    def kernel(r, rp, rpp):
+        zeros = np.zeros((4, len(r)))
+        return (PlaneKinematics(*zeros[:3], np.zeros((len(r), 2)), zeros[3]),
+                r[:, 0] != ts[5])
+
+    def scalar(t):
+        if t in (ts[3], ts[5]):
+            error = CenterOnCurve if t == ts[3] else SingularPoint
+            raise error(f"at t={t:g}")
+        return PlaneKinematics(1.0, 1.0, 1.0, Vec2(0.0, 0.0), 1.0)
+
+    with pytest.raises(KinematicsError) as exc:
+        _over_samples(LN, ts, kernel, scalar)
+    assert (type(exc.value), exc.value.t) == (want[0], ts[want[1]])
+
+
 def test_the_ln_local_frame_is_the_per_sample_loop(capsys, tmp_path):
     # ln fails for t < 0, in the first of five blocks only
     ts = uniform_grid(LN.domain, 5000)
@@ -231,16 +258,38 @@ def local_columns(ts, lim):
             lim.phi, lim.psi_speed)
 
 
+def scalar_columns(scalar, curve, n, names):
+    """The grid of n rows and the fields `names` of scalar(t) there."""
+    ts = uniform_grid(curve.domain, n)
+    rows = [scalar(t) for t in ts.tolist()]
+    return (ts, *(np.array([getattr(row, name) for row in rows])
+                  for name in names))
+
+
 def torus_columns(n):
     from rotorkin import surface
     surf = surface.surface_from_spec(TORUS["surface"])
     chart = TORUS["chart_curve"]
     curve = expr_curve(chart["domain"], x=chart["u"], y=chart["v"])
-    ts = uniform_grid(curve.domain, n)
-    columns = [np.empty(n) for _ in SPACE_NAMES]
-    _rows_into(columns, range(n), lambda t: surface.surface_distance_kinematics(
-        surf, curve, t), ts, SPACE_NAMES)
-    return (ts, *columns)
+    return scalar_columns(
+        lambda t: surface.surface_distance_kinematics(surf, curve, t), curve,
+        n, SPACE_NAMES)
+
+
+def ln_record(n):
+    """A local-frame curve on t = 0, 1, ..., n - 1 whose last row is past
+    the pole of ln: the last block does not sample, so every row is the
+    per-sample loop's."""
+    return {"curve": {"kind": "expr", "domain": [0, n - 1],
+                      "expr": {"x": "t", "y": f"ln({n - 1.5} - t)"}}}
+
+
+def ln_columns(n):
+    curve = curve_from_spec(ln_record(n)["curve"])
+    ts, phi, phi_prime, psi_speed = scalar_columns(
+        lambda t: local_limits(curve, t), curve, n,
+        ["phi", "phi_prime", "psi_speed"])
+    return ts, np.zeros(n), phi, phi_prime, psi_speed, phi, psi_speed
 
 
 def kin(array, curve, names):
@@ -252,8 +301,9 @@ def kin(array, curve, names):
 
 
 ELLIPSE_AXES = (2.3, 1.4)
-# name: (argv, config, header, the full-length columns of n rows as the
-# `*_array` function, `_rows_into` or `profile_columns` computes them)
+# name: (argv, config (or its function of n), header, the full-length
+# columns of n rows as the `*_array` function, the scalar API or
+# `profile_columns` computes them)
 COMMANDS = {
     "origin": (["kinematics", "--curve", "ellipse", "--a", "2", "--b", "1"],
                None, ["t", "D", "dD", "d2D", "rot_speed"],
@@ -275,6 +325,9 @@ COMMANDS = {
                    kin(space_distance_kinematics_array, SPACE_EXPR,
                        SPACE_NAMES)),
     "surface": (["surface"], TORUS, SPACE_HEADER, torus_columns),
+    "local-ln": (["kinematics", "--frame", "local"], ln_record,
+                 ["t", "D", "dD", "d2D", "rot_speed", "phi", "psi_speed"],
+                 ln_columns),
     "ellipse": (["ellipse", "--a", str(ELLIPSE_AXES[0]),
                  "--b", str(ELLIPSE_AXES[1])], None,
                 ell.PROFILE_HEADER.split(","),
@@ -296,7 +349,7 @@ def command_argv(name, tmp_path, n, fmt, out=None):
     argv = argv + ["--samples", str(n), "--format", fmt]
     if config is not None:
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
+        path.write_text(json.dumps(config(n) if callable(config) else config))
         argv += ["--config", str(path)]
     return argv + (["--out", str(out)] if out else [])
 
@@ -331,7 +384,9 @@ def test_one_row_sources_are_the_full_columns():
                (local_limits_array, _local_frame, ELLIPSE,
                 ["phi", "phi_prime", "psi_speed"])]
     for array, frame, curve, names in sources:
-        count, block = _grid_blocks(curve, 1, names, *frame(curve))
+        emitted = []
+        _grid_blocks(emitted.append, curve, 1, names, *frame(curve))
+        (count, block), = emitted
         ts = uniform_grid(curve.domain, 1)
         result = array(curve, ts)
         assert count == 1
@@ -416,7 +471,7 @@ def test_sampling_that_fails_in_the_third_block_writes_the_scalar_rows(
 # name: rows; every command at 1e5 rows, the per-sample surface at 2e4
 STREAMED = {"origin": 10 ** 5, "point": 10 ** 5, "local": 10 ** 5,
             "space": 10 ** 5, "space-expr": 10 ** 5, "surface": 2 * 10 ** 4,
-            "ellipse": 10 ** 5}
+            "local-ln": 10 ** 5, "ellipse": 10 ** 5}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -1129,9 +1129,6 @@ RUN_ERRORS = {
 def test_an_error_in_a_forked_run_is_the_one_cpu_error(monkeypatch, capsys,
                                                        tmp_path, argv,
                                                        config, line):
-    # the first failing row of a per-sample source is already the
-    # full-length path's, so that path never runs
-    monkeypatch.setattr(cli, "uniform_grid", None)
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**config, "samples": 3 * _BLOCK}))
     for cpus in (1, 2, 3):

@@ -6,16 +6,18 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from rotorkin import cli
 from rotorkin.csvout import _BLOCK
 from rotorkin.curves import (PlaneCurve, curve_from_spec, make_catalog_curve,
                              reparametrize, transform_curve)
 from rotorkin.errors import (CenterOnCurve, DegenerateChord, KinematicsError,
                              NonFiniteData, SingularPoint)
 from rotorkin.numerics import extrapolate_to_zero, fd_derivative
-from rotorkin.plane import (LocalLimits2, PlaneKinematics, _rows_into,
-                            chord_kinematics, distance_kinematics,
-                            distance_kinematics_array, local_limits,
-                            local_limits_array, plane_congruent, uniform_grid)
+from rotorkin.plane import (LocalLimits2, PlaneKinematics, _grid_blocks,
+                            _over_samples, chord_kinematics,
+                            distance_kinematics, distance_kinematics_array,
+                            local_limits, local_limits_array, plane_congruent,
+                            uniform_grid)
 from rotorkin.vec import Vec2
 
 RNG = np.random.default_rng(522)
@@ -515,26 +517,44 @@ def test_overflowing_kinematics_raise_instead_of_leaking_inf():
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_redone_rows_are_the_scalar_bits_on_any_number_of_cpus(monkeypatch,
+                                                               tmp_path,
                                                                cpus):
-    # every other row of three blocks and more, vectors included, on one
-    # forked worker per CPU
+    # every other row of three blocks and more, vectors included, redone in
+    # its block: into the full-length columns, and into the writer's rows
+    # on one forked worker per CPU
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(cpus)), raising=False)
     curve = ellipse()
-    ts = np.linspace(0.0, 6.0, 6 * _BLOCK + 7)
+    ts = uniform_grid(curve.domain, 6 * _BLOCK + 7)
     rows = np.arange(0, len(ts), 2)
     names = ["D", "dD", "d2D", "rot_velocity", "rot_speed"]
-    columns = [np.zeros(len(ts)) for _ in names]
-    columns[3] = np.zeros((len(ts), 2))
-    _rows_into(columns, rows, lambda t: distance_kinematics(curve, ORIGIN, t),
-               ts, names)
-    for name, column in zip(names, columns):
-        want = [getattr(distance_kinematics(curve, ORIGIN, t), name)
-                for t in ts[rows].tolist()]
-        if name == "rot_velocity":
-            want = [v.as_tuple() for v in want]
-        assert column[rows].tobytes() == np.array(want).tobytes(), name
-        assert not column[1::2].any(), name
+
+    def kernel(r, rp, rpp):  # zeros, and every other row of a block bad
+        zeros = np.zeros((4, len(r)))
+        return (PlaneKinematics(*zeros[:3], np.zeros((len(r), 2)), zeros[3]),
+                np.arange(len(r)) % 2 == 1)
+
+    def scalar(t):
+        return distance_kinematics(curve, ORIGIN, t)
+
+    result = _over_samples(curve, ts, kernel, scalar)
+    path = tmp_path / "rows.csv"
+    _grid_blocks(lambda source: cli._emit(["t", "D", "dD", "d2D", "vx", "vy",
+                                           "rot_speed"], source, str(path),
+                                          "csv"),
+                 curve, len(ts), names, kernel, scalar)
+    table = np.array([[float(cell) for cell in line.split(",")]
+                      for line in path.read_text().splitlines()[1:]])
+    assert table[:, 0].tobytes() == ts.tobytes()
+    for columns in ([getattr(result, name) for name in names],
+                    [table[:, 1], table[:, 2], table[:, 3], table[:, 4:6],
+                     table[:, 6]]):
+        for name, column in zip(names, columns):
+            want = [getattr(scalar(t), name) for t in ts[rows].tolist()]
+            if name == "rot_velocity":
+                want = [v.as_tuple() for v in want]
+            assert column[rows].tobytes() == np.array(want).tobytes(), name
+            assert not column[1::2].any(), name
 
 
 # -- the float-tuple formulas against the Vec arithmetic they replaced -------

@@ -14,7 +14,8 @@ from rotorkin.errors import (AxisProjectionDegenerate, CenterOnCurve,
                              DegenerateProjection, KinematicsError,
                              NonFiniteData, SingularPoint)
 from rotorkin.numerics import extrapolate_to_zero, fd1_wide, fd_derivative
-from rotorkin.plane import uniform_grid
+from rotorkin.plane import (chord_kinematics, distance_kinematics,
+                            local_limits, uniform_grid)
 from rotorkin.space import (DerivativePlaneLimits, InvariantTuple,
                             SpaceKinematics, _chain_direct,
                             _chain_from_invariants, derivative_plane_limits,
@@ -24,7 +25,7 @@ from rotorkin.space import (DerivativePlaneLimits, InvariantTuple,
                             space_distance_kinematics_array,
                             verify_invariant_chain)
 from rotorkin.surface import composed_space_curve, make_surface
-from rotorkin.vec import Vec3, triple_product
+from rotorkin.vec import Vec2, Vec3, triple_product
 
 RNG = np.random.default_rng(733)
 
@@ -412,6 +413,23 @@ def test_overflowing_space_kinematics_raise_instead_of_leaking_inf():
     with pytest.raises(NonFiniteData) as exc:
         space_distance_kinematics_array(cubic, np.linspace(0.2, 1.5, 4))
     assert exc.value.t == 0.2
+
+
+def test_a_scalar_kinematics_overflow_is_non_finite_data_at_t():
+    # d ** 3 and phi ** 3 of a radius near 1e103 pass the largest float,
+    # which Python floats raise as a bare OverflowError
+    circle = make_catalog_curve("circle", {"radius": 1e103})
+    helix = make_catalog_curve("helix", {"radius": 1e103})
+    calls = [lambda t: distance_kinematics(circle, Vec2(0.0, 0.0), t),
+             lambda t: local_limits(circle, t),
+             lambda t: chord_kinematics(circle, t, 1.0),
+             lambda t: space_distance_kinematics(helix, t),
+             lambda t: pair_kinematics(make_catalog_curve("helix"), helix, t)]
+    for call in calls:
+        with pytest.raises(NonFiniteData) as exc:
+            call(0.5)
+        assert exc.value.t == 0.5
+        assert str(exc.value) == "kinematics overflow at t=0.5"
 
 
 def test_curves_without_closed_forms_run_the_scalar_api_per_sample(
