@@ -149,10 +149,10 @@ def _emit(headers, rows, out_path: Optional[str], fmt: str) -> None:
     (_write_json if fmt == "json" else _write_csv)(destination, headers, rows)
 
 
-def _stream(write) -> int:
-    """Run write(), which emits the rows; a KinematicsError is exit 3."""
+def _stream(headers, rows, out_path: Optional[str], fmt: str) -> int:
+    """_emit the block source `rows`; a KinematicsError is exit 3."""
     try:
-        write()
+        _emit(headers, rows, out_path, fmt)
     except KinematicsError as exc:
         return _numeric_failure(exc)
     return EXIT_OK
@@ -233,12 +233,10 @@ def cmd_kinematics(args) -> int:
         kinematics = _distance_frame(
             curve, point if point is not None else Vec2(0.0, 0.0))
 
-    def emit(rows):
-        count, block = rows
-        _emit(headers, (count, lambda k: _local_columns(*block(k)))
-              if frame == "local" else rows, out, fmt)
-    return _stream(partial(_grid_blocks, emit, curve, samples, names,
-                           *kinematics))
+    n, block = _grid_blocks(curve, samples, names, *kinematics)
+    columns = ((lambda k: _local_columns(*block(k))) if frame == "local"
+               else block)
+    return _stream(headers, (n, columns), out, fmt)
 
 
 def _local_columns(ts, phi, phi_prime, psi_speed):
@@ -319,9 +317,8 @@ def cmd_surface(args) -> int:
         # a non-finite row raises NonFiniteData instead of printing inf
         return surface.surface_distance_kinematics(surf, curve, t)
 
-    emit = partial(_emit, headers, out_path=out, fmt=fmt)
-    return _stream(partial(_grid_blocks, emit, curve, samples, names, None,
-                           scalar, False))
+    return _stream(headers, _grid_blocks(curve, samples, names, None, scalar,
+                                         False), out, fmt)
 
 
 def cmd_ellipse(args) -> int:
@@ -333,9 +330,9 @@ def cmd_ellipse(args) -> int:
     fmt = _format(args, config)
     out = _out_path(args, config)
     params = ell.EllipseParams(a, b)  # bad axes are config errors
-    return _stream(partial(
-        _emit, ell.PROFILE_HEADER.split(","),
-        (samples, partial(ell._profile_block, params, samples)), out, fmt))
+    return _stream(ell.PROFILE_HEADER.split(","),
+                   (samples, partial(ell._profile_block, params, samples)),
+                   out, fmt)
 
 
 def cmd_verify(args) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import partial, reduce
+from functools import reduce
 from typing import Iterable
 
 import numpy as np
@@ -148,23 +148,22 @@ def local_limits(curve, t: float) -> LocalLimits2:
 
 # -- the same frames over arrays of parameters ----------------------------
 
-class _Unsampled(KinematicsError):
-    """Sampling a block raised: every row takes the scalar API."""
-
-
 def _block_fields(curve, ts, kernel, scalar, names, sample):
     """The fields `names` at the parameters ts of one block, as arrays: the
     kernel's over the curve's samples, each row that it marks bad redone by
-    scalar(t) in the order of ts (`_scalar_rows`); with `sample` false,
-    every row scalar(t)'s.  Sampling that raises raises _Unsampled."""
-    if not sample:
+    scalar(t) in the order of ts (`_scalar_rows`); every row scalar(t)'s
+    when `sample` is false or sampling the block raises.  So a block's rows
+    depend on that block alone, and its first error is the first row the
+    scalar API rejects, provided the kernel marks every such row bad."""
+    try:
+        with np.errstate(all="ignore"):
+            samples = curve.sample(ts) if sample else None
+    except KinematicsError:
+        samples = None
+    if samples is None:
         return [np.array(column, dtype=float)
                 for column in zip(*_scalar_rows(scalar, ts.tolist(), names))]
     with np.errstate(all="ignore"):  # bad rows are redone
-        try:
-            samples = curve.sample(ts)
-        except KinematicsError as exc:
-            raise _Unsampled(str(exc)) from exc
         out, good = kernel(*samples)
     columns = [getattr(out, name) for name in names]
     bad = np.flatnonzero(~good)
@@ -174,64 +173,35 @@ def _block_fields(curve, ts, kernel, scalar, names, sample):
     return columns
 
 
-def _settled(emit, curve, n, ts_of, kernel, scalar, names, sample):
-    """emit((n, block)), the block source (`csvout`) of n rows whose block(k)
-    is ts_of(k) and the fields `names` there (`_block_fields`), under the
-    rule of every array path: when sampling any block raises, every row is
-    scalar(t)'s.  So emit runs again on the scalar rows when a block is
-    _Unsampled, or raises another KinematicsError while a pass that only
-    samples finds a block that does not sample; else the error propagates,
-    the first failing row's when emit takes the blocks in order."""
-    def block(sample, k):
-        ts = ts_of(k)
-        return (ts, *_block_fields(curve, ts, kernel, scalar, names, sample))
-
-    try:
-        return emit((n, partial(block, sample)))
-    except _Unsampled:
-        pass
-    except KinematicsError:
-        try:
-            with np.errstate(all="ignore"):
-                for k in range(-(-n // _BLOCK) if sample else 0):
-                    curve.sample(ts_of(k))
-        except KinematicsError:
-            pass
-        else:  # every block samples: the error stands
-            raise
-    return emit((n, partial(block, False)))
-
-
 def _over_samples(curve, ts, kernel, scalar, sample=True):
-    """`kernel(r, r', r'')` over the curve's samples at ts under the rule
-    of `_settled`, one block at a time into columns of the full length:
-    the result dataclass with array fields.  A bad row raises the scalar
-    API's typed error, with its `t` set, and a row that stays non-finite
-    raises NonFiniteData, so no NaN or Inf leaves the array path."""
+    """`kernel(r, r', r'')` over the curve's samples at ts, one block at a
+    time (`_block_fields`) into columns of the full length: the result
+    dataclass with array fields.  A bad row raises the scalar API's typed
+    error, with its `t` set, and a row that stays non-finite raises
+    NonFiniteData, so no NaN or Inf leaves the array path."""
     ts = np.asarray(ts, dtype=float)
     with np.errstate(all="ignore"):  # one NaN row gives the field shapes
         like, _ = kernel(*np.full((3, 1, curve.dim), np.nan))
     names = [f.name for f in fields(like)]
     columns = [np.empty(ts.shape + getattr(like, name).shape[1:])
                for name in names]
-
-    def fill(rows):
-        for k in range(-(-len(ts) // _BLOCK)):
-            for column, values in zip(columns, rows[1](k)[1:]):
-                column[k * _BLOCK:(k + 1) * _BLOCK] = values
-
-    _settled(fill, curve, len(ts), lambda k: ts[k * _BLOCK:(k + 1) * _BLOCK],
-             kernel, scalar, names, sample)
+    for k in range(0, len(ts), _BLOCK):
+        rows = slice(k, k + _BLOCK)
+        for column, values in zip(columns, _block_fields(
+                curve, ts[rows], kernel, scalar, names, sample)):
+            column[rows] = values
     return type(like)(*columns)
 
 
-def _grid_blocks(emit, curve, n, names, kernel, scalar, sample=True):
-    """`_settled` over uniform_grid(curve.domain, n), with its bits: block k
-    holds the grid's rows k * _BLOCK to (k + 1) * _BLOCK."""
-    _settled(emit, curve, n,
-             lambda k: _grid_rows(curve.domain, n, np.arange(
-                 k * _BLOCK, min(n, (k + 1) * _BLOCK))),
-             kernel, scalar, names, sample)
+def _grid_blocks(curve, n, names, kernel, scalar, sample=True):
+    """The block source (`csvout`) of uniform_grid(curve.domain, n), with
+    its bits, and the fields `names` there: block k is the grid's rows
+    k * _BLOCK to (k + 1) * _BLOCK and their `_block_fields`."""
+    def block(k):
+        ts = _grid_rows(curve.domain, n,
+                        np.arange(k * _BLOCK, min(n, (k + 1) * _BLOCK)))
+        return (ts, *_block_fields(curve, ts, kernel, scalar, names, sample))
+    return n, block
 
 
 def _scalar_rows(scalar, ts, names):
@@ -256,7 +226,9 @@ def _scalar_rows(scalar, ts, names):
 
 
 def _finite_rows(*columns):
-    """The mask of the rows where every column is finite; stacks none."""
+    """The mask of the rows where every column is finite; stacks none.  The
+    kernels pass d ** 3 (phi ** 3) for d: the scalar API raises where that
+    power passes the largest float, so such a row must be redone."""
     return reduce(np.logical_and, map(np.isfinite, columns))
 
 
@@ -273,7 +245,8 @@ def _distance_frame(curve, center: Vec2):
         out = PlaneKinematics(D=d, dD=dD, d2D=d2D,
                               rot_velocity=np.column_stack(velocity),
                               rot_speed=speed)
-        return out, (d > EPS_NORM) & _finite_rows(d, dD, d2D, *velocity, speed)
+        return out, (d > EPS_NORM) & _finite_rows(d ** 3, dD, d2D, *velocity,
+                                                   speed)
 
     return kernel, lambda t: distance_kinematics(curve, center, t), True
 
@@ -292,7 +265,7 @@ def _local_kernel(r, rp, rpp):
     out = LocalLimits2(phi=phi, phi_prime=phi_prime,
                        psi=np.column_stack(psi), psi_speed=psi_speed)
     return out, ((phi > EPS_NORM)
-                 & _finite_rows(phi, phi_prime, *psi, psi_speed))
+                 & _finite_rows(phi ** 3, phi_prime, *psi, psi_speed))
 
 
 def _local_frame(curve):

@@ -466,13 +466,13 @@ def space_data_from_curve(curve, order: int = 1,
     distance ODE plus the signed angular speeds cross / denom of the three
     projected directions."""
     def data(ts):
-        from .space import _distance_rates, _pair_terms
+        from .space import _space_terms
         r, rp, rpp = _derivatives(curve, ts, order)
-        omega = np.column_stack([
-            np.divide(*_pair_terms(r[:, i], r[:, j], rp[:, i], rp[:, j]))
-            for i, j in _PLANES])
-        _, dD, d2D = _distance_rates(r, rp, rpp)
-        return (dD, d2D)[order - 1], omega
+        x, y, z = rel = r.T
+        dD, d2D, pairs = _space_terms(rel, rp.T, rpp.T,
+                                      np.sqrt(x * x + y * y + z * z))
+        return (dD, d2D)[order - 1], np.column_stack(
+            [np.divide(*pair) for pair in pairs])
 
     r0, d0, dd0 = _start(curve, 0.0, np.linalg.norm, order)
     if np.abs(r0).min() < _COLLAPSE_TOL * d0:

@@ -79,14 +79,6 @@ def _pair_terms(u, v, du, dv):
     return u * dv - du * v, u * u + v * v
 
 
-def _pair_speed(u: float, v: float, du: float, dv: float, label: str,
-                t: float, error) -> float:
-    cross, denom = _pair_terms(u, v, du, dv)
-    if denom <= EPS_NORM ** 2:
-        raise error(f"{label}-plane projection vanishes at t={t:g}")
-    return abs(cross) / denom
-
-
 def _dot(p: tuple, q: tuple) -> float:
     """p . q of component triples, as Vec3.dot takes it."""
     return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
@@ -96,6 +88,16 @@ def _cross(p: tuple, q: tuple) -> tuple:
     """p x q of component triples, with the finite check of Vec3.cross."""
     return _checked((p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2],
                      p[0] * q[1] - p[1] * q[0]))
+
+
+def _space_terms(rel, rp, rpp, d):
+    """dD, d2D and the `_pair_terms` of the xOy, xOz and yOz projections of
+    the vector rel with derivatives rp and rpp (components x, y, z) and
+    norm d; floats or numpy rows alike, with the scalar API's operations."""
+    (x, y, z), (xp, yp, zp) = rel, rp
+    return (*_radial_rates(d, _dot(rel, rp), _dot(rp, rp), _dot(rel, rpp)),
+            (_pair_terms(x, y, xp, yp), _pair_terms(x, z, xp, zp),
+             _pair_terms(y, z, yp, zp)))
 
 
 def _space_kinematics(at, t: float, coincident,
@@ -109,17 +111,15 @@ def _space_kinematics(at, t: float, coincident,
         d = _norm(rel)
         if d <= EPS_NORM:
             raise coincident(f"distance vanishes at t={t:g}")
-        dD, d2D = _radial_rates(d, _dot(rel, rp), _dot(rp, rp),
-                                _dot(rel, rpp))
+        dD, d2D, pairs = _space_terms(rel, rp, rpp, d)
     except OverflowError as exc:
         raise _overflow(t) from exc
-    (x, y, z), (xp, yp, zp) = rel, rp
-    return SpaceKinematics(
-        D=d, dD=dD, d2D=d2D,
-        speed_a=_pair_speed(x, y, xp, yp, "xOy", t, projection),
-        speed_b=_pair_speed(x, z, xp, zp, "xOz", t, projection),
-        speed_c=_pair_speed(y, z, yp, zp, "yOz", t, projection),
-    )
+    speeds = []
+    for label, (cross, denom) in zip(("xOy", "xOz", "yOz"), pairs):
+        if denom <= EPS_NORM ** 2:
+            raise projection(f"{label}-plane projection vanishes at t={t:g}")
+        speeds.append(abs(cross) / denom)
+    return SpaceKinematics(d, dD, d2D, *speeds)
 
 
 def space_distance_kinematics(curve, t: float) -> SpaceKinematics:
@@ -129,28 +129,19 @@ def space_distance_kinematics(curve, t: float) -> SpaceKinematics:
                              AxisProjectionDegenerate)
 
 
-def _distance_rates(r, rp, rpp):
-    """D = |r|, dD and d2D over rows of r, r' and r'' (arrays (n, 3)),
-    with the operations of the scalar API."""
-    (x, y, z), (xp, yp, zp), (xpp, ypp, zpp) = r.T, rp.T, rpp.T
-    d = np.sqrt(x * x + y * y + z * z)
-    return (d, *_radial_rates(d, x * xp + y * yp + z * zp,
-                              xp * xp + yp * yp + zp * zp,
-                              x * xpp + y * ypp + z * zpp))
-
-
 def _space_kernel(r, rp, rpp):
     """space_distance_kinematics over rows of samples, and the mask of its
     good rows."""
-    d, dD, d2D = _distance_rates(r, rp, rpp)
+    x, y, z = rel = r.T
+    d = np.sqrt(x * x + y * y + z * z)
+    dD, d2D, pairs = _space_terms(rel, rp.T, rpp.T, d)
     good = d > EPS_NORM
     speeds = []
-    for i, j in _PLANES:
-        cross, denom = _pair_terms(r[:, i], r[:, j], rp[:, i], rp[:, j])
+    for cross, denom in pairs:
         good &= denom > EPS_NORM ** 2
         speeds.append(np.abs(cross) / denom)
     out = SpaceKinematics(d, dD, d2D, *speeds)
-    return out, good & _finite_rows(d, dD, d2D, *speeds)
+    return out, good & _finite_rows(d ** 3, dD, d2D, *speeds)
 
 
 def _origin_frame(curve):

@@ -123,6 +123,7 @@ def test_a_degenerate_row_in_the_third_block_is_the_scalar_error(name):
 
 
 LN = expr_curve([-1.0, 3.0], x="t", y="ln(t)")
+LOCAL_NAMES = ["phi", "phi_prime", "psi_speed"]
 
 
 def assert_scalar_bits(result, scalar, curve, ts):
@@ -133,24 +134,63 @@ def assert_scalar_bits(result, scalar, curve, ts):
                 == np.array(want, dtype=float).tobytes()), f.name
 
 
+def rows_of(result, rows):
+    """The array result restricted to `rows`."""
+    return type(result)(*(getattr(result, f.name)[rows]
+                          for f in fields(result)))
+
+
+def samples(curve, ts):
+    """Whether the curve samples on the parameters ts."""
+    try:
+        curve.sample(ts)
+    except KinematicsError:
+        return False
+    return True
+
+
+def block_by_block(array, scalar, curve, ts, names):
+    """The float fields `names` at ts under the per-block rule: each block
+    of _BLOCK rows is array(curve, block) alone, or the scalar API's rows
+    where the curve does not sample on that block."""
+    blocks = []
+    for k in range(0, len(ts), _BLOCK):
+        block = ts[k:k + _BLOCK]
+        if samples(curve, block):
+            result = array(curve, block)
+            blocks.append([getattr(result, name) for name in names])
+        else:
+            rows = [scalar(curve, t) for t in block.tolist()]
+            blocks.append([np.array([getattr(row, name) for row in rows])
+                           for name in names])
+    return [np.concatenate(column) for column in zip(*blocks)]
+
+
 def test_sampling_that_fails_in_the_third_block_redoes_every_row():
     # ln fails for t < 0, only in the third block; the local frame needs
-    # r' and r'' alone, which stay defined there, so every row, the
-    # first two blocks' too, is the per-sample loop's
+    # r' and r'' alone, which stay defined there, so every row of the
+    # third block is the per-sample loop's, and each of the first two
+    # blocks is the array of that block alone
     ts = 2.9995 - np.arange(3 * _BLOCK) / 1000
     assert (ts[:2 * _BLOCK] > 0).all() and (ts[2 * _BLOCK:] < 0).any()
     with pytest.raises(KinematicsError):
         LN.sample(ts)
     LN.sample(ts[:2 * _BLOCK])  # the first two blocks alone do sample
-    assert_scalar_bits(local_limits_array(LN, ts), local_limits, LN, ts)
+    result = local_limits_array(LN, ts)
+    third = slice(2 * _BLOCK, None)
+    assert_scalar_bits(rows_of(result, third), local_limits, LN, ts[third])
+    for k in (0, 1):
+        block = slice(k * _BLOCK, (k + 1) * _BLOCK)
+        assert field_bytes(rows_of(result, block)) == field_bytes(
+            local_limits_array(LN, ts[block])), k
 
 
-@pytest.mark.parametrize("tail, want", [((-1.0, -0.5), (CenterOnCurve, 3)),
-                                        ((2.5, 3.0), (SingularPoint, 5))])
-def test_a_later_block_that_fails_to_sample_decides_the_error(tail, want):
+@pytest.mark.parametrize("tail", [(-1.0, -0.5), (2.5, 3.0)])
+def test_a_later_block_that_fails_to_sample_leaves_the_error(tail):
     # the kernel marks row 5 bad; the scalar API fails at rows 3 and 5.
-    # When the third block does not sample (ln of t < 0), every row is
-    # the scalar API's, and row 3 fails first; else only row 5 is
+    # Each block settles its own rows, so whether or not the third block
+    # samples (ln of t < 0), only row 5 of the first block is redone, and
+    # it fails
     ts = np.concatenate([np.linspace(1.0, 2.0, _BLOCK),
                          np.linspace(2.1, 2.4, _BLOCK),
                          np.linspace(*tail, _BLOCK)])
@@ -168,24 +208,71 @@ def test_a_later_block_that_fails_to_sample_decides_the_error(tail, want):
 
     with pytest.raises(KinematicsError) as exc:
         _over_samples(LN, ts, kernel, scalar)
-    assert (type(exc.value), exc.value.t) == (want[0], ts[want[1]])
+    assert (type(exc.value), exc.value.t) == (SingularPoint, ts[5])
 
 
-def test_the_ln_local_frame_is_the_per_sample_loop(capsys, tmp_path):
-    # ln fails for t < 0, in the first of five blocks only
+def test_the_ln_local_frame_settles_each_block_alone(capsys, tmp_path):
+    # ln fails for t < 0, in the first two of five blocks: those blocks
+    # are the per-sample loop's, the others the array of the block alone,
+    # and every cell is within 1e-12 of the per-sample loop, relative to
+    # the larger of the cell and its column's largest magnitude
     ts = uniform_grid(LN.domain, 5000)
-    assert_scalar_bits(local_limits_array(LN, ts), local_limits, LN, ts)
+    assert [samples(LN, ts[k:k + _BLOCK]) for k in range(0, 5000, _BLOCK)] \
+        == [False, False, True, True, True]
+    want = block_by_block(local_limits_array, local_limits, LN, ts,
+                          LOCAL_NAMES)
+    result = local_limits_array(LN, ts)
+    assert [getattr(result, name).tobytes() for name in LOCAL_NAMES] == [
+        column.tobytes() for column in want]
+    rows = [local_limits(LN, t) for t in ts.tolist()]
+    differ = 0
+    for name, column in zip(LOCAL_NAMES, want):
+        scalar = np.array([getattr(row, name) for row in rows])
+        scale = np.maximum(np.abs(scalar), np.abs(scalar).max())
+        assert np.all(np.abs(column - scalar) <= 1e-12 * scale), name
+        differ += np.count_nonzero(column != scalar)
+    assert differ  # the sampled blocks hold the kernel's bits
     path = tmp_path / "ln.json"
     path.write_text(json.dumps({"curve": {
         "kind": "expr", "domain": [-1, 3], "expr": {"x": "t", "y": "ln(t)"}}}))
     assert cli.main(["kinematics", "--config", str(path), "--frame", "local",
                      "--samples", "5000"]) == 0
-    rows = [local_limits(LN, t) for t in ts.tolist()]
-    want = "t,D,dD,d2D,rot_speed,phi,psi_speed\n" + "".join(
-        ",".join(f"{v:.17g}" for v in (t, 0.0, r.phi, r.phi_prime,
-                                         r.psi_speed, r.phi, r.psi_speed))
-        + "\n" for t, r in zip(ts.tolist(), rows))
-    assert capsys.readouterr().out == want
+    phi, phi_prime, psi_speed = want
+    assert capsys.readouterr().out == written(
+        COMMANDS["local"][2], (ts, np.zeros(len(ts)), phi, phi_prime,
+                               psi_speed, phi, psi_speed), "csv")
+
+
+def test_only_the_unsampled_block_and_the_bad_rows_call_the_scalar_api(
+        monkeypatch, tmp_path):
+    # the last of three blocks does not sample (ln past its pole), and the
+    # kernel marks one row bad in each of the first two: the stream and
+    # the array function call the scalar API at those two rows, then at
+    # every row of the last block, once each
+    n = 3 * _BLOCK
+    curve = curve_from_spec(ln_record(n)["curve"])  # x = t
+    ts = uniform_grid(curve.domain, n)
+    bad = ts[[5, _BLOCK + 7]]
+    kernel, scalar, sample = _local_frame(curve)
+    calls = []
+
+    def marking(r, rp, rpp):
+        out, good = kernel(r, rp, rpp)
+        return out, good & ~np.isin(r[:, 0], bad)
+
+    def counted(t):
+        calls.append(t)
+        return scalar(t)
+
+    want = bad.tolist() + ts[2 * _BLOCK:].tolist()
+    on_cpus(monkeypatch, 1)  # no forked worker: every call is seen here
+    cli._emit(["t", *LOCAL_NAMES],
+              _grid_blocks(curve, n, LOCAL_NAMES, marking, counted, sample),
+              str(tmp_path / "ln.csv"), "csv")
+    assert calls == want
+    calls.clear()
+    _over_samples(curve, ts, marking, counted, sample)
+    assert calls == want
 
 
 # -- JSON, one block at a time ----------------------------------------------
@@ -278,7 +365,7 @@ def torus_columns(n):
 
 def ln_record(n):
     """A local-frame curve on t = 0, 1, ..., n - 1 whose last row is past
-    the pole of ln: the last block does not sample, so every row is the
+    the pole of ln: the last block does not sample, so its rows are the
     per-sample loop's."""
     return {"curve": {"kind": "expr", "domain": [0, n - 1],
                       "expr": {"x": "t", "y": f"ln({n - 1.5} - t)"}}}
@@ -286,9 +373,9 @@ def ln_record(n):
 
 def ln_columns(n):
     curve = curve_from_spec(ln_record(n)["curve"])
-    ts, phi, phi_prime, psi_speed = scalar_columns(
-        lambda t: local_limits(curve, t), curve, n,
-        ["phi", "phi_prime", "psi_speed"])
+    ts = uniform_grid(curve.domain, n)
+    phi, phi_prime, psi_speed = block_by_block(
+        local_limits_array, local_limits, curve, ts, LOCAL_NAMES)
     return ts, np.zeros(n), phi, phi_prime, psi_speed, phi, psi_speed
 
 
@@ -382,11 +469,9 @@ def test_one_row_sources_are_the_full_columns():
                (space_distance_kinematics_array, _origin_frame, SPACE_EXPR,
                 SPACE_NAMES),
                (local_limits_array, _local_frame, ELLIPSE,
-                ["phi", "phi_prime", "psi_speed"])]
+                LOCAL_NAMES)]
     for array, frame, curve, names in sources:
-        emitted = []
-        _grid_blocks(emitted.append, curve, 1, names, *frame(curve))
-        (count, block), = emitted
+        count, block = _grid_blocks(curve, 1, names, *frame(curve))
         ts = uniform_grid(curve.domain, 1)
         result = array(curve, ts)
         assert count == 1
@@ -445,7 +530,8 @@ def test_sampling_that_fails_in_the_third_block_writes_the_scalar_rows(
         monkeypatch, capsys, tmp_path, fmt):
     # ln(2047.5 - t) fails for t >= 2048, in the third block only; the
     # local frame needs r' and r'' alone, which stay defined there, so
-    # every row, the first two blocks' too, is the per-sample loop's
+    # the third block writes the per-sample loop's rows, and the first
+    # two blocks the array's of each block alone
     record = {"kind": "expr", "domain": [0, 3071],
               "expr": {"x": "t", "y": "ln(2047.5 - t)"}}
     curve = curve_from_spec(record)
@@ -453,12 +539,11 @@ def test_sampling_that_fails_in_the_third_block_writes_the_scalar_rows(
     with pytest.raises(KinematicsError):
         curve.sample(ts[2 * _BLOCK:])
     curve.sample(ts[:2 * _BLOCK])  # the first two blocks alone do sample
-    rows = [local_limits(curve, t) for t in ts.tolist()]
-    columns = [np.array([getattr(r, name) for r in rows])
-               for name in ("phi", "phi_prime", "psi_speed")]
-    want = written(COMMANDS["local"][2], (ts, np.zeros(len(ts)), columns[0],
-                                          columns[1], columns[2], columns[0],
-                                          columns[2]), fmt)
+    phi, phi_prime, psi_speed = block_by_block(
+        local_limits_array, local_limits, curve, ts, LOCAL_NAMES)
+    want = written(COMMANDS["local"][2], (ts, np.zeros(len(ts)), phi,
+                                          phi_prime, psi_speed, phi,
+                                          psi_speed), fmt)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"curve": record, "samples": 3 * _BLOCK}))
     for cpus in (1, 3):

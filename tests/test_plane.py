@@ -539,10 +539,9 @@ def test_redone_rows_are_the_scalar_bits_on_any_number_of_cpus(monkeypatch,
 
     result = _over_samples(curve, ts, kernel, scalar)
     path = tmp_path / "rows.csv"
-    _grid_blocks(lambda source: cli._emit(["t", "D", "dD", "d2D", "vx", "vy",
-                                           "rot_speed"], source, str(path),
-                                          "csv"),
-                 curve, len(ts), names, kernel, scalar)
+    cli._emit(["t", "D", "dD", "d2D", "vx", "vy", "rot_speed"],
+              _grid_blocks(curve, len(ts), names, kernel, scalar), str(path),
+              "csv")
     table = np.array([[float(cell) for cell in line.split(",")]
                       for line in path.read_text().splitlines()[1:]])
     assert table[:, 0].tobytes() == ts.tobytes()

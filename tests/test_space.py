@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import astuple
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from rotorkin import cli
 from rotorkin.curves import SpaceCurve, make_catalog_curve, reparametrize, \
     transform_curve
 from rotorkin.curves import curve_from_spec
@@ -15,7 +17,8 @@ from rotorkin.errors import (AxisProjectionDegenerate, CenterOnCurve,
                              NonFiniteData, SingularPoint)
 from rotorkin.numerics import extrapolate_to_zero, fd1_wide, fd_derivative
 from rotorkin.plane import (chord_kinematics, distance_kinematics,
-                            local_limits, uniform_grid)
+                            distance_kinematics_array, local_limits,
+                            local_limits_array, uniform_grid)
 from rotorkin.space import (DerivativePlaneLimits, InvariantTuple,
                             SpaceKinematics, _chain_direct,
                             _chain_from_invariants, derivative_plane_limits,
@@ -415,21 +418,40 @@ def test_overflowing_space_kinematics_raise_instead_of_leaking_inf():
     assert exc.value.t == 0.2
 
 
-def test_a_scalar_kinematics_overflow_is_non_finite_data_at_t():
+def test_a_scalar_kinematics_overflow_is_non_finite_data_at_t(capsys,
+                                                             tmp_path):
     # d ** 3 and phi ** 3 of a radius near 1e103 pass the largest float,
-    # which Python floats raise as a bare OverflowError
+    # which Python floats raise as a bare OverflowError; the array kernels
+    # mark such a row bad, so the arrays and the CLI raise the same error
     circle = make_catalog_curve("circle", {"radius": 1e103})
     helix = make_catalog_curve("helix", {"radius": 1e103})
     calls = [lambda t: distance_kinematics(circle, Vec2(0.0, 0.0), t),
              lambda t: local_limits(circle, t),
              lambda t: chord_kinematics(circle, t, 1.0),
              lambda t: space_distance_kinematics(helix, t),
-             lambda t: pair_kinematics(make_catalog_curve("helix"), helix, t)]
+             lambda t: pair_kinematics(make_catalog_curve("helix"), helix, t),
+             lambda t: distance_kinematics_array(circle, Vec2(0.0, 0.0), [t]),
+             lambda t: local_limits_array(circle, [t, 0.25]),
+             lambda t: space_distance_kinematics_array(helix, [t, 0.75])]
     for call in calls:
         with pytest.raises(NonFiniteData) as exc:
             call(0.5)
         assert exc.value.t == 0.5
         assert str(exc.value) == "kinematics overflow at t=0.5"
+    # a d2D the kernel used to print as 0.0999..., where the true value is 0
+    records = [({"kind": "line",
+                 "params": {"x0": 1e103, "y0": 0, "a": 1e51, "b": 0}}, -5),
+               ({"kind": "helix", "params": {"cz": 1e103, "pitch": 1e51}}, 0),
+               ({"kind": "circle", "params": {"radius": 1e103}}, 0)]
+    config = tmp_path / "config.json"
+    for record, t in records:
+        config.write_text(json.dumps({"curve": record}))
+        frames = ["origin"] + (["local"] if record["kind"] == "circle" else [])
+        for frame in frames:
+            assert cli.main(["kinematics", "--config", str(config),
+                             "--frame", frame]) == 3
+            assert capsys.readouterr() == (
+                "", f"NonFiniteData at t={t}: kinematics overflow at t={t}\n")
 
 
 def test_curves_without_closed_forms_run_the_scalar_api_per_sample(
